@@ -13,7 +13,9 @@
 #                        # registry, answers diffed + bench_minimize --smoke),
 #                        # trace smoke (forced trace over the wire: span tree
 #                        # stations + parent links, Chrome export parses,
-#                        # traced answers diffed against untraced)
+#                        # traced answers diffed against untraced),
+#                        # benchmark build (perfbench/ compiled against the
+#                        # current crates, its contract tests run)
 #   ci/check.sh --fix    # apply clippy suggestions and rustfmt in place
 #
 # The same commands run in CI; keep them byte-for-byte in sync.
@@ -41,6 +43,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # the `simd` feature off — every lane sweep forced onto the portable
 # scalar backend — with the randomized identity suites still enabled.
 cargo test --quiet -p trl-nnf --no-default-features --features proptest
+
+# Benchmark build: perfbench/ is a cargo workspace of its own with path
+# dependencies on crates/*, so no workspace build above compiles it. An
+# API change in trl-nnf, trl-compiler or trl-engine that breaks the
+# repository benchmark fails here, together with the benchmark's own
+# contract tests.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Perf smoke: both bench tiers (including the ~145k-node large circuit).
 # Fails if any kernel variant loses bit-identity with the scalar queries,

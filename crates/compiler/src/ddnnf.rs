@@ -18,11 +18,11 @@
 //!   so it can never become unit while the component is being compiled.
 //! * **Packed component signatures.** A component is keyed by its sorted
 //!   clause-index list plus a 64-bit hash of its reduced literal content,
-//!   computed in one pass over the component — no per-clause allocation,
-//!   unlike re-materializing reduced clause sets. Distinct clause sets
-//!   never collide (the index list is compared exactly); distinct reduced
-//!   contents over the *same* clause set collide with probability ~2⁻⁶⁴,
-//!   the standard sharpSAT/Dsharp trade. [`SignatureMode::Exact`] keeps
+//!   computed while the component is discovered — no per-clause
+//!   allocation, unlike re-materializing reduced clause sets. Distinct
+//!   clause sets never collide (the index list is compared exactly);
+//!   distinct reduced contents over the *same* clause set collide with
+//!   probability ~2⁻⁶⁴, the standard sharpSAT/Dsharp trade. [`SignatureMode::Exact`] keeps
 //!   the allocation-heavy exact keys for ablation, and debug builds
 //!   shadow every packed entry with its exact key to detect collisions.
 //! * **Dynamic branching.** The default [`Heuristic::Vsads`] scores a
@@ -30,10 +30,14 @@
 //!   halved) plus its occurrence count in the current component —
 //!   sharpSAT's VSADS. The seed's static max-occurrence rule and a naive
 //!   first-unassigned rule remain as ablation baselines.
-//! * **Adjacency-driven component discovery.** Components are found by a
-//!   breadth-first sweep over the var→clause index
-//!   ([`trl_prop::Occurrences`]) with epoch-stamped visited arrays, so
-//!   discovery allocates nothing beyond the component lists themselves.
+//! * **One-pass component discovery.** Components are found by a single
+//!   pass over the parent component's clauses that joins each active
+//!   clause's unassigned variables in a union-find, with epoch-stamped
+//!   scratch arrays. The same pass records each component's sorted clause
+//!   list, its variables with their occurrence counts, and its packed
+//!   signature, so neither branching nor the cache probe walks the
+//!   clauses again. Components live in flat buffers used as a stack, so
+//!   discovery allocates nothing once they have grown.
 //!
 //! The output [`Circuit`] is decomposable and deterministic **by
 //! construction**, so every d-DNNF query of `trl-nnf` applies.
@@ -44,7 +48,7 @@ use std::time::{Duration, Instant};
 use trl_core::hash::FxHasher;
 use trl_core::{FxHashMap, Lit, Var};
 use trl_nnf::{Circuit, CircuitBuilder, LitWeights, NnfId};
-use trl_prop::{Cnf, Occurrences};
+use trl_prop::Cnf;
 
 /// Component-cache configuration, an ablation knob of `exp15`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -217,6 +221,20 @@ const UNSET: u8 = 0;
 const FALSE: u8 = 1;
 const TRUE: u8 = 2;
 
+/// `Scratch::clause_owner` entry of a satisfied clause, and the "none
+/// yet" value of the other discovery scratch entries.
+const NO_OWNER: u32 = u32::MAX;
+
+/// The union-find root of variable `v`, halving the path on the way.
+fn find(link: &mut [u32], mut v: u32) -> u32 {
+    while link[v as usize] != v {
+        let up = link[link[v as usize] as usize];
+        link[v as usize] = up;
+        v = up;
+    }
+    v
+}
+
 /// Exact component key: the sorted list of reduced clauses.
 type ExactKey = Vec<Vec<Lit>>;
 
@@ -224,11 +242,184 @@ type ExactKey = Vec<Vec<Lit>>;
 /// by their exact clause-index lists.
 type PackedBucket = Vec<(Box<[u32]>, NnfId)>;
 
+/// The SplitMix64 finalizer: one literal's term in a content hash.
+fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Whether some literal of `clause` is true under the literal values
+/// `value`.
+fn satisfied(clause: &[Lit], value: &[u8]) -> bool {
+    // No early exit: clauses are short, and a data-dependent exit costs
+    // more in mispredictions than the remaining loads.
+    clause
+        .iter()
+        .fold(false, |sat, &l| sat | (value[l.code() as usize] == TRUE))
+}
+
+/// The flat component buffers, used as stacks: each `compile_component`
+/// frame appends the components it discovers and truncates back on
+/// return, so discovery allocates nothing once they have grown.
+#[derive(Default)]
+struct ComponentStack {
+    /// Clause lists of the components, concatenated.
+    clauses: Vec<u32>,
+    /// Variable lists of the components, concatenated. Their occurrence
+    /// counts stay in `Scratch::var_count` until the component is branched
+    /// on: the passes that run in between, inside earlier siblings'
+    /// subtrees, touch only those siblings' variables.
+    vars: Vec<u32>,
+    comps: Vec<Component>,
+}
+
+impl ComponentStack {
+    /// Buffer lengths to truncate back to.
+    fn mark(&self) -> (usize, usize, usize) {
+        (self.clauses.len(), self.vars.len(), self.comps.len())
+    }
+
+    fn truncate(&mut self, mark: (usize, usize, usize)) {
+        self.clauses.truncate(mark.0);
+        self.vars.truncate(mark.1);
+        self.comps.truncate(mark.2);
+    }
+
+    /// Pushes the parent's active clauses, in order, and all touched
+    /// variables as one component: the parent did not split.
+    fn push_whole(&mut self, parent: std::ops::Range<usize>, scratch: &Scratch) {
+        let clause_lo = self.clauses.len() as u32;
+        for k in parent {
+            let ci = self.clauses[k];
+            if scratch.clause_owner[ci as usize] != NO_OWNER {
+                self.clauses.push(ci);
+            }
+        }
+        let var_lo = self.vars.len() as u32;
+        self.vars.extend_from_slice(&scratch.touched);
+        self.comps.push(Component {
+            clauses: (clause_lo, self.clauses.len() as u32),
+            vars: (var_lo, self.vars.len() as u32),
+            sig: 0,
+        });
+    }
+
+    /// Pushes the components the parent split into, from `comps[first]`
+    /// on: numbers them in order of their first clause, then lays out
+    /// their clause and variable lists. The parent list is sorted, so
+    /// distributing it in order leaves every component's list sorted.
+    fn push_split(&mut self, parent: std::ops::Range<usize>, scratch: &mut Scratch) {
+        let first = self.comps.len();
+        // Pass 2: number the components in order of their first clause
+        // and size them.
+        for &v in scratch.touched.iter() {
+            scratch.var_comp[v as usize] = NO_OWNER;
+        }
+        let new_comp = |comps: &mut Vec<Component>| {
+            comps.push(Component {
+                clauses: (0, 0),
+                vars: (0, 0),
+                sig: 0,
+            });
+            (comps.len() - 1 - first) as u32
+        };
+        for k in parent.clone() {
+            let ci = self.clauses[k] as usize;
+            let owner = match scratch.clause_owner[ci] {
+                NO_OWNER => continue,
+                rep => {
+                    let root = find(&mut scratch.var_link, rep) as usize;
+                    if scratch.var_comp[root] == NO_OWNER {
+                        scratch.var_comp[root] = new_comp(&mut self.comps);
+                    }
+                    scratch.var_comp[root]
+                }
+            };
+            scratch.clause_owner[ci] = owner;
+            self.comps[first + owner as usize].clauses.1 += 1;
+        }
+        for &v in scratch.touched.iter() {
+            let c = scratch.var_comp[find(&mut scratch.var_link, v) as usize];
+            scratch.var_comp[v as usize] = c;
+            self.comps[first + c as usize].vars.1 += 1;
+        }
+
+        // Pass 3: lay the lists out.
+        let mut clause_end = self.clauses.len() as u32;
+        let mut var_end = self.vars.len() as u32;
+        for comp in &mut self.comps[first..] {
+            let (clauses, vars) = (comp.clauses.1, comp.vars.1);
+            comp.clauses = (clause_end, clause_end);
+            comp.vars = (var_end, var_end);
+            clause_end += clauses;
+            var_end += vars;
+        }
+        self.clauses.resize(clause_end as usize, 0);
+        self.vars.resize(var_end as usize, 0);
+        for k in parent {
+            let ci = self.clauses[k];
+            let owner = scratch.clause_owner[ci as usize];
+            if owner != NO_OWNER {
+                let at = &mut self.comps[first + owner as usize].clauses.1;
+                self.clauses[*at as usize] = ci;
+                *at += 1;
+            }
+        }
+        for &v in scratch.touched.iter() {
+            let at = &mut self.comps[first + scratch.var_comp[v as usize] as usize]
+                .vars
+                .1;
+            self.vars[*at as usize] = v;
+            *at += 1;
+        }
+    }
+}
+
+/// Per-variable and per-clause scratch of a discovery pass, reused across
+/// passes.
+struct Scratch {
+    /// Epoch counter for `var_mark`; each pass bumps it instead of
+    /// clearing the per-variable arrays.
+    stamp: u64,
+    var_mark: Vec<u64>,
+    /// Per variable: its union-find link.
+    var_link: Vec<u32>,
+    /// Per variable: its literal occurrences in the active clauses of its
+    /// component, read when that component is branched on.
+    var_count: Vec<u32>,
+    /// Per variable: the pass-local index of its component.
+    var_comp: Vec<u32>,
+    /// The variables the pass met, in order of first occurrence.
+    touched: Vec<u32>,
+    /// Per clause: its reduced-literal content hash.
+    clause_content: Vec<u64>,
+    /// Per clause: a representative variable after pass 1, the pass-local
+    /// index of its component after pass 2, or [`NO_OWNER`] if satisfied.
+    clause_owner: Vec<u32>,
+}
+
+/// One connected component found by [`Compilation::discover`]. Its clause
+/// and variable lists live in the [`ComponentStack`] buffers.
+#[derive(Clone, Copy)]
+struct Component {
+    /// Range of the component's sorted clause indices in
+    /// `ComponentStack::clauses`.
+    clauses: (u32, u32),
+    /// Range of its unassigned variables in `ComponentStack::vars`.
+    vars: (u32, u32),
+    /// Packed cache signature; zero unless the packed cache is in use.
+    sig: u64,
+}
+
 struct Compilation<'a> {
     cnf: &'a Cnf,
     cfg: DecisionDnnfCompiler,
     builder: CircuitBuilder,
-    /// Current variable values ([`UNSET`] / [`FALSE`] / [`TRUE`]).
+    /// Current value of every literal, indexed by literal code
+    /// ([`UNSET`] / [`FALSE`] / [`TRUE`]); a literal and its negation are
+    /// assigned together.
     value: Vec<u8>,
     /// Assigned literals in assignment order.
     trail: Vec<Lit>,
@@ -239,20 +430,16 @@ struct Compilation<'a> {
     clause_start: Vec<u32>,
     /// Per literal code: indices of clauses watching that literal.
     watchers: Vec<Vec<u32>>,
-    /// Var→clause adjacency, built once per compilation.
-    occ: Occurrences,
     initial_units: Vec<Lit>,
     trivially_false: bool,
-    /// Epoch counter for the stamped scratch arrays below; each discovery
-    /// or scoring pass bumps it instead of clearing the arrays.
-    stamp: u64,
-    var_mark: Vec<u64>,
-    clause_mark: Vec<u64>,
-    var_stack: Vec<u32>,
+    /// Per literal code: the literal's term in a clause content hash.
+    lit_mix: Vec<u64>,
+    /// Discovery scratch, reused across passes.
+    scratch: Scratch,
+    /// Components discovered along the current search path.
+    stack: ComponentStack,
     /// VSADS activity per variable.
     activity: Vec<f64>,
-    score_mark: Vec<u64>,
-    score_count: Vec<u32>,
     /// Packed cache: content hash → entries whose clause-index lists are
     /// compared exactly. Probes allocate nothing; inserts clone the
     /// component's index list once.
@@ -297,21 +484,26 @@ impl<'a> Compilation<'a> {
             cnf,
             cfg,
             builder: CircuitBuilder::new(n),
-            value: vec![UNSET; n],
+            value: vec![UNSET; 2 * n],
             trail: Vec::new(),
             lits,
             clause_start,
             watchers,
-            occ: cnf.occurrences(),
             initial_units,
             trivially_false,
-            stamp: 0,
-            var_mark: vec![0; n],
-            clause_mark: vec![0; m],
-            var_stack: Vec::new(),
+            lit_mix: (0..2 * n as u64).map(|code| mix64(code + 1)).collect(),
+            scratch: Scratch {
+                stamp: 0,
+                var_mark: vec![0; n],
+                var_link: vec![0; n],
+                var_count: vec![0; n],
+                var_comp: vec![0; n],
+                touched: Vec::new(),
+                clause_content: vec![0; m],
+                clause_owner: vec![NO_OWNER; m],
+            },
+            stack: ComponentStack::default(),
             activity: vec![0.0; n],
-            score_mark: vec![0; n],
-            score_count: vec![0; n],
             packed_cache: FxHashMap::default(),
             exact_cache: FxHashMap::default(),
             #[cfg(debug_assertions)]
@@ -321,27 +513,20 @@ impl<'a> Compilation<'a> {
     }
 
     fn lit_value(&self, l: Lit) -> u8 {
-        match self.value[l.var().index()] {
-            UNSET => UNSET,
-            v => {
-                if (v == TRUE) == l.is_positive() {
-                    TRUE
-                } else {
-                    FALSE
-                }
-            }
-        }
+        self.value[l.code() as usize]
     }
 
     fn assign(&mut self, l: Lit) {
-        self.value[l.var().index()] = if l.is_positive() { TRUE } else { FALSE };
+        self.value[l.code() as usize] = TRUE;
+        self.value[(!l).code() as usize] = FALSE;
         self.trail.push(l);
     }
 
     fn backtrack_to(&mut self, mark: usize) {
         while self.trail.len() > mark {
             let l = self.trail.pop().unwrap();
-            self.value[l.var().index()] = UNSET;
+            self.value[l.code() as usize] = UNSET;
+            self.value[(!l).code() as usize] = UNSET;
         }
     }
 
@@ -413,104 +598,110 @@ impl<'a> Compilation<'a> {
         }
     }
 
-    /// Partitions the still-active clauses of `parent` into connected
-    /// components by a breadth-first sweep over the var→clause adjacency.
-    /// Component clause lists come out sorted (canonical for caching).
-    fn components(&mut self, parent: &[u32], out: &mut Vec<Vec<u32>>) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let Compilation {
-            occ,
-            var_stack,
-            clause_mark,
-            var_mark,
-            lits,
-            clause_start,
-            value,
-            ..
-        } = self;
-        let satisfied = |ci: usize| {
-            lits[clause_start[ci] as usize..clause_start[ci + 1] as usize]
-                .iter()
-                .any(|&l| {
-                    let v = value[l.var().index()];
-                    v != UNSET && (v == TRUE) == l.is_positive()
-                })
-        };
-        for &seed_ci in parent {
-            let seed_ci = seed_ci as usize;
-            if clause_mark[seed_ci] == stamp {
-                continue;
-            }
-            clause_mark[seed_ci] = stamp;
-            if satisfied(seed_ci) {
-                continue;
-            }
-            let mut comp: Vec<u32> = vec![seed_ci as u32];
-            var_stack.clear();
-            let s = clause_start[seed_ci] as usize;
-            let e = clause_start[seed_ci + 1] as usize;
-            for &l in &lits[s..e] {
-                let vi = l.var().index();
-                if value[vi] == UNSET && var_mark[vi] != stamp {
-                    var_mark[vi] = stamp;
-                    var_stack.push(vi as u32);
-                }
-            }
-            while let Some(v) = var_stack.pop() {
-                for &cj in occ.of(Var(v)) {
-                    let cj = cj as usize;
-                    if clause_mark[cj] == stamp {
-                        continue;
-                    }
-                    clause_mark[cj] = stamp;
-                    if satisfied(cj) {
-                        continue;
-                    }
-                    comp.push(cj as u32);
-                    let s = clause_start[cj] as usize;
-                    let e = clause_start[cj + 1] as usize;
-                    for &l in &lits[s..e] {
-                        let vi = l.var().index();
-                        if value[vi] == UNSET && var_mark[vi] != stamp {
-                            var_mark[vi] = stamp;
-                            var_stack.push(vi as u32);
-                        }
-                    }
-                }
-            }
-            comp.sort_unstable();
-            out.push(comp);
-        }
-    }
-
-    /// 64-bit content hash of a component: clause indices plus their
-    /// unassigned literals. One pass, no allocation. Each clause's literal
+    /// Partitions the still-active clauses of the component `parent` (a
+    /// clause range of the component stack) into variable-connected
+    /// components, pushing them onto the stack in order of their smallest
+    /// clause index.
+    ///
+    /// Connectivity comes from a union-find over the unassigned variables,
+    /// so every clause of `parent` is read once and no other clause is
+    /// looked at: a clause outside `parent` that mentions a variable of
+    /// `parent` was satisfied when `parent` was discovered (or it would
+    /// have joined it), and assignments only grow below that point.
+    ///
+    /// The same pass records everything the search needs from a component
+    /// later: its sorted clause list (canonical for caching), its
+    /// unassigned variables with their literal-occurrence counts (the
+    /// branching scores), and its packed signature — a 64-bit hash of the
+    /// clause indices plus their unassigned literals. Each clause's literal
     /// contribution is a commutative sum of per-literal mixes, because
     /// watch swaps permute the stored literal order between probes of the
     /// same logical component.
-    fn signature(&self, comp: &[u32]) -> u64 {
-        fn mix64(x: u64) -> u64 {
-            let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-        let mut h = FxHasher::default();
-        h.write_usize(comp.len());
-        for &ci in comp {
-            h.write_u32(ci);
-            let s = self.clause_start[ci as usize] as usize;
-            let e = self.clause_start[ci as usize + 1] as usize;
+    fn discover(&mut self, parent: (u32, u32)) {
+        let packed =
+            self.cfg.cache == CacheMode::Components && self.cfg.signature == SignatureMode::Packed;
+        let Compilation {
+            scratch,
+            stack,
+            lits,
+            clause_start,
+            value,
+            lit_mix,
+            ..
+        } = self;
+        let parent = parent.0 as usize..parent.1 as usize;
+
+        // Pass 1: per active clause, its content hash and a representative
+        // variable; its variables are counted and joined into one
+        // union-find set.
+        scratch.stamp += 1;
+        let stamp = scratch.stamp;
+        scratch.touched.clear();
+        let mut sets = 0usize;
+        for k in parent.clone() {
+            let ci = stack.clauses[k] as usize;
+            let clause = &lits[clause_start[ci] as usize..clause_start[ci + 1] as usize];
+            if satisfied(clause, value) {
+                scratch.clause_owner[ci] = NO_OWNER;
+                continue;
+            }
             let mut content: u64 = 0;
-            for &l in &self.lits[s..e] {
-                if self.value[l.var().index()] == UNSET {
-                    content = content.wrapping_add(mix64(l.code() as u64 + 1));
+            let mut rep = NO_OWNER;
+            for &l in clause {
+                if value[l.code() as usize] != UNSET {
+                    continue;
+                }
+                content = content.wrapping_add(lit_mix[l.code() as usize]);
+                let v = l.var().0;
+                if scratch.var_mark[v as usize] != stamp {
+                    scratch.var_mark[v as usize] = stamp;
+                    scratch.var_link[v as usize] = v;
+                    scratch.var_count[v as usize] = 0;
+                    scratch.touched.push(v);
+                    sets += 1;
+                }
+                scratch.var_count[v as usize] += 1;
+                let root = find(&mut scratch.var_link, v);
+                if rep == NO_OWNER {
+                    rep = root;
+                } else if root != rep {
+                    scratch.var_link[root as usize] = rep;
+                    sets -= 1;
                 }
             }
-            h.write_u64(content);
+            // Propagation succeeded, so no active clause is all-false.
+            debug_assert!(
+                rep != NO_OWNER,
+                "an active clause has no unassigned literal"
+            );
+            scratch.clause_content[ci] = content;
+            scratch.clause_owner[ci] = rep;
         }
-        h.finish()
+
+        // Passes 2 and 3: group and lay out.
+        let first = stack.comps.len();
+        match sets {
+            0 => {}
+            1 => stack.push_whole(parent, scratch),
+            _ => stack.push_split(parent, scratch),
+        }
+        if packed {
+            for comp in &mut stack.comps[first..] {
+                let members = &stack.clauses[comp.clauses.0 as usize..comp.clauses.1 as usize];
+                let mut h = FxHasher::default();
+                h.write_usize(members.len());
+                for &ci in members {
+                    h.write_u32(ci);
+                    h.write_u64(scratch.clause_content[ci as usize]);
+                }
+                comp.sig = h.finish();
+            }
+        }
+    }
+
+    /// The clause indices of a discovered component.
+    fn clauses_of(&self, comp: Component) -> &[u32] {
+        &self.stack.clauses[comp.clauses.0 as usize..comp.clauses.1 as usize]
     }
 
     /// The exact key: the component's reduced clauses, each re-sorted
@@ -524,7 +715,7 @@ impl<'a> Compilation<'a> {
                 let mut reduced: Vec<Lit> = self.lits[s..e]
                     .iter()
                     .copied()
-                    .filter(|&l| self.value[l.var().index()] == UNSET)
+                    .filter(|&l| self.lit_value(l) == UNSET)
                     .collect();
                 reduced.sort_unstable();
                 reduced
@@ -536,53 +727,24 @@ impl<'a> Compilation<'a> {
     }
 
     /// Picks the branching variable for a component according to the
-    /// configured heuristic.
-    fn pick_branch(&mut self, comp: &[u32]) -> Var {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let heuristic = self.cfg.heuristic;
-        let Compilation {
-            var_stack,
-            score_mark,
-            score_count,
-            lits,
-            clause_start,
-            value,
-            activity,
-            ..
-        } = self;
-        var_stack.clear();
-        for &ci in comp {
-            let s = clause_start[ci as usize] as usize;
-            let e = clause_start[ci as usize + 1] as usize;
-            for &l in &lits[s..e] {
-                let vi = l.var().index();
-                if value[vi] != UNSET {
-                    continue;
-                }
-                if score_mark[vi] != stamp {
-                    score_mark[vi] = stamp;
-                    score_count[vi] = 0;
-                    var_stack.push(vi as u32);
-                }
-                score_count[vi] += 1;
-            }
-        }
-        debug_assert!(
-            !var_stack.is_empty(),
-            "component has no unassigned variable"
-        );
-        let v = match heuristic {
-            Heuristic::FirstUnassigned => *var_stack.iter().min().unwrap(),
-            Heuristic::MaxOccurrence => *var_stack
+    /// configured heuristic, from the variables and occurrence counts its
+    /// discovery recorded. Every rule breaks ties toward the lowest index,
+    /// so the choice does not depend on discovery order.
+    fn pick_branch(&self, comp: Component) -> Var {
+        let vars = &self.stack.vars[comp.vars.0 as usize..comp.vars.1 as usize];
+        let count = &self.scratch.var_count;
+        debug_assert!(!vars.is_empty(), "component has no unassigned variable");
+        let v = match self.cfg.heuristic {
+            Heuristic::FirstUnassigned => *vars.iter().min().unwrap(),
+            Heuristic::MaxOccurrence => *vars
                 .iter()
-                .max_by_key(|&&v| (score_count[v as usize], std::cmp::Reverse(v)))
+                .max_by_key(|&&v| (count[v as usize], std::cmp::Reverse(v)))
                 .unwrap(),
             Heuristic::Vsads => {
                 let mut best_v = u32::MAX;
                 let mut best_s = f64::NEG_INFINITY;
-                for &v in var_stack.iter() {
-                    let s = activity[v as usize] + score_count[v as usize] as f64;
+                for &v in vars {
+                    let s = self.activity[v as usize] + count[v as usize] as f64;
                     if s > best_s || (s == best_s && v < best_v) {
                         best_s = s;
                         best_v = v;
@@ -605,30 +767,33 @@ impl<'a> Compilation<'a> {
                 _ => self.assign(l),
             }
         }
-        let all: Vec<u32> = (0..self.cnf.clauses().len() as u32).collect();
-        self.compile_component(&all, 0, 0)
+        let m = self.cnf.clauses().len() as u32;
+        self.stack.clauses.extend(0..m);
+        self.compile_component((0, m), 0, 0)
     }
 
-    /// Compiles the sub-CNF given by `comp` under the current partial
-    /// assignment. `qfrom` is the trail index of the first literal not yet
-    /// propagated; `imp_from` is the trail index from which assignments
-    /// count as this call's implied cube (and to which it backtracks).
-    fn compile_component(&mut self, comp: &[u32], qfrom: usize, imp_from: usize) -> NnfId {
+    /// Compiles the sub-CNF given by the clause range `comp` of the
+    /// component stack under the current partial assignment. `qfrom` is
+    /// the trail index of the first literal not yet propagated; `imp_from`
+    /// is the trail index from which assignments count as this call's
+    /// implied cube (and to which it backtracks).
+    fn compile_component(&mut self, comp: (u32, u32), qfrom: usize, imp_from: usize) -> NnfId {
         if !self.propagate(qfrom) {
             self.backtrack_to(imp_from);
             return self.builder.false_();
         }
-        let implied: Vec<Lit> = self.trail[imp_from..].to_vec();
-        let mut comps = Vec::new();
-        self.components(comp, &mut comps);
-        let result = if comps.is_empty() {
-            self.builder.cube(implied.iter().copied())
+        let mark = self.stack.mark();
+        self.discover(comp);
+        let cube = self.builder.cube(self.trail[imp_from..].iter().copied());
+        let result = if self.stack.comps.len() == mark.2 {
+            cube
         } else {
-            let mut parts: Vec<NnfId> = Vec::with_capacity(comps.len() + 1);
-            parts.push(self.builder.cube(implied.iter().copied()));
+            let found = mark.2..self.stack.comps.len();
+            let mut parts: Vec<NnfId> = Vec::with_capacity(found.len() + 1);
+            parts.push(cube);
             let mut failed = false;
-            for sub_comp in &comps {
-                let sub = self.compile_one(sub_comp);
+            for k in found {
+                let sub = self.compile_one(self.stack.comps[k]);
                 if self.builder_is_false(sub) {
                     failed = true;
                     break;
@@ -641,6 +806,7 @@ impl<'a> Compilation<'a> {
                 self.builder.and(parts)
             }
         };
+        self.stack.truncate(mark);
         self.backtrack_to(imp_from);
         result
     }
@@ -650,21 +816,28 @@ impl<'a> Compilation<'a> {
     }
 
     /// Compiles a single connected component (no propagation pending).
-    fn compile_one(&mut self, comp: &[u32]) -> NnfId {
+    fn compile_one(&mut self, comp: Component) -> NnfId {
         let pending = match self.probe_cache(comp) {
             Probe::Hit(id) => return id,
             Probe::Miss(pending) => pending,
         };
         let v = self.pick_branch(comp);
+        // The variable list is dead once branched on; when it tops the
+        // stack (always for a frame's last component), free it before
+        // recursing, so deep single-component recursions keep clause
+        // lists only.
+        if comp.vars.1 as usize == self.stack.vars.len() {
+            self.stack.vars.truncate(comp.vars.0 as usize);
+        }
         self.stats.decisions += 1;
         let mark = self.trail.len();
 
         self.assign(v.positive());
-        let pos_body = self.compile_component(comp, mark, mark + 1);
+        let pos_body = self.compile_component(comp.clauses, mark, mark + 1);
         self.backtrack_to(mark);
 
         self.assign(v.negative());
-        let neg_body = self.compile_component(comp, mark, mark + 1);
+        let neg_body = self.compile_component(comp.clauses, mark, mark + 1);
         self.backtrack_to(mark);
 
         let pos_lit = self.builder.lit(v.positive());
@@ -676,26 +849,29 @@ impl<'a> Compilation<'a> {
         id
     }
 
-    fn probe_cache(&mut self, comp: &[u32]) -> Probe {
+    fn probe_cache(&mut self, comp: Component) -> Probe {
         if self.cfg.cache != CacheMode::Components {
             return Probe::Miss(PendingKey::None);
         }
         match self.cfg.signature {
             SignatureMode::Packed => {
-                let sig = self.signature(comp);
-                if let Some(bucket) = self.packed_cache.get(&sig) {
-                    if let Some(&(_, id)) = bucket.iter().find(|(cl, _)| &cl[..] == comp) {
-                        self.stats.cache_hits += 1;
-                        #[cfg(debug_assertions)]
-                        self.assert_no_collision(sig, comp);
-                        return Probe::Hit(id);
-                    }
+                let clauses = self.clauses_of(comp);
+                let hit = self
+                    .packed_cache
+                    .get(&comp.sig)
+                    .and_then(|bucket| bucket.iter().find(|(cl, _)| &cl[..] == clauses))
+                    .map(|&(_, id)| id);
+                if let Some(id) = hit {
+                    self.stats.cache_hits += 1;
+                    #[cfg(debug_assertions)]
+                    self.assert_no_collision(comp);
+                    return Probe::Hit(id);
                 }
                 self.stats.cache_misses += 1;
-                Probe::Miss(PendingKey::Packed(sig))
+                Probe::Miss(PendingKey::Packed(comp.sig))
             }
             SignatureMode::Exact => {
-                let key = self.exact_key(comp);
+                let key = self.exact_key(self.clauses_of(comp));
                 if let Some(&id) = self.exact_cache.get(&key) {
                     self.stats.cache_hits += 1;
                     return Probe::Hit(id);
@@ -706,17 +882,18 @@ impl<'a> Compilation<'a> {
         }
     }
 
-    fn store_cache(&mut self, comp: &[u32], pending: PendingKey, id: NnfId) {
+    fn store_cache(&mut self, comp: Component, pending: PendingKey, id: NnfId) {
         match pending {
             PendingKey::None => {}
             PendingKey::Packed(sig) => {
+                let clauses: Box<[u32]> = self.clauses_of(comp).into();
                 #[cfg(debug_assertions)]
                 self.shadow
-                    .insert((sig, comp.to_vec()), self.exact_key(comp));
+                    .insert((sig, clauses.to_vec()), self.exact_key(&clauses));
                 self.packed_cache
                     .entry(sig)
                     .or_default()
-                    .push((comp.to_vec().into_boxed_slice(), id));
+                    .push((clauses, id));
             }
             PendingKey::Exact(key) => {
                 self.exact_cache.insert(key, id);
@@ -727,11 +904,12 @@ impl<'a> Compilation<'a> {
     /// On a packed-cache hit, verify against the shadow exact key that the
     /// hit is not a content-hash collision.
     #[cfg(debug_assertions)]
-    fn assert_no_collision(&self, sig: u64, comp: &[u32]) {
-        if let Some(stored) = self.shadow.get(&(sig, comp.to_vec())) {
+    fn assert_no_collision(&self, comp: Component) {
+        let clauses = self.clauses_of(comp);
+        if let Some(stored) = self.shadow.get(&(comp.sig, clauses.to_vec())) {
             assert_eq!(
                 stored,
-                &self.exact_key(comp),
+                &self.exact_key(clauses),
                 "packed component signature collision"
             );
         }

@@ -128,7 +128,9 @@ impl Engine {
     /// The artifact for `cnf`, compiling on miss. Returns the artifact and
     /// its registry key (the CNF [`fingerprint`]) for key-addressed queries.
     ///
-    /// On a miss the compile runs without holding the registry lock; if two
+    /// Misses compile with the registry's compiler configuration
+    /// ([`Registry::with_compiler`]), copied out under the lock. The
+    /// compile itself runs without holding the registry lock; if two
     /// threads race on the same formula both compile and the second insert
     /// wins — wasted work, never a wrong answer, and the lock is never held
     /// across a compilation.
@@ -137,16 +139,19 @@ impl Engine {
         // fetch costs against what the fetch amortizes away.
         let begin = Instant::now();
         let key = fingerprint(cnf);
-        if let Some(Artifact::Circuit(found)) = self.lock().get(key) {
-            let elapsed = begin.elapsed();
-            trl_obs::histogram!("engine.registry.hit_us").record(elapsed);
-            trl_obs::record_span("engine.registry.hit", elapsed);
-            trl_obs::record_trace_at("engine.registry.hit", begin, elapsed);
-            return (key, found);
-        }
-        let prepared = Arc::new(PreparedCircuit::new(
-            trl_compiler::DecisionDnnfCompiler::default().compile(cnf),
-        ));
+        let compiler = {
+            let mut registry = self.lock();
+            if let Some(Artifact::Circuit(found)) = registry.get(key) {
+                drop(registry);
+                let elapsed = begin.elapsed();
+                trl_obs::histogram!("engine.registry.hit_us").record(elapsed);
+                trl_obs::record_span("engine.registry.hit", elapsed);
+                trl_obs::record_trace_at("engine.registry.hit", begin, elapsed);
+                return (key, found);
+            }
+            registry.compiler()
+        };
+        let prepared = Arc::new(PreparedCircuit::new(compiler.compile(cnf)));
         let mut registry = self.lock();
         // Count the compile as the miss it served.
         registry.note_miss();
@@ -435,6 +440,27 @@ mod tests {
 
     fn cnf() -> Cnf {
         Cnf::parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n").unwrap()
+    }
+
+    #[test]
+    fn compile_uses_the_registry_compiler_configuration() {
+        use trl_compiler::{DecisionDnnfCompiler, Heuristic};
+        // x4 occurs most often, so the default VSADS rule branches on it
+        // first, while the first-unassigned rule branches on x1.
+        let formula = Cnf::parse_dimacs("p cnf 4 4\n1 4 0\n2 4 0\n3 4 0\n-2 -3 -4 0\n").unwrap();
+        let configured = DecisionDnnfCompiler::default().with_heuristic(Heuristic::FirstUnassigned);
+        let expected = configured.compile(&formula).display();
+        assert_ne!(
+            expected,
+            DecisionDnnfCompiler::default().compile(&formula).display(),
+            "the formula must tell the heuristics apart"
+        );
+        let engine = Engine::from_parts(
+            Registry::with_compiler(1 << 20, configured),
+            Executor::new(1),
+        );
+        let (_, prepared) = engine.compile(&formula);
+        assert_eq!(prepared.raw().display(), expected);
     }
 
     #[test]

@@ -93,7 +93,10 @@ impl PreparedCircuit {
     /// Current footprint in arena nodes: the raw circuit plus the smoothed
     /// copy and kernel tape once they materialize. Grows (once) on the
     /// first counting query; the registry therefore snapshots this at
-    /// insert time rather than re-reading it at eviction.
+    /// insert time rather than re-reading it at eviction. For a circuit
+    /// compiled on a registry miss that snapshot is the raw size alone:
+    /// the smoothed copy and the tape built from it later are not charged
+    /// against the budget.
     pub fn retained_nodes(&self) -> usize {
         self.raw.node_count()
             + self.smoothed.get().map_or(0, Circuit::node_count)

@@ -10,9 +10,10 @@
 //! entry is an [`Artifact`]: a compiled circuit, a learned PSDD, a compiled
 //! space, or a compiled classifier, all under one LRU/budget policy.
 
+use std::collections::VecDeque;
+use std::hash::Hasher;
 use std::sync::Arc;
 
-use std::hash::Hasher;
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{FxHashMap, FxHasher};
 use trl_prop::Cnf;
@@ -49,18 +50,36 @@ pub struct RegistryStats {
     pub evictions: u64,
 }
 
+/// A resident artifact with its budget charge and its last-use stamp.
+struct Entry {
+    artifact: Artifact,
+    /// The node cost charged at insert time. The charge is snapshotted
+    /// because a [`PreparedCircuit`]'s footprint grows when lazy smoothing
+    /// materializes; re-reading it at eviction would debit more than was
+    /// credited and underflow the budget.
+    charged: usize,
+    /// The stamp of the entry's most recent use; the entry's live pair in
+    /// the LRU queue carries the same stamp.
+    stamp: u64,
+}
+
 /// A bounded compile-on-miss store of typed [`Artifact`]s.
+///
+/// The budget charges each artifact's [`Artifact::retained_nodes`] at
+/// insert time. For a circuit compiled on a miss that is its compiled
+/// (raw) size only: the smoothed copy and the evaluation tape it builds
+/// on its first counting query are not charged.
 pub struct Registry {
     compiler: DecisionDnnfCompiler,
     max_retained_nodes: usize,
-    /// Artifact plus the node cost it was charged at insert time. The
-    /// charge is snapshotted because a [`PreparedCircuit`]'s footprint
-    /// grows when lazy smoothing materializes; re-reading it at eviction
-    /// would debit more than was credited and underflow the budget.
-    entries: FxHashMap<u64, (Artifact, usize)>,
-    /// LRU order: front is coldest. Registries hold few, large artifacts,
-    /// so the O(len) reorder on touch is noise next to a single query.
-    order: Vec<u64>,
+    entries: FxHashMap<u64, Entry>,
+    /// LRU queue of `(stamp, key)` pairs in increasing stamp order, so the
+    /// front is coldest. A use pushes a fresh pair and leaves the old one
+    /// behind stale (its stamp no longer matches the entry's); eviction
+    /// skips stale pairs, and they are swept out once they outnumber the
+    /// live ones. Every lookup, insert and eviction is amortized O(1).
+    lru: VecDeque<(u64, u64)>,
+    next_stamp: u64,
     retained_nodes: usize,
     stats: RegistryStats,
 }
@@ -78,10 +97,16 @@ impl Registry {
             compiler,
             max_retained_nodes,
             entries: FxHashMap::default(),
-            order: Vec::new(),
+            lru: VecDeque::new(),
+            next_stamp: 0,
             retained_nodes: 0,
             stats: RegistryStats::default(),
         }
+    }
+
+    /// The compiler configuration misses compile with.
+    pub fn compiler(&self) -> DecisionDnnfCompiler {
+        self.compiler
     }
 
     /// The circuit for `cnf`, compiling and preparing it on miss. Circuit
@@ -89,7 +114,7 @@ impl Registry {
     /// with a role-2/3 artifact (their fingerprints are kind-salted).
     pub fn get_or_compile(&mut self, cnf: &Cnf) -> Arc<PreparedCircuit> {
         let key = fingerprint(cnf);
-        if let Some(found) = self.entries.get(&key).and_then(|(a, _)| a.as_circuit()) {
+        if let Some(found) = self.entries.get(&key).and_then(|e| e.artifact.as_circuit()) {
             let found = Arc::clone(found);
             self.touch(key);
             self.stats.hits += 1;
@@ -103,7 +128,7 @@ impl Registry {
 
     /// The artifact under a fingerprint, if retained. Touches LRU order.
     pub fn get(&mut self, key: u64) -> Option<Artifact> {
-        let found = self.entries.get(&key).map(|(a, _)| a.clone());
+        let found = self.entries.get(&key).map(|e| e.artifact.clone());
         if found.is_some() {
             self.touch(key);
             self.stats.hits += 1;
@@ -120,25 +145,32 @@ impl Registry {
     }
 
     /// Inserts an externally produced artifact (e.g. one loaded from disk,
-    /// or a learned PSDD) under a fingerprint, then evicts cold entries
-    /// down to the budget. The artifact's current footprint is charged
-    /// against the budget for the rest of its residence.
+    /// or a learned PSDD) under a fingerprint as the hottest entry, then
+    /// evicts cold entries down to the budget. The artifact's current
+    /// footprint is charged against the budget for the rest of its
+    /// residence.
     pub fn insert(&mut self, key: u64, artifact: Artifact) {
         let charged = artifact.retained_nodes();
-        if let Some((_, old_charged)) = self.entries.insert(key, (artifact, charged)) {
-            self.retained_nodes -= old_charged;
-            self.order.retain(|&k| k != key);
+        let stamp = self.next_stamp();
+        let entry = Entry {
+            artifact,
+            charged,
+            stamp,
+        };
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.retained_nodes -= old.charged;
         }
         self.retained_nodes += charged;
-        self.order.push(key);
+        self.lru.push_back((stamp, key));
         self.evict_to_budget();
+        self.sweep_stale();
     }
 
     /// The artifact under a fingerprint without touching LRU order or the
     /// hit/miss counters — maintenance passes (the optimize job) peek at
     /// entries without pretending to be traffic.
     pub fn peek(&self, key: u64) -> Option<Artifact> {
-        self.entries.get(&key).map(|(a, _)| a.clone())
+        self.entries.get(&key).map(|e| e.artifact.clone())
     }
 
     /// Atomically replaces the artifact under `key`, **re-snapshotting its
@@ -152,8 +184,9 @@ impl Registry {
         let Some(entry) = self.entries.get_mut(&key) else {
             return false;
         };
-        let old_charged = entry.1;
-        *entry = (artifact, charged);
+        let old_charged = entry.charged;
+        entry.artifact = artifact;
+        entry.charged = charged;
         self.retained_nodes = self.retained_nodes - old_charged + charged;
         self.evict_to_budget();
         true
@@ -163,21 +196,41 @@ impl Registry {
     /// evicted, even if it alone exceeds the budget — a registry that
     /// cannot hold its current working artifact would thrash forever.
     fn evict_to_budget(&mut self) {
-        while self.retained_nodes > self.max_retained_nodes && self.order.len() > 1 {
-            let coldest = self.order.remove(0);
-            let (_, gone_charged) = self
-                .entries
-                .remove(&coldest)
-                .expect("order and entries agree");
-            self.retained_nodes -= gone_charged;
-            self.stats.evictions += 1;
+        while self.retained_nodes > self.max_retained_nodes && self.entries.len() > 1 {
+            let (stamp, key) = self
+                .lru
+                .pop_front()
+                .expect("every resident entry has a live LRU pair");
+            if self.entries.get(&key).is_some_and(|e| e.stamp == stamp) {
+                let gone = self.entries.remove(&key).expect("checked above");
+                self.retained_nodes -= gone.charged;
+                self.stats.evictions += 1;
+            }
         }
     }
 
     fn touch(&mut self, key: u64) {
-        if let Some(at) = self.order.iter().position(|&k| k == key) {
-            let k = self.order.remove(at);
-            self.order.push(k);
+        let stamp = self.next_stamp();
+        if let Some(entry) = self.entries.get_mut(&key) {
+            entry.stamp = stamp;
+            self.lru.push_back((stamp, key));
+            self.sweep_stale();
+        }
+    }
+
+    fn next_stamp(&mut self) -> u64 {
+        self.next_stamp += 1;
+        self.next_stamp
+    }
+
+    /// Drops stale LRU pairs once they outnumber the live ones, keeping
+    /// the queue within twice the resident count (plus slack) at an
+    /// amortized O(1) per use.
+    fn sweep_stale(&mut self) {
+        if self.lru.len() > 2 * self.entries.len() + 64 {
+            let entries = &self.entries;
+            self.lru
+                .retain(|&(stamp, key)| entries.get(&key).is_some_and(|e| e.stamp == stamp));
         }
     }
 
@@ -192,8 +245,9 @@ impl Registry {
     }
 
     /// Total retained arena nodes across artifacts, as charged at their
-    /// insert time (raw circuit, plus smoothed copy and kernel tape if
-    /// they had materialized by then).
+    /// insert time: the raw circuit, plus its smoothed copy and kernel tape
+    /// only if they had materialized before the insert (they have not for
+    /// a circuit compiled on a miss).
     pub fn retained_nodes(&self) -> usize {
         self.retained_nodes
     }
@@ -214,6 +268,113 @@ mod tests {
     use super::*;
     use trl_core::SplitMix64;
     use trl_prop::gen::random_cnf;
+
+    /// A circuit artifact charged exactly `nodes` nodes.
+    fn sized(nodes: usize) -> Artifact {
+        let mut b = trl_nnf::CircuitBuilder::new(nodes);
+        let lits: Vec<_> = (0..nodes as u32)
+            .map(|v| b.lit(trl_core::Var(v).positive()))
+            .collect();
+        let c = b.finish(*lits.last().unwrap());
+        Artifact::Circuit(Arc::new(PreparedCircuit::new(c)))
+    }
+
+    /// The LRU bookkeeping the stamp queue replaced: a vector in use
+    /// order, reordered by linear search on every touch.
+    #[derive(Default)]
+    struct VecLru {
+        order: Vec<u64>,
+        charged: FxHashMap<u64, usize>,
+        retained: usize,
+        evicted: Vec<u64>,
+    }
+
+    impl VecLru {
+        fn insert(&mut self, key: u64, charge: usize, budget: usize) {
+            if let Some(old) = self.charged.insert(key, charge) {
+                self.retained -= old;
+                self.order.retain(|&k| k != key);
+            }
+            self.retained += charge;
+            self.order.push(key);
+            self.evict(budget);
+        }
+
+        fn get(&mut self, key: u64) {
+            if let Some(at) = self.order.iter().position(|&k| k == key) {
+                let k = self.order.remove(at);
+                self.order.push(k);
+            }
+        }
+
+        fn replace(&mut self, key: u64, charge: usize, budget: usize) {
+            if let Some(old) = self.charged.get_mut(&key) {
+                self.retained = self.retained - *old + charge;
+                *old = charge;
+                self.evict(budget);
+            }
+        }
+
+        fn evict(&mut self, budget: usize) {
+            while self.retained > budget && self.order.len() > 1 {
+                let coldest = self.order.remove(0);
+                self.retained -= self.charged.remove(&coldest).unwrap();
+                self.evicted.push(coldest);
+            }
+        }
+    }
+
+    #[test]
+    fn stamp_lru_evicts_like_the_vector_lru() {
+        // A scripted mix of inserts, re-inserts, hits, misses and replaces
+        // over a small key space; the stamp queue must keep the same keys
+        // resident and evict the same keys in the same order at every step
+        // — enough steps for many stale-pair sweeps.
+        const BUDGET: usize = 40;
+        let mut rng = SplitMix64::new(7);
+        let mut r = Registry::new(BUDGET);
+        let mut model = VecLru::default();
+        for step in 0..5_000 {
+            let key = rng.below(16) as u64;
+            match rng.below(10) {
+                0..=2 => {
+                    let charge = 1 + rng.below(12);
+                    r.insert(key, sized(charge));
+                    model.insert(key, charge, BUDGET);
+                }
+                3..=8 => {
+                    assert_eq!(r.get(key).is_some(), model.charged.contains_key(&key));
+                    model.get(key);
+                }
+                _ => {
+                    let charge = 1 + rng.below(12);
+                    r.replace(key, sized(charge));
+                    model.replace(key, charge, BUDGET);
+                }
+            }
+            let coldest_first: Vec<u64> = r
+                .lru
+                .iter()
+                .filter(|(stamp, key)| r.entries.get(key).is_some_and(|e| e.stamp == *stamp))
+                .map(|&(_, key)| key)
+                .collect();
+            assert_eq!(coldest_first, model.order, "step {step}: LRU order differs");
+            assert_eq!(
+                r.len(),
+                model.order.len(),
+                "step {step}: resident keys differ"
+            );
+            assert_eq!(r.retained_nodes(), model.retained, "step {step}");
+            assert_eq!(r.stats().evictions, model.evicted.len() as u64);
+            assert!(r.lru.len() <= 2 * r.entries.len() + 64 + 1);
+        }
+        // Drain both through one oversized insert.
+        r.insert(99, sized(BUDGET));
+        model.insert(99, BUDGET, BUDGET);
+        assert_eq!(r.stats().evictions, model.evicted.len() as u64);
+        assert!(model.evicted.len() > 100, "the script must evict often");
+        assert_eq!(r.len(), 1);
+    }
 
     #[test]
     fn fingerprint_distinguishes_formulas() {

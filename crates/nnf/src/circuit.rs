@@ -39,6 +39,10 @@ pub struct Circuit {
     nodes: Vec<NnfNode>,
     root: NnfId,
     num_vars: usize,
+    /// Whether the arena came out of a [`CircuitBuilder`], whose
+    /// structural hashing guarantees that no two nodes are equal. Arenas
+    /// built by [`Circuit::from_parts`] make no such promise.
+    interned: bool,
 }
 
 impl Circuit {
@@ -88,6 +92,7 @@ impl Circuit {
             nodes,
             root,
             num_vars,
+            interned: false,
         })
     }
 
@@ -168,6 +173,25 @@ impl Circuit {
         scopes
     }
 
+    /// Whether conditioning on the empty assignment would rebuild this
+    /// circuit node for node: the arena holds no two equal nodes, and every
+    /// gate has at least two inputs, none constant, in strictly increasing
+    /// order. Every [`CircuitBuilder::and`]/[`CircuitBuilder::or`] output
+    /// is normalized; raw gates and loaded arenas may not be.
+    pub(crate) fn is_normalized(&self) -> bool {
+        self.interned
+            && self.nodes.iter().all(|n| match n {
+                NnfNode::And(xs) | NnfNode::Or(xs) => {
+                    xs.len() >= 2
+                        && xs.windows(2).all(|w| w[0] < w[1])
+                        && xs.iter().all(|x| {
+                            !matches!(self.nodes[x.index()], NnfNode::True | NnfNode::False)
+                        })
+                }
+                _ => true,
+            })
+    }
+
     /// Conditions the circuit on a partial assignment: literals decided by
     /// `pa` become constants, and the circuit is simplified bottom-up.
     /// The variable universe is unchanged.
@@ -236,43 +260,90 @@ impl Circuit {
 /// (`∧` with a `⊥` input is `⊥`, single-input gates collapse, etc.).
 ///
 /// Deduplication uses an open-addressing table of node ids that compares
-/// candidates against the arena, so interning never clones a gate's input
-/// vector and probes allocate nothing — the builder sits on the hot path
-/// of every compiler in the workspace.
+/// candidates against the arena, and gate inputs are normalized in a
+/// reusable scratch buffer, so a probe that finds an existing gate
+/// allocates nothing; only a new gate copies its inputs into the arena —
+/// the builder sits on the hot path of every compiler in the workspace.
 pub struct CircuitBuilder {
     nodes: Vec<NnfNode>,
     /// Open-addressing dedup table over `nodes`; entries are `id + 1`,
     /// `0` means empty. Capacity is a power of two.
     table: Vec<u32>,
     num_vars: usize,
+    /// Scratch buffer for the inputs of the gate being built.
+    scratch: Vec<NnfId>,
+}
+
+/// Gate kinds, as keys of the dedup table.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    And,
+    Or,
 }
 
 impl CircuitBuilder {
     /// A builder over the variable universe `0..num_vars`.
     pub fn new(num_vars: usize) -> Self {
+        Self::with_capacity(num_vars, 0)
+    }
+
+    /// A builder over the variable universe `0..num_vars` with room for
+    /// `nodes` nodes before its arena or dedup table must grow. The
+    /// capacity changes no node: only how often the table is rehashed.
+    pub fn with_capacity(num_vars: usize, nodes: usize) -> Self {
         CircuitBuilder {
-            nodes: Vec::new(),
-            table: vec![0; 64],
+            nodes: Vec::with_capacity(nodes),
+            table: vec![0; (2 * nodes + 2).next_power_of_two().max(64)],
             num_vars,
+            scratch: Vec::new(),
         }
     }
 
-    fn hash_node(node: &NnfNode) -> u64 {
-        use std::hash::{Hash, Hasher};
+    fn hash_leaf(tag: u64, payload: u32) -> u64 {
+        use std::hash::Hasher;
         let mut h = trl_core::FxHasher::default();
-        node.hash(&mut h);
+        h.write_u64(tag);
+        h.write_u32(payload);
         h.finish()
     }
 
-    fn intern(&mut self, node: NnfNode) -> NnfId {
+    fn hash_gate(gate: Gate, xs: &[NnfId]) -> u64 {
+        use std::hash::Hasher;
+        let mut h = trl_core::FxHasher::default();
+        h.write_u64(3 + gate as u64);
+        h.write_usize(xs.len());
+        for x in xs {
+            h.write_u32(x.0);
+        }
+        h.finish()
+    }
+
+    fn hash_node(node: &NnfNode) -> u64 {
+        match node {
+            NnfNode::True => Self::hash_leaf(0, 0),
+            NnfNode::False => Self::hash_leaf(1, 0),
+            NnfNode::Lit(l) => Self::hash_leaf(2, l.code()),
+            NnfNode::And(xs) => Self::hash_gate(Gate::And, xs),
+            NnfNode::Or(xs) => Self::hash_gate(Gate::Or, xs),
+        }
+    }
+
+    /// Finds the node equal to the one `matches` describes (`hash` is its
+    /// hash), or appends the node `make` builds.
+    fn intern_with(
+        &mut self,
+        hash: u64,
+        matches: impl Fn(&NnfNode) -> bool,
+        make: impl FnOnce() -> NnfNode,
+    ) -> NnfId {
         let mask = self.table.len() - 1;
-        let mut idx = Self::hash_node(&node) as usize & mask;
+        let mut idx = hash as usize & mask;
         loop {
             match self.table[idx] {
                 0 => break,
                 slot => {
                     let id = NnfId(slot - 1);
-                    if self.nodes[id.index()] == node {
+                    if matches(&self.nodes[id.index()]) {
                         return id;
                     }
                     idx = (idx + 1) & mask;
@@ -280,13 +351,59 @@ impl CircuitBuilder {
             }
         }
         let id = NnfId(self.nodes.len() as u32);
-        self.nodes.push(node);
+        self.nodes.push(make());
         self.table[idx] = id.0 + 1;
         // Keep the load factor below 1/2.
         if (self.nodes.len() + 1) * 2 > self.table.len() {
             self.grow_table();
         }
         id
+    }
+
+    fn intern(&mut self, node: NnfNode) -> NnfId {
+        let hash = Self::hash_node(&node);
+        self.intern_with(hash, |n| *n == node, || node.clone())
+    }
+
+    /// Interns the gate over the inputs in the scratch buffer, verbatim.
+    fn intern_scratch(&mut self, gate: Gate) -> NnfId {
+        let xs = std::mem::take(&mut self.scratch);
+        let hash = Self::hash_gate(gate, &xs);
+        let id = self.intern_with(
+            hash,
+            |n| match (gate, n) {
+                (Gate::And, NnfNode::And(ys)) | (Gate::Or, NnfNode::Or(ys)) => ys[..] == xs[..],
+                _ => false,
+            },
+            || match gate {
+                Gate::And => NnfNode::And(xs.clone()),
+                Gate::Or => NnfNode::Or(xs.clone()),
+            },
+        );
+        self.scratch = xs;
+        id
+    }
+
+    /// Normalizes the scratch inputs of an and-gate (`absorbing` ⊥) or an
+    /// or-gate (`absorbing` ⊤): constants folded, sorted, deduplicated,
+    /// single inputs collapsed.
+    fn normalized_gate(&mut self, gate: Gate) -> NnfId {
+        let (unit, absorbing) = match gate {
+            Gate::And => (NnfNode::True, NnfNode::False),
+            Gate::Or => (NnfNode::False, NnfNode::True),
+        };
+        let nodes = &self.nodes;
+        if self.scratch.iter().any(|x| nodes[x.index()] == absorbing) {
+            return self.intern(absorbing);
+        }
+        self.scratch.retain(|x| nodes[x.index()] != unit);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        match self.scratch.len() {
+            0 => self.intern(unit),
+            1 => self.scratch[0],
+            _ => self.intern_scratch(gate),
+        }
     }
 
     fn grow_table(&mut self) {
@@ -330,40 +447,16 @@ impl CircuitBuilder {
     /// An and-gate. Constants are folded; duplicates are removed; a single
     /// input collapses to that input.
     pub fn and(&mut self, inputs: impl IntoIterator<Item = NnfId>) -> NnfId {
-        let mut xs: Vec<NnfId> = Vec::new();
-        for x in inputs {
-            match &self.nodes[x.index()] {
-                NnfNode::True => {}
-                NnfNode::False => return self.false_(),
-                _ => xs.push(x),
-            }
-        }
-        xs.sort_unstable();
-        xs.dedup();
-        match xs.len() {
-            0 => self.true_(),
-            1 => xs[0],
-            _ => self.intern(NnfNode::And(xs)),
-        }
+        self.scratch.clear();
+        self.scratch.extend(inputs);
+        self.normalized_gate(Gate::And)
     }
 
     /// An or-gate, with the dual simplifications of [`CircuitBuilder::and`].
     pub fn or(&mut self, inputs: impl IntoIterator<Item = NnfId>) -> NnfId {
-        let mut xs: Vec<NnfId> = Vec::new();
-        for x in inputs {
-            match &self.nodes[x.index()] {
-                NnfNode::False => {}
-                NnfNode::True => return self.true_(),
-                _ => xs.push(x),
-            }
-        }
-        xs.sort_unstable();
-        xs.dedup();
-        match xs.len() {
-            0 => self.false_(),
-            1 => xs[0],
-            _ => self.intern(NnfNode::Or(xs)),
-        }
+        self.scratch.clear();
+        self.scratch.extend(inputs);
+        self.normalized_gate(Gate::Or)
     }
 
     /// An or-gate that preserves its inputs verbatim (no constant folding,
@@ -371,20 +464,27 @@ impl CircuitBuilder {
     /// e.g. smoothing gadgets `(x ∨ ¬x)` must survive even though they are
     /// semantically `⊤`.
     pub fn or_raw(&mut self, inputs: impl IntoIterator<Item = NnfId>) -> NnfId {
-        let xs: Vec<NnfId> = inputs.into_iter().collect();
-        self.intern(NnfNode::Or(xs))
+        self.scratch.clear();
+        self.scratch.extend(inputs);
+        self.intern_scratch(Gate::Or)
     }
 
     /// An and-gate that preserves its inputs verbatim.
     pub fn and_raw(&mut self, inputs: impl IntoIterator<Item = NnfId>) -> NnfId {
-        let xs: Vec<NnfId> = inputs.into_iter().collect();
-        self.intern(NnfNode::And(xs))
+        self.scratch.clear();
+        self.scratch.extend(inputs);
+        self.intern_scratch(Gate::And)
     }
 
     /// A cube (conjunction of literals).
     pub fn cube(&mut self, lits: impl IntoIterator<Item = Lit>) -> NnfId {
-        let ids: Vec<NnfId> = lits.into_iter().map(|l| self.lit(l)).collect();
-        self.and(ids)
+        let mut ids = std::mem::take(&mut self.scratch);
+        ids.clear();
+        for l in lits {
+            ids.push(self.lit(l));
+        }
+        self.scratch = ids;
+        self.normalized_gate(Gate::And)
     }
 
     /// Finalizes the circuit with the given root.
@@ -394,6 +494,7 @@ impl CircuitBuilder {
             nodes: self.nodes,
             root,
             num_vars: self.num_vars,
+            interned: true,
         }
     }
 }

@@ -224,40 +224,59 @@ impl EvalTape {
             }
         }
 
-        // Group members per layer in arena order (stable), then assign
-        // tape slots layer by layer. Layers past the leaves are reordered
-        // by (op, first-child slot) before assignment: since every child's
-        // slot is already fixed (strictly earlier layer), the sort key is
-        // exact. Grouping by op first turns the kernel's per-node dispatch
-        // into long predictable runs; within a run the CSR reads advance
-        // monotonically in the common chain/fan-out shapes.
+        // Counting sort by layer: `order` lists the reachable nodes grouped
+        // by layer, each layer in arena order. Layers past the leaves are
+        // then reordered by (op, first-child slot) and assigned tape slots
+        // one layer at a time: since every child's slot is already fixed
+        // (strictly earlier layer), the sort key is exact. Grouping by op
+        // first turns the kernel's per-node dispatch into long predictable
+        // runs; within a run the CSR reads advance monotonically in the
+        // common chain/fan-out shapes. Ties keep arena order.
         let layers = max_level as usize + 1;
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); layers];
+        let mut layer_start = vec![0u32; layers + 1];
         for i in 0..=root {
             if reach[i] {
-                members[level[i] as usize].push(i as u32);
+                layer_start[level[i] as usize + 1] += 1;
             }
         }
-        let mut layer_start = vec![0u32; layers + 1];
-        for (l, m) in members.iter().enumerate() {
-            layer_start[l + 1] = layer_start[l] + m.len() as u32;
+        for l in 0..layers {
+            layer_start[l + 1] += layer_start[l];
         }
+        let count = layer_start[layers] as usize;
+        let mut order = vec![0u32; count];
+        let mut fill = layer_start.clone();
+        for i in 0..=root {
+            if reach[i] {
+                let at = &mut fill[level[i] as usize];
+                order[*at as usize] = i as u32;
+                *at += 1;
+            }
+        }
+        // `slot` maps arena index → tape slot; `order` becomes its inverse.
         let mut slot = vec![u32::MAX; root + 1];
-        let mut next = 0u32;
-        for (l, member) in members.iter_mut().enumerate() {
+        let mut keyed: Vec<(u64, u32)> = Vec::new();
+        for l in 0..layers {
+            let (lo, hi) = (layer_start[l] as usize, layer_start[l + 1] as usize);
             if l > 0 {
-                member.sort_by_key(|&i| match circuit.node(NnfId(i)) {
-                    NnfNode::And(xs) => (0u8, xs.first().map_or(u32::MAX, |x| slot[x.index()])),
-                    NnfNode::Or(xs) => (1u8, xs.first().map_or(u32::MAX, |x| slot[x.index()])),
-                    _ => (2u8, u32::MAX),
-                });
+                keyed.clear();
+                keyed.extend(order[lo..hi].iter().map(|&i| {
+                    let (op, xs): (u64, &[NnfId]) = match circuit.node(NnfId(i)) {
+                        NnfNode::And(xs) => (0, xs),
+                        NnfNode::Or(xs) => (1, xs),
+                        _ => (2, &[]),
+                    };
+                    let first = xs.first().map_or(u32::MAX, |x| slot[x.index()]);
+                    ((op << 32) | first as u64, i)
+                }));
+                keyed.sort_unstable();
+                for (at, &(_, i)) in order[lo..hi].iter_mut().zip(&keyed) {
+                    *at = i;
+                }
             }
-            for &i in member.iter() {
-                slot[i as usize] = next;
-                next += 1;
+            for t in lo..hi {
+                slot[order[t] as usize] = t as u32;
             }
         }
-        let count = next as usize;
         let mut arena_order = Vec::with_capacity(count);
         for i in 0..=root {
             if reach[i] {
@@ -269,17 +288,10 @@ impl EvalTape {
         let mut ops = vec![Op::False; count];
         let mut lits = vec![Var(0).positive(); count];
         let mut edge_start = vec![0u32; count + 1];
-        let mut edges = Vec::new();
-        let mut inverse = vec![0u32; count];
-        for i in 0..=root {
-            if reach[i] {
-                inverse[slot[i] as usize] = i as u32;
-            }
-        }
-        for t in 0..count {
-            let node = circuit.node(NnfId(inverse[t]));
+        let mut edges = Vec::with_capacity(circuit.edge_count());
+        for (t, &i) in order.iter().enumerate() {
             edge_start[t] = edges.len() as u32;
-            ops[t] = match node {
+            ops[t] = match circuit.node(NnfId(i)) {
                 NnfNode::False => Op::False,
                 NnfNode::True => Op::True,
                 NnfNode::Lit(l) => {
@@ -350,6 +362,36 @@ impl EvalTape {
         } else {
             LaneBackend::Scalar
         };
+    }
+
+    /// A 64-bit digest of the tape layout: the op and literal of every
+    /// slot, the CSR offsets and edges, the layer bounds, the arena-order
+    /// replay schedule and the root slot. Equal digests mean the kernels
+    /// run the same instructions in the same order; the structural
+    /// identity tests pin tape construction with it.
+    pub fn layout_digest(&self) -> u64 {
+        use std::hash::Hasher;
+        let mut h = trl_core::FxHasher::default();
+        h.write_usize(self.num_vars);
+        for (op, lit) in self.ops.iter().zip(&self.lits) {
+            h.write_u8(*op as u8);
+            if *op == Op::Lit {
+                h.write_u32(lit.code());
+            }
+        }
+        for column in [
+            &self.edge_start,
+            &self.edges,
+            &self.layer_start,
+            &self.arena_order,
+        ] {
+            h.write_usize(column.len());
+            for &x in column.iter() {
+                h.write_u32(x);
+            }
+        }
+        h.write_u32(self.root);
+        h.finish()
     }
 
     /// The tape's child slice for slot `i`.
@@ -619,53 +661,53 @@ impl EvalTape {
         self.sweep_range_with::<lanes::Avx512Ops>(group, plane, lo, hi)
     }
 
-    /// Lane-batched model counting under evidence: one `[u128; LANES]`
-    /// plane scan per group of partial assignments. Counts are exact, so
-    /// agreement with the scalar kernels is plain equality.
+    /// Lane-batched model counting under evidence: one plane scan per group
+    /// of up to `LANES` partial assignments, each node holding one `u128`
+    /// per query actually in the group (a group of two sweeps two lanes,
+    /// not eight). Counts are exact, so agreement with the scalar kernels
+    /// is plain equality.
     pub fn model_count_under_batch(&self, evidence: &[&PartialAssignment]) -> Vec<u128> {
         // Exact u128 counting never touches the SIMD lanes, so the span
         // carries its own name rather than the backend's.
         let _sweep = trl_obs::trace_span("kernel.sweep.count");
         record_sweeps(evidence.len());
         let mut out = Vec::with_capacity(evidence.len());
-        let mut plane = vec![[0u128; LANES]; self.len()];
+        let mut plane = vec![0u128; self.len() * evidence.len().min(LANES)];
         for group in evidence.chunks(LANES) {
+            let k = group.len();
             for i in 0..self.len() {
-                plane[i] = match self.ops[i] {
-                    Op::False => [0; LANES],
-                    Op::True => [1; LANES],
+                let (below, rest) = plane.split_at_mut(i * k);
+                let acc = &mut rest[..k];
+                match self.ops[i] {
+                    Op::False => acc.fill(0),
+                    Op::True => acc.fill(1),
                     Op::Lit => {
                         let l = self.lits[i];
-                        let mut v = [0; LANES];
-                        for (lane, pa) in group.iter().enumerate() {
-                            v[lane] = (pa.eval(l) != Some(false)) as u128;
+                        for (a, pa) in acc.iter_mut().zip(group) {
+                            *a = (pa.eval(l) != Some(false)) as u128;
                         }
-                        v
                     }
                     Op::And => {
-                        let mut acc = [1u128; LANES];
+                        acc.fill(1);
                         for &ch in self.children(i) {
-                            let v = plane[ch as usize];
-                            for (lane, a) in acc.iter_mut().enumerate() {
-                                *a *= v[lane];
+                            let v = &below[ch as usize * k..][..k];
+                            for (a, &x) in acc.iter_mut().zip(v) {
+                                *a *= x;
                             }
                         }
-                        acc
                     }
                     Op::Or => {
-                        let mut acc = [0u128; LANES];
+                        acc.fill(0);
                         for &ch in self.children(i) {
-                            let v = plane[ch as usize];
-                            for (lane, a) in acc.iter_mut().enumerate() {
-                                *a += v[lane];
+                            let v = &below[ch as usize * k..][..k];
+                            for (a, &x) in acc.iter_mut().zip(v) {
+                                *a += x;
                             }
                         }
-                        acc
                     }
-                };
+                }
             }
-            let root = &plane[self.root as usize];
-            out.extend_from_slice(&root[..group.len()]);
+            out.extend_from_slice(&plane[self.root as usize * k..][..k]);
         }
         out
     }

@@ -132,48 +132,105 @@ fn respects_some_node(vt: &Vtree, ls: &VarSet, rs: &VarSet) -> bool {
 ///
 /// The root is additionally smoothed to mention every variable in
 /// `0..num_vars`, so counting needs no final scaling.
+///
+/// Scopes are kept as bitsets in one flat word array, filled bottom-up
+/// alongside the rebuild: each node's scope takes the words up to its
+/// highest variable, so a chain over a large universe pays for the
+/// variables it mentions, not for the whole universe at every node.
 pub fn smooth(c: &Circuit) -> Circuit {
     if !c.ids().any(|id| matches!(c.node(id), NnfNode::Or(_))) {
         return smooth_or_free(c);
     }
     // Normalize first: fold constants out of gates so that every remaining
     // gate input is non-constant and scope bookkeeping below stays exact.
-    let c = &c.condition(&trl_core::PartialAssignment::new(c.num_vars()));
-    let scopes = c.scopes();
-    let mut b = CircuitBuilder::new(c.num_vars());
+    // A normalized circuit (every builder output) would come back node for
+    // node, so only other arenas — loaded ones — are rebuilt.
+    let conditioned;
+    let c = if c.is_normalized() {
+        c
+    } else {
+        conditioned = c.condition(&trl_core::PartialAssignment::new(c.num_vars()));
+        &conditioned
+    };
+    // Node `i`'s scope is `scopes[scope_start[i]..scope_start[i + 1]]`.
+    let mut scopes: Vec<u64> = Vec::with_capacity(c.node_count());
+    let mut scope_start: Vec<usize> = Vec::with_capacity(c.node_count() + 1);
+    scope_start.push(0);
+    // Smoothing adds a fraction of the input's size in gadgets and padded
+    // inputs; room for half again avoids most regrowth.
+    let mut b = CircuitBuilder::with_capacity(c.num_vars(), c.node_count() * 3 / 2);
     let mut map: Vec<NnfId> = Vec::with_capacity(c.node_count());
 
-    let gadget = |b: &mut CircuitBuilder, v: Var| {
-        let pos = b.lit(v.positive());
-        let neg = b.lit(v.negative());
-        b.or_raw([pos, neg])
+    // The gadget `(v ∨ ¬v)` of each variable, built on first use: later
+    // uses would only find the same three nodes again.
+    let mut gadgets: Vec<Option<NnfId>> = vec![None; c.num_vars()];
+    let mut gadget = |b: &mut CircuitBuilder, v: Var| {
+        *gadgets[v.index()].get_or_insert_with(|| {
+            let pos = b.lit(v.positive());
+            let neg = b.lit(v.negative());
+            b.or_raw([pos, neg])
+        })
+    };
+    // Conjoins `input` with a gadget for every variable of `target`
+    // missing from `scope` (whose words past its end are zero), in
+    // increasing variable order.
+    let mut parts: Vec<NnfId> = Vec::new();
+    let mut pad = |b: &mut CircuitBuilder, input: NnfId, target: &[u64], scope: &[u64]| {
+        parts.clear();
+        parts.push(input);
+        for (w, &t) in target.iter().enumerate() {
+            let mut missing = t & !scope.get(w).copied().unwrap_or(0);
+            while missing != 0 {
+                parts.push(gadget(b, Var((w * 64) as u32 + missing.trailing_zeros())));
+                missing &= missing - 1;
+            }
+        }
+        if parts.len() == 1 {
+            input
+        } else {
+            b.and_raw(parts.iter().copied())
+        }
     };
 
+    let mut or_inputs: Vec<NnfId> = Vec::new();
     for id in c.ids() {
+        let words = match c.node(id) {
+            NnfNode::True | NnfNode::False => 0,
+            NnfNode::Lit(l) => l.var().index() / 64 + 1,
+            NnfNode::And(xs) | NnfNode::Or(xs) => xs
+                .iter()
+                .map(|x| scope_start[x.index() + 1] - scope_start[x.index()])
+                .max()
+                .unwrap_or(0),
+        };
+        let at = scopes.len();
+        scopes.resize(at + words, 0);
+        scope_start.push(at + words);
+        let (below, scope) = scopes.split_at_mut(at);
+        let scope_of = |x: &NnfId| &below[scope_start[x.index()]..scope_start[x.index() + 1]];
         let new_id = match c.node(id) {
             NnfNode::True => b.true_(),
             NnfNode::False => b.false_(),
-            NnfNode::Lit(l) => b.lit(*l),
+            NnfNode::Lit(l) => {
+                let v = l.var().index();
+                scope[v / 64] |= 1 << (v % 64);
+                b.lit(*l)
+            }
             NnfNode::And(xs) => {
-                let inputs: Vec<NnfId> = xs.iter().map(|x| map[x.index()]).collect();
-                b.and(inputs)
+                for x in xs {
+                    union_words(scope, scope_of(x));
+                }
+                b.and(xs.iter().map(|x| map[x.index()]))
             }
             NnfNode::Or(xs) => {
-                let target = &scopes[id.index()];
-                let mut inputs = Vec::with_capacity(xs.len());
                 for x in xs {
-                    let missing = target.difference(&scopes[x.index()]);
-                    let mut parts = vec![map[x.index()]];
-                    for v in missing.iter() {
-                        parts.push(gadget(&mut b, v));
-                    }
-                    inputs.push(if parts.len() == 1 {
-                        parts[0]
-                    } else {
-                        b.and_raw(parts)
-                    });
+                    union_words(scope, scope_of(x));
                 }
-                b.or_raw(inputs)
+                or_inputs.clear();
+                for x in xs {
+                    or_inputs.push(pad(&mut b, map[x.index()], scope, scope_of(x)));
+                }
+                b.or_raw(or_inputs.iter().copied())
             }
         };
         map.push(new_id);
@@ -181,16 +238,29 @@ pub fn smooth(c: &Circuit) -> Circuit {
 
     // Smooth the root up to the full universe.
     let mut root = map[c.root().index()];
-    let full: VarSet = (0..c.num_vars() as u32).map(Var).collect();
-    let missing = full.difference(&scopes[c.root().index()]);
-    if !missing.is_empty() && !matches!(c.node(c.root()), NnfNode::False) {
-        let mut parts = vec![root];
-        for v in missing.iter() {
-            parts.push(gadget(&mut b, v));
-        }
-        root = b.and_raw(parts);
+    if !matches!(c.node(c.root()), NnfNode::False) {
+        let full: Vec<u64> = (0..c.num_vars().div_ceil(64))
+            .map(|w| match c.num_vars() - w * 64 {
+                rem if rem >= 64 => u64::MAX,
+                rem => (1u64 << rem) - 1,
+            })
+            .collect();
+        let r = c.root().index();
+        root = pad(
+            &mut b,
+            root,
+            &full,
+            &scopes[scope_start[r]..scope_start[r + 1]],
+        );
     }
     b.finish(root)
+}
+
+/// ORs `from` into the prefix of `into` (never shorter than `from`).
+fn union_words(into: &mut [u64], from: &[u64]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        *a |= b;
+    }
 }
 
 /// Smoothing for circuits without or-gates — e.g. the literal cube the
