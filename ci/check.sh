@@ -2,7 +2,8 @@
 # Lint + format + feature-matrix + doc gate. Run from the repo root (or any
 # subdirectory):
 #
-#   ci/check.sh          # clippy (all targets, warnings are errors), fmt,
+#   ci/check.sh          # clippy (all targets, warnings are errors) and
+#                        # fmt over the workspace and perfbench/,
 #                        # no-default-features build+test, docs (warnings
 #                        # are errors), kernel perf smoke (bench_eval --smoke),
 #                        # network serving smoke (serve/client round trip
@@ -28,6 +29,9 @@ if [[ "${1:-}" == "--fix" ]]; then
 else
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
+    # perfbench/ is a workspace of its own, so the two lines above skip it.
+    cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+    cargo fmt --manifest-path perfbench/Cargo.toml --check
 fi
 
 # The umbrella crate's `proptest` feature is on by default; the workspace

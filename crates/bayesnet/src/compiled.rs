@@ -7,7 +7,7 @@ use crate::net::BayesNet;
 use crate::ve::Evidence;
 use std::cell::RefCell;
 use trl_compiler::{compile_sdd_constrained, DecisionDnnfCompiler};
-use trl_core::{FxHashMap, Var};
+use trl_core::{Error, FxHashMap, Result, Var};
 use trl_nnf::Circuit;
 use trl_sdd::{SddManager, SddRef};
 
@@ -52,32 +52,48 @@ impl CompiledBn {
     /// All posterior marginals `Pr(var = value | evidence)` in a single
     /// upward + downward pass (the "all marginals in linear time" result
     /// the paper footnotes in §3).
-    pub fn posteriors(&self, evidence: &Evidence) -> Vec<Vec<f64>> {
+    ///
+    /// Evidence of probability zero — say, contradicting a deterministic
+    /// CPT entry — is an [`Error::Invalid`]: no posterior exists. The pass
+    /// runs in `f64`, so evidence whose probability underflows `f64` (a few
+    /// hundred CPT factors on long chains) is reported the same way, as
+    /// zero-probability evidence; this does not compute such posteriors.
+    pub fn posteriors(&self, evidence: &Evidence) -> Result<Vec<Vec<f64>>> {
         let w = self.enc.weights_with_evidence(evidence);
         let (total, marginals) = self.circuit.wmc_marginals(&w);
-        assert!(total > 0.0, "evidence has zero probability");
-        self.enc
+        if total <= 0.0 {
+            return Err(zero_probability(evidence));
+        }
+        Ok(self
+            .enc
             .indicators
             .iter()
             .map(|ind| ind.iter().map(|v| marginals[v.index()].0 / total).collect())
-            .collect()
+            .collect())
     }
 
-    /// The posterior of one variable.
-    pub fn posterior(&self, var: usize, evidence: &Evidence) -> Vec<f64> {
-        self.posteriors(evidence)[var].clone()
+    /// The posterior of one variable; errors as [`CompiledBn::posteriors`].
+    pub fn posterior(&self, var: usize, evidence: &Evidence) -> Result<Vec<f64>> {
+        Ok(self.posteriors(evidence)?.swap_remove(var))
     }
 
     /// MPE by a max-product circuit pass: the most probable complete
     /// instantiation consistent with the evidence and its joint probability.
-    pub fn mpe(&self, evidence: &Evidence) -> (Vec<usize>, f64) {
+    ///
+    /// Zero-probability evidence — including, as for
+    /// [`CompiledBn::posteriors`], evidence whose most probable
+    /// instantiation underflows `f64` to zero — is an [`Error::Invalid`].
+    pub fn mpe(&self, evidence: &Evidence) -> Result<(Vec<usize>, f64)> {
         let w = self.enc.weights_with_evidence(evidence);
-        let (value, model) = self
-            .circuit
-            .max_weight(&w)
-            .expect("network encoding is satisfiable");
-        (self.enc.decode(&model), value)
+        match self.circuit.max_weight(&w) {
+            Some((value, model)) if value > 0.0 => Ok((self.enc.decode(&model), value)),
+            _ => Err(zero_probability(evidence)),
+        }
     }
+}
+
+fn zero_probability(evidence: &Evidence) -> Error {
+    Error::Invalid(format!("evidence {evidence:?} has zero probability"))
 }
 
 /// MAP by the constrained-vtree SDD route (NP^PP, \[61\]): compiles the
@@ -185,7 +201,7 @@ mod tests {
         let bn = models::medical();
         let compiled = CompiledBn::new(bn.clone(), EncodingStyle::Baseline);
         let ev = vec![(2, 1), (3, 1)]; // both tests positive
-        let circuit_post = compiled.posteriors(&ev);
+        let circuit_post = compiled.posteriors(&ev).unwrap();
         #[allow(clippy::needless_range_loop)] // v indexes parallel per-variable tables
         for v in 0..bn.num_vars() {
             let ve_post = bn.posterior(v, &ev);
@@ -205,13 +221,36 @@ mod tests {
         let bn = models::medical();
         let compiled = CompiledBn::new(bn.clone(), EncodingStyle::LocalStructure);
         for ev in [vec![], vec![(2, 1)], vec![(0, 0), (3, 1)]] {
-            let (inst_c, val_c) = compiled.mpe(&ev);
+            let (inst_c, val_c) = compiled.mpe(&ev).unwrap();
             let (_, val_ve) = bn.mpe(&ev);
             assert!(close(val_c, val_ve), "evidence {ev:?}");
             assert!(close(bn.joint(&inst_c), val_c));
             for &(v, x) in &ev {
                 assert_eq!(inst_c[v], x);
             }
+        }
+    }
+
+    #[test]
+    fn contradicted_deterministic_evidence_is_a_typed_error() {
+        use models::medical_vars::*;
+        // AGREE is deterministic: both tests positive forces AGREE = 1.
+        let ev = vec![(T1, 1), (T2, 1), (AGREE, 0)];
+        for style in [EncodingStyle::Baseline, EncodingStyle::LocalStructure] {
+            let compiled = CompiledBn::new(models::medical(), style);
+            assert_eq!(compiled.pr_evidence(&ev), 0.0, "{style:?}");
+            for err in [
+                compiled.posteriors(&ev).unwrap_err(),
+                compiled.posterior(C, &ev).unwrap_err(),
+                compiled.mpe(&ev).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, Error::Invalid(m) if m.contains("zero probability")),
+                    "{style:?}: {err}"
+                );
+            }
+            // Consistent evidence still answers.
+            assert!(compiled.posteriors(&vec![(T1, 1), (AGREE, 1)]).is_ok());
         }
     }
 
@@ -257,7 +296,7 @@ mod tests {
         let bn = models::abc();
         for style in [EncodingStyle::Baseline, EncodingStyle::LocalStructure] {
             let compiled = CompiledBn::new(bn.clone(), style);
-            let post = compiled.posterior(0, &vec![(1, 1)]);
+            let post = compiled.posterior(0, &vec![(1, 1)]).unwrap();
             let ve = bn.posterior(0, &vec![(1, 1)]);
             assert!(close(post[0], ve[0]) && close(post[1], ve[1]), "{style:?}");
         }

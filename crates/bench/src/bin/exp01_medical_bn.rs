@@ -23,7 +23,7 @@ fn main() {
     section("MPE (NP): most probable complete instantiation");
     let evidence = vec![];
     let (inst_ve, val_ve) = bn.mpe(&evidence);
-    let (inst_c, val_c) = compiled.mpe(&evidence);
+    let (inst_c, val_c) = compiled.mpe(&evidence).expect("empty evidence is possible");
     let names = ["sex", "c", "T1", "T2", "AGREE"];
     let show = |inst: &[usize]| {
         inst.iter()
@@ -37,7 +37,9 @@ fn main() {
     all_ok &= check("MPE values agree", (val_ve - val_c).abs() < 1e-9);
 
     section("MAR (PP): per-variable marginals, as displayed in Fig. 2");
-    let posts = compiled.posteriors(&evidence);
+    let posts = compiled
+        .posteriors(&evidence)
+        .expect("empty evidence is possible");
     for v in 0..bn.num_vars() {
         let ve = bn.posterior(v, &evidence);
         row(
@@ -53,7 +55,9 @@ fn main() {
 
     section("MAR with evidence: both tests positive");
     let ev = vec![(T1, 1), (T2, 1)];
-    let pc = compiled.posterior(C, &ev)[1];
+    let pc = compiled
+        .posterior(C, &ev)
+        .expect("positive tests are possible")[1];
     let pv = bn.posterior(C, &ev)[1];
     row("Pr(c | T1=+, T2=+) circuit", format!("{pc:.6}"));
     row("Pr(c | T1=+, T2=+) VE", format!("{pv:.6}"));

@@ -317,7 +317,8 @@ impl Engine {
         };
         if report.accepted {
             // Pre-warm outside the lock so the registry charge reflects the
-            // full serving footprint and the first query pays nothing.
+            // full serving footprint (raw arena plus tape) and the first
+            // query pays nothing.
             let small = Arc::new(PreparedCircuit::new(minimized));
             small.warm();
             out.swapped = self.lock().replace(key, Artifact::Circuit(small));
@@ -562,10 +563,15 @@ mod tests {
             assert!(!Arc::ptr_eq(&small, &original), "swap replaced the Arc");
             assert_eq!(small.raw().node_count(), report.nodes_after);
             assert!(report.nodes_after < report.nodes_before);
-            // Budget released immediately (warm artifact vs warm artifact
-            // is not guaranteed smaller in *retained* terms only if tape
-            // overhead dominates, but the raw arena strictly shrank).
-            let _ = nodes_before_stats;
+            // The swap re-charges the warmed artifact: its raw arena plus
+            // its tape, and no smoothed copy.
+            assert!(small.smoothing_materialized());
+            assert_eq!(
+                engine.stats().retained_nodes,
+                nodes_before_stats - original.raw().node_count()
+                    + small.raw().node_count()
+                    + small.tape().len()
+            );
             // In-flight holders of the old Arc still answer, identically.
             assert_eq!(original.raw().model_count(), count);
             assert_eq!(small.raw().model_count(), count);

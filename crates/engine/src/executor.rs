@@ -245,7 +245,11 @@ impl Query {
     fn groupable(&self) -> bool {
         matches!(
             self,
-            Query::ModelCount | Query::ModelCountUnder(_) | Query::Wmc(_) | Query::Marginals(_)
+            Query::ModelCount
+                | Query::ModelCountUnder(_)
+                | Query::Wmc(_)
+                | Query::Marginals(_)
+                | Query::MaxWeight(_)
         )
     }
 
@@ -256,6 +260,7 @@ impl Query {
             Query::ModelCountUnder(_) => 1,
             Query::Wmc(_) => 2,
             Query::Marginals(_) => 3,
+            Query::MaxWeight(_) => 4,
             _ => usize::MAX,
         }
     }
@@ -643,11 +648,12 @@ impl Executor {
     /// the pool works.
     ///
     /// Every query must be addressed to the artifact's kind
-    /// ([`Artifact::validate`]). Circuit queries of the same counting kind
-    /// are grouped and each group split into lane-aligned chunks across
-    /// the pool (or handed whole to a layer-parallel sweep when the active
-    /// [`ParallelPolicy`] says the circuit is wide enough); SAT, MPE, and
-    /// every role-2/3 query run individually.
+    /// ([`Artifact::validate`]). Circuit queries of the same counting or
+    /// MPE kind are grouped and each group split into lane-aligned chunks
+    /// across the pool (or handed whole to one worker when the active
+    /// [`ParallelPolicy`] says the circuit is wide enough, where WMC and
+    /// marginals sweep layer-parallel); SAT and every role-2/3 query run
+    /// individually.
     pub fn submit_artifact_batch<F>(
         &self,
         artifact: &Artifact,
@@ -682,7 +688,7 @@ impl Executor {
 
         // Partition into per-kind groups (indices + queries, in submission
         // order) and ungroupable singles.
-        let mut buckets: [(Vec<usize>, Vec<Query>); 4] = Default::default();
+        let mut buckets: [(Vec<usize>, Vec<Query>); 5] = Default::default();
         let mut singles: Vec<(usize, Query)> = Vec::new();
         let mut kinds = Vec::with_capacity(n);
         for (index, query) in queries.into_iter().enumerate() {

@@ -13,9 +13,9 @@
 //!   properties (decomposability, determinism) that the poly-time queries
 //!   rely on, so a corrupted or foreign artifact is rejected with a typed
 //!   [`EngineError`] instead of silently answering wrong;
-//! * [`prepared`] — [`PreparedCircuit`]: a circuit smoothed and linearized
-//!   into a [`trl_nnf::EvalTape`] lazily, **once**, then queried many
-//!   times through scalar or lane-batched kernels;
+//! * [`prepared`] — [`PreparedCircuit`]: a compiled circuit plus the
+//!   [`trl_nnf::EvalTape`] its smoothed form is linearized into lazily,
+//!   **once**, then queried many times through the tape kernels;
 //! * [`registry`] — a bounded LRU artifact store keyed on CNF
 //!   [`fingerprint`], compiling on miss and evicting by retained node count;
 //! * [`artifact`] — [`Artifact`]: the typed registry entry generalizing

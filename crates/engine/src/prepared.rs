@@ -1,17 +1,17 @@
-//! A circuit prepared for serving: smoothed and linearized lazily, once,
-//! then queried many times through the evaluation kernels.
+//! A circuit prepared for serving: linearized lazily, once, then queried
+//! many times through the evaluation kernels.
 //!
 //! Every counting-style query in `trl-nnf` (`model_count`, `wmc`,
 //! `wmc_marginals`, `max_weight`) smooths the circuit internally — correct,
 //! but wasteful when the *same* circuit answers thousands of queries: the
 //! smoothing copy dominates the single numeric pass that follows it.
 //! [`PreparedCircuit`] hoists that work out of the query path, and does it
-//! **lazily**: a pure SAT workload never pays for smoothing at all, and the
-//! first counting query triggers it exactly once. On top of the smoothed
-//! circuit it builds (also once, also lazily) the [`EvalTape`] — the
-//! linearized instruction tape whose scalar and lane-batched kernels are
-//! the per-query hot path the executor dispatches to
-//! (`BENCH_engine.json`, `BENCH_eval.json`).
+//! **lazily**: the first query that needs the [`EvalTape`] smooths the
+//! circuit, linearizes the smoothed copy into the tape and drops the copy.
+//! A served circuit therefore retains exactly two structures: the compiled
+//! arena, which SAT reads, and the tape, whose lane-batched kernels answer
+//! every other circuit query — counts, WMC, marginals and MPE. A pure SAT
+//! workload never builds the tape at all.
 
 use std::sync::OnceLock;
 
@@ -19,26 +19,15 @@ use crate::executor::{Query, QueryAnswer};
 use trl_nnf::{smooth, Circuit, EvalTape, LitWeights};
 
 /// An immutable, shareable serving artifact: the compiled circuit plus its
-/// lazily materialized smoothed form and evaluation tape. Wrap it in an
-/// `Arc` and hand it to any number of executor workers.
-#[derive(Debug)]
+/// lazily built evaluation tape. Wrap it in an `Arc` and hand it to any
+/// number of executor workers.
+#[derive(Clone, Debug)]
 pub struct PreparedCircuit {
     raw: Circuit,
-    /// The smoothed circuit, materialized by the first query that needs it.
-    smoothed: OnceLock<Circuit>,
-    /// The linearized kernel tape over the smoothed circuit, materialized
-    /// by the first counting query.
+    /// The kernel tape over the smoothed circuit, built by the first query
+    /// other than SAT. The smoothed circuit it is linearized from is not
+    /// kept.
     tape: OnceLock<EvalTape>,
-}
-
-impl Clone for PreparedCircuit {
-    fn clone(&self) -> Self {
-        PreparedCircuit {
-            raw: self.raw.clone(),
-            smoothed: self.smoothed.clone(),
-            tape: self.tape.clone(),
-        }
-    }
 }
 
 impl PreparedCircuit {
@@ -47,7 +36,6 @@ impl PreparedCircuit {
     pub fn new(raw: Circuit) -> Self {
         PreparedCircuit {
             raw,
-            smoothed: OnceLock::new(),
             tape: OnceLock::new(),
         }
     }
@@ -57,32 +45,26 @@ impl PreparedCircuit {
         &self.raw
     }
 
-    /// The smoothed circuit the counting queries run on, smoothing it on
-    /// first use.
-    pub fn smoothed(&self) -> &Circuit {
-        self.smoothed.get_or_init(|| smooth(&self.raw))
-    }
-
-    /// The evaluation tape the counting kernels sweep, linearizing the
-    /// smoothed circuit on first use.
+    /// The evaluation tape the kernels sweep, built on first use from a
+    /// transient smoothed copy of the circuit.
     pub fn tape(&self) -> &EvalTape {
-        self.tape.get_or_init(|| EvalTape::new(self.smoothed()))
+        self.tape.get_or_init(|| EvalTape::new(&smooth(&self.raw)))
     }
 
-    /// Materializes the smoothed circuit and evaluation tape now instead
-    /// of on the first counting query. Benchmarks and latency-sensitive
-    /// deployments call this before the measurement/serving loop so tape
-    /// construction is never billed to an unlucky first query (it showed
-    /// up as a millisecond-scale max-latency outlier in `BENCH_eval.json`
-    /// before the bench warmed the tape).
+    /// Builds the evaluation tape now instead of on the first query that
+    /// needs it. Benchmarks and latency-sensitive deployments call this
+    /// before the measurement/serving loop so tape construction is never
+    /// billed to an unlucky first query (it showed up as a
+    /// millisecond-scale max-latency outlier in `BENCH_eval.json` before
+    /// the bench warmed the tape).
     pub fn warm(&self) {
         self.tape();
     }
 
-    /// Whether the smoothed circuit has been materialized yet (it stays
-    /// absent for workloads — SAT — that never need smoothing).
+    /// Whether smoothing has run, i.e. whether the tape it feeds exists (it
+    /// stays absent for workloads — SAT — that never need it).
     pub fn smoothing_materialized(&self) -> bool {
-        self.smoothed.get().is_some()
+        self.tape.get().is_some()
     }
 
     /// Number of variables in the universe.
@@ -90,17 +72,14 @@ impl PreparedCircuit {
         self.raw.num_vars()
     }
 
-    /// Current footprint in arena nodes: the raw circuit plus the smoothed
-    /// copy and kernel tape once they materialize. Grows (once) on the
-    /// first counting query; the registry therefore snapshots this at
-    /// insert time rather than re-reading it at eviction. For a circuit
-    /// compiled on a registry miss that snapshot is the raw size alone:
-    /// the smoothed copy and the tape built from it later are not charged
-    /// against the budget.
+    /// Current footprint in arena nodes: the raw circuit plus the kernel
+    /// tape once it is built. Grows (once) on the first query that builds
+    /// the tape; the registry therefore snapshots this at insert time
+    /// rather than re-reading it at eviction. For a circuit compiled on a
+    /// registry miss that snapshot is the raw size alone: the tape built
+    /// later is not charged against the budget.
     pub fn retained_nodes(&self) -> usize {
-        self.raw.node_count()
-            + self.smoothed.get().map_or(0, Circuit::node_count)
-            + self.tape.get().map_or(0, EvalTape::len)
+        self.raw.node_count() + self.tape.get().map_or(0, EvalTape::len)
     }
 
     /// Answers one query. Weighted queries require weights covering the
@@ -121,7 +100,8 @@ impl PreparedCircuit {
                 QueryAnswer::Marginals { wmc, marginals }
             }
             Query::MaxWeight(w) => {
-                QueryAnswer::MaxWeight(self.smoothed().max_weight_presmoothed(w))
+                let mut out = self.tape().max_weight_batch(&[w]);
+                QueryAnswer::MaxWeight(out.pop().expect("one lane in, one answer out"))
             }
             // Role-2/3 queries never reach a circuit: `Query::validate`
             // only checks universes, but the executor's typed-artifact
@@ -136,11 +116,12 @@ impl PreparedCircuit {
     }
 
     /// Answers a group of queries in order, dispatching homogeneous
-    /// counting groups to the lane-batched kernels (one tape scan per
-    /// [`trl_nnf::LANES`] queries). `layer_threads > 1` additionally fans
-    /// each tape layer out across that many threads — worth it only for
-    /// large circuits; the executor decides. Mixed groups fall back to
-    /// per-query answering; answers are bit-identical either way.
+    /// counting and MPE groups to the lane-batched kernels (one tape scan
+    /// per [`trl_nnf::LANES`] queries). `layer_threads > 1` additionally
+    /// fans each tape layer of a WMC or marginals sweep out across that
+    /// many threads — worth it only for large circuits; the executor
+    /// decides. Mixed groups fall back to per-query answering; answers are
+    /// bit-identical either way.
     pub fn answer_batch(&self, queries: &[Query], layer_threads: usize) -> Vec<QueryAnswer> {
         if queries.len() > 1 {
             if queries.iter().all(|q| matches!(q, Query::Wmc(_))) {
@@ -196,6 +177,23 @@ impl PreparedCircuit {
                     .map(QueryAnswer::ModelCount)
                     .collect();
             }
+            if queries.iter().all(|q| matches!(q, Query::MaxWeight(_))) {
+                // Sequential lanes whatever `layer_threads` says: MPE has
+                // no layered sweep.
+                let ws: Vec<&LitWeights> = queries
+                    .iter()
+                    .map(|q| match q {
+                        Query::MaxWeight(w) => w,
+                        _ => unreachable!("checked above"),
+                    })
+                    .collect();
+                return self
+                    .tape()
+                    .max_weight_batch(&ws)
+                    .into_iter()
+                    .map(QueryAnswer::MaxWeight)
+                    .collect();
+            }
             if queries.iter().all(|q| matches!(q, Query::ModelCount)) {
                 // Parameterless: one sweep answers the whole group.
                 let count = self.tape().model_count();
@@ -249,34 +247,36 @@ mod tests {
     }
 
     #[test]
-    fn smoothing_is_lazy_until_a_counting_query() {
+    fn tape_is_built_by_the_first_count_or_mpe_query_only() {
         let cnf = Cnf::parse_dimacs("p cnf 3 2\n1 2 0\n-2 3 0\n").unwrap();
         let c = DecisionDnnfCompiler::default().compile(&cnf);
-        let p = PreparedCircuit::new(c.clone());
-        assert!(!p.smoothing_materialized());
-        assert_eq!(p.retained_nodes(), p.raw().node_count());
+        let tape_nodes = EvalTape::new(&smooth(&c)).len();
+        let w = LitWeights::unit(3);
+        for first in [Query::ModelCount, Query::MaxWeight(w.clone())] {
+            let p = PreparedCircuit::new(c.clone());
+            assert!(!p.smoothing_materialized());
+            assert_eq!(p.retained_nodes(), p.raw().node_count());
 
-        // Warming materializes everything eagerly.
-        let warmed = PreparedCircuit::new(c.clone());
-        warmed.warm();
-        assert!(warmed.smoothing_materialized());
-        assert!(warmed.retained_nodes() > warmed.raw().node_count());
+            // SAT reads the raw arena and never builds the tape.
+            assert_eq!(p.answer(&Query::Sat), QueryAnswer::Sat(true));
+            assert!(!p.smoothing_materialized());
 
-        // SAT never smooths.
-        assert_eq!(p.answer(&Query::Sat), QueryAnswer::Sat(true));
-        assert!(!p.smoothing_materialized());
-
-        // The first counting query smooths (and builds the tape) once.
-        let before = p.retained_nodes();
-        assert_eq!(
-            p.answer(&Query::ModelCount),
-            QueryAnswer::ModelCount(c.model_count())
-        );
-        assert!(p.smoothing_materialized());
-        assert!(p.retained_nodes() > before);
-        let after = p.retained_nodes();
-        p.answer(&Query::ModelCount);
-        assert_eq!(p.retained_nodes(), after, "materialization happens once");
+            // The first count or MPE query builds it, exactly once.
+            p.answer(&first);
+            assert!(p.smoothing_materialized());
+            let built = p.retained_nodes();
+            assert_eq!(built, p.raw().node_count() + tape_nodes);
+            let tape = p.tape() as *const EvalTape;
+            for q in [
+                Query::ModelCount,
+                Query::MaxWeight(w.clone()),
+                Query::Wmc(w.clone()),
+            ] {
+                p.answer(&q);
+            }
+            assert_eq!(p.retained_nodes(), built, "the tape is built once");
+            assert!(std::ptr::eq(p.tape(), tape), "the tape is built once");
+        }
     }
 
     #[test]

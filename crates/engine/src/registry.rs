@@ -54,9 +54,10 @@ pub struct RegistryStats {
 struct Entry {
     artifact: Artifact,
     /// The node cost charged at insert time. The charge is snapshotted
-    /// because a [`PreparedCircuit`]'s footprint grows when lazy smoothing
-    /// materializes; re-reading it at eviction would debit more than was
-    /// credited and underflow the budget.
+    /// because a [`PreparedCircuit`]'s footprint grows when its first
+    /// counting or MPE query builds the evaluation tape; re-reading it at
+    /// eviction would debit more than was credited and underflow the
+    /// budget.
     charged: usize,
     /// The stamp of the entry's most recent use; the entry's live pair in
     /// the LRU queue carries the same stamp.
@@ -67,8 +68,9 @@ struct Entry {
 ///
 /// The budget charges each artifact's [`Artifact::retained_nodes`] at
 /// insert time. For a circuit compiled on a miss that is its compiled
-/// (raw) size only: the smoothed copy and the evaluation tape it builds
-/// on its first counting query are not charged.
+/// (raw) size only: the evaluation tape its first counting or MPE query
+/// builds is not charged. [`Registry::replace`] charges what the swapped
+/// artifact holds at the swap, raw arena plus tape for a warmed one.
 pub struct Registry {
     compiler: DecisionDnnfCompiler,
     max_retained_nodes: usize,
@@ -245,9 +247,9 @@ impl Registry {
     }
 
     /// Total retained arena nodes across artifacts, as charged at their
-    /// insert time: the raw circuit, plus its smoothed copy and kernel tape
-    /// only if they had materialized before the insert (they have not for
-    /// a circuit compiled on a miss).
+    /// insert time: the raw circuit, plus its kernel tape only if it had
+    /// been built before the insert (it has not for a circuit compiled on
+    /// a miss).
     pub fn retained_nodes(&self) -> usize {
         self.retained_nodes
     }
@@ -450,8 +452,8 @@ mod tests {
     #[test]
     fn eviction_balances_even_after_lazy_materialization() {
         // An artifact's footprint grows when its first counting query
-        // smooths it. Eviction must debit the insert-time charge, not the
-        // grown footprint — otherwise the running total underflows.
+        // builds the tape. Eviction must debit the insert-time charge, not
+        // the grown footprint — otherwise the running total underflows.
         let cnf = Cnf::parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n").unwrap();
         let mut r = Registry::new(1); // force eviction on the next insert
         let a = r.get_or_compile(&cnf);
@@ -501,6 +503,7 @@ mod tests {
         let key = 0xdead_beef_u64;
         r.insert(key, Artifact::Circuit(Arc::clone(&a)));
         let before = r.retained_nodes();
+        assert_eq!(before, a.raw().node_count() + a.tape().len());
 
         // Swap in a strictly smaller artifact under the same key.
         let (small, report) =

@@ -57,7 +57,9 @@ pub struct ServeReport {
     pub raw_nodes: usize,
     /// Edges in the compiled circuit.
     pub raw_edges: usize,
-    /// Nodes in the smoothed serving circuit.
+    /// Nodes in the smoothed circuit the serving tape is linearized from.
+    /// The served artifact does not keep that circuit, so the report
+    /// smooths a copy of its own, outside the timed prepare step.
     pub smoothed_nodes: usize,
     /// One-off preparation cost (smoothing + kernel tape), milliseconds.
     pub prepare_ms: f64,
@@ -238,7 +240,7 @@ pub fn serving_benchmark(
         instance: instance.to_string(),
         raw_nodes: circuit.node_count(),
         raw_edges: circuit.edge_count(),
-        smoothed_nodes: prepared.smoothed().node_count(),
+        smoothed_nodes: trl_nnf::smooth(circuit).node_count(),
         prepare_ms,
         queries_per_config,
         baseline_wall_secs,

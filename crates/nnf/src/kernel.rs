@@ -34,13 +34,15 @@
 //! Every kernel returns answers **bit-identical** to the corresponding
 //! scalar entry point in [`crate::queries`] (`wmc_presmoothed`,
 //! `model_count_presmoothed`, `model_count_under_presmoothed`,
-//! `wmc_marginals_presmoothed`): per node, the same floating-point
+//! `wmc_marginals_presmoothed`, and — for the max-product sweep of
+//! [`EvalTape::max_weight_batch`], value and assignment —
+//! `max_weight_presmoothed`): per node, the same floating-point
 //! operations run in the same per-lane order on every backend and under
-//! every schedule, and the order-sensitive derivative accumulation of the
+//! every schedule, the order-sensitive derivative accumulation of the
 //! marginal kernel replays the original arena order via a stored
-//! permutation. `crates/nnf/tests/kernel_equiv.rs` and
-//! `tests/kernel_props.rs` assert this across the crosscheck corpus, for
-//! every supported backend.
+//! permutation, and the MPE traceback walks the oracle's traversal order.
+//! `crates/nnf/tests/kernel_equiv.rs` and `tests/kernel_props.rs` assert
+//! this across the crosscheck corpus, for every supported backend.
 //!
 //! Preconditions match the `_presmoothed` queries: the circuit must be
 //! decomposable, deterministic, and already smooth with the root covering
@@ -53,7 +55,7 @@ use crate::circuit::{Circuit, NnfId, NnfNode};
 use crate::pool::SweepPool;
 use crate::queries::LitWeights;
 use crate::simd::LaneBackend;
-use trl_core::{Lit, PartialAssignment, Var};
+use trl_core::{Assignment, Lit, PartialAssignment, Var};
 
 /// Queries answered per tape scan by the lane-batched kernels. Eight `f64`
 /// lanes fill one AVX-512 register, two AVX2 registers, or four NEON
@@ -489,25 +491,27 @@ impl EvalTape {
         let mut out = Vec::with_capacity(weights.len());
         let mut plane = PlaneBuf::new(self.len());
         for group in weights.chunks(LANES) {
-            self.wmc_lanes(group, &mut plane);
+            self.forward_lanes::<lanes::SumProduct>(group, &mut plane);
             let root = &plane.planes()[self.root as usize];
             out.extend_from_slice(&root[..group.len()]);
         }
         out
     }
 
-    /// One lane-group forward sweep; `group.len() <= LANES`, dead lanes
-    /// evaluate under all-zero weights (harmlessly finite).
-    fn wmc_lanes(&self, group: &[&LitWeights], plane: &mut PlaneBuf) {
+    /// One lane-group forward sweep under the semiring `S`;
+    /// `group.len() <= LANES`, dead lanes evaluate under all-zero literal
+    /// weights and are never read back.
+    fn forward_lanes<S: lanes::Semiring>(&self, group: &[&LitWeights], plane: &mut PlaneBuf) {
         debug_assert!(group.len() <= LANES && plane.len == self.len());
         // SAFETY: `plane` is exclusively borrowed and covers the tape, and
         // the full range is swept in layer order, so every child is
         // written before its parent reads it.
-        unsafe { self.sweep_range(group, plane.as_mut_ptr(), 0, self.len()) }
+        unsafe { self.sweep_range::<S>(group, plane.as_mut_ptr(), 0, self.len()) }
     }
 
-    /// Computes tape slots `lo..hi` of one lane-group forward sweep,
-    /// dispatching to the active backend's specialized loop.
+    /// Computes tape slots `lo..hi` of one lane-group forward sweep under
+    /// the semiring `S`, dispatching to the active backend's specialized
+    /// loop.
     ///
     /// # Safety
     ///
@@ -515,7 +519,7 @@ impl EvalTape {
     /// exclusive write access to slots `lo..hi` and every child of those
     /// slots must already be written (layer ordering guarantees children
     /// sit below `lo` when sweeping layer slices in order).
-    unsafe fn sweep_range(
+    unsafe fn sweep_range<S: lanes::Semiring>(
         &self,
         group: &[&LitWeights],
         plane: *mut [f64; LANES],
@@ -523,13 +527,15 @@ impl EvalTape {
         hi: usize,
     ) {
         match self.backend {
-            LaneBackend::Scalar => self.sweep_range_with::<lanes::ScalarOps>(group, plane, lo, hi),
+            LaneBackend::Scalar => {
+                self.sweep_range_with::<S, lanes::ScalarOps>(group, plane, lo, hi)
+            }
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            LaneBackend::Avx2 => self.sweep_range_avx2(group, plane, lo, hi),
+            LaneBackend::Avx2 => self.sweep_range_avx2::<S>(group, plane, lo, hi),
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            LaneBackend::Avx512 => self.sweep_range_avx512(group, plane, lo, hi),
+            LaneBackend::Avx512 => self.sweep_range_avx512::<S>(group, plane, lo, hi),
             #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-            LaneBackend::Neon => self.sweep_range_with::<lanes::NeonOps>(group, plane, lo, hi),
+            LaneBackend::Neon => self.sweep_range_with::<S, lanes::NeonOps>(group, plane, lo, hi),
         }
     }
 
@@ -544,7 +550,7 @@ impl EvalTape {
     /// As [`EvalTape::sweep_range`], plus: `O`'s target feature must be
     /// available on the executing CPU.
     #[inline(always)]
-    unsafe fn sweep_range_with<O: lanes::LaneOps>(
+    unsafe fn sweep_range_with<S: lanes::Semiring, O: lanes::LaneOps>(
         &self,
         group: &[&LitWeights],
         plane: *mut [f64; LANES],
@@ -567,8 +573,9 @@ impl EvalTape {
                 // Lit planes are zeroed now (dead lanes stay 0.0) and get
                 // their live lanes in the passes below. Childless gates
                 // land in layer 0 too: an empty product is 1, an empty
-                // sum 0 — exactly the constant stores.
-                Op::False | Op::Lit | Op::Or => O::store(out, O::splat(0.0)),
+                // sum (or max) is the semiring's zero.
+                Op::Lit => O::store(out, O::splat(0.0)),
+                Op::False | Op::Or => O::store(out, O::splat(S::ZERO)),
                 Op::True | Op::And => O::store(out, O::splat(1.0)),
             }
         }
@@ -587,7 +594,7 @@ impl EvalTape {
             let out = plane.add(i) as *mut f64;
             let e_end = *edge_start.add(i + 1) as usize;
             match *ops.add(i) {
-                Op::False => O::store(out, O::splat(0.0)),
+                Op::False => O::store(out, O::splat(S::ZERO)),
                 Op::True => O::store(out, O::splat(1.0)),
                 Op::Lit => {
                     // Unreachable for well-formed tapes (literals live in
@@ -600,26 +607,8 @@ impl EvalTape {
                     }
                     O::store(out, O::load(vals.as_ptr()));
                 }
-                // The leading identity element is kept in the fold —
-                // `0.0 + x` is not a bitwise no-op when `x` is `-0.0` —
-                // so every backend runs the identical per-lane op
-                // sequence as the scalar kernels.
-                Op::And => {
-                    let mut acc = O::splat(1.0);
-                    for k in e..e_end {
-                        let ch = *edges.add(k) as usize;
-                        acc = O::mul(acc, O::load(plane.add(ch) as *const f64));
-                    }
-                    O::store(out, acc);
-                }
-                Op::Or => {
-                    let mut acc = O::splat(0.0);
-                    for k in e..e_end {
-                        let ch = *edges.add(k) as usize;
-                        acc = O::add(acc, O::load(plane.add(ch) as *const f64));
-                    }
-                    O::store(out, acc);
-                }
+                Op::And => O::store(out, S::and::<O>(plane, edges.add(e), e_end - e)),
+                Op::Or => O::store(out, S::or::<O>(plane, edges.add(e), e_end - e)),
             }
             e = e_end;
         }
@@ -634,14 +623,14 @@ impl EvalTape {
     /// which [`EvalTape::set_lane_backend`] only permits when detected).
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[target_feature(enable = "avx2")]
-    unsafe fn sweep_range_avx2(
+    unsafe fn sweep_range_avx2<S: lanes::Semiring>(
         &self,
         group: &[&LitWeights],
         plane: *mut [f64; LANES],
         lo: usize,
         hi: usize,
     ) {
-        self.sweep_range_with::<lanes::Avx2Ops>(group, plane, lo, hi)
+        self.sweep_range_with::<S, lanes::Avx2Ops>(group, plane, lo, hi)
     }
 
     /// [`EvalTape::sweep_range_with`] compiled with AVX-512F enabled.
@@ -651,14 +640,69 @@ impl EvalTape {
     /// As [`EvalTape::sweep_range_avx2`], for AVX-512F.
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[target_feature(enable = "avx512f")]
-    unsafe fn sweep_range_avx512(
+    unsafe fn sweep_range_avx512<S: lanes::Semiring>(
         &self,
         group: &[&LitWeights],
         plane: *mut [f64; LANES],
         lo: usize,
         hi: usize,
     ) {
-        self.sweep_range_with::<lanes::Avx512Ops>(group, plane, lo, hi)
+        self.sweep_range_with::<S, lanes::Avx512Ops>(group, plane, lo, hi)
+    }
+
+    /// MPE per weight table, `LANES` at a time: one max-product forward
+    /// sweep per lane group through the active [`LaneBackend`], then a
+    /// per-lane argmax traceback. Bit-identical — value and assignment —
+    /// to [`Circuit::max_weight_presmoothed`](crate::circuit::Circuit) per
+    /// table, on every backend; `None` where the circuit is unsatisfiable.
+    /// A single query is a group of one.
+    pub fn max_weight_batch(&self, weights: &[&LitWeights]) -> Vec<Option<(f64, Assignment)>> {
+        let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
+        record_sweeps(weights.len());
+        let mut out = Vec::with_capacity(weights.len());
+        let mut plane = PlaneBuf::new(self.len());
+        let mut stack = Vec::new();
+        for group in weights.chunks(LANES) {
+            self.forward_lanes::<lanes::MaxProduct>(group, &mut plane);
+            let planes = plane.planes();
+            for lane in 0..group.len() {
+                let value = planes[self.root as usize][lane];
+                out.push(
+                    (value != f64::NEG_INFINITY)
+                        .then(|| (value, self.argmax(planes, lane, &mut stack))),
+                );
+            }
+        }
+        out
+    }
+
+    /// The top-down argmax extraction of one lane of a max-product plane:
+    /// the traversal order of the scalar oracle, on tape slots, with each
+    /// or-gate taking its last maximal input under `total_cmp`.
+    fn argmax(&self, plane: &[[f64; LANES]], lane: usize, stack: &mut Vec<u32>) -> Assignment {
+        let mut a = Assignment::all_false(self.num_vars);
+        stack.clear();
+        stack.push(self.root);
+        while let Some(t) = stack.pop() {
+            let i = t as usize;
+            match self.ops[i] {
+                Op::Lit => a.set(self.lits[i].var(), self.lits[i].is_positive()),
+                Op::And => stack.extend_from_slice(self.children(i)),
+                Op::Or => {
+                    let best = self
+                        .children(i)
+                        .iter()
+                        .copied()
+                        .max_by(|&x, &y| {
+                            plane[x as usize][lane].total_cmp(&plane[y as usize][lane])
+                        })
+                        .expect("or-gate with no inputs survived smoothing");
+                    stack.push(best);
+                }
+                Op::True | Op::False => {}
+            }
+        }
+        a
     }
 
     /// Lane-batched model counting under evidence: one plane scan per group
@@ -726,7 +770,7 @@ impl EvalTape {
         let mut der = vec![[0.0f64; LANES]; self.len()];
         let mut prefix: Vec<[f64; LANES]> = Vec::new();
         for group in weights.chunks(LANES) {
-            self.wmc_lanes(group, &mut plane);
+            self.forward_lanes::<lanes::SumProduct>(group, &mut plane);
             self.derivative_lanes(plane.planes(), &mut der, &mut prefix);
             // Per-lane literal marginal accumulation, leaves in arena order
             // (layer 0 is stably sorted, so tape order agrees).
@@ -965,7 +1009,9 @@ impl EvalTape {
                         // strictly earlier layer fully written before the
                         // previous barrier, and the barrier below separates
                         // this layer's writes from the next layer's reads.
-                        unsafe { self.sweep_range(group, plane.0, a + c, a + hi) };
+                        unsafe {
+                            self.sweep_range::<lanes::SumProduct>(group, plane.0, a + c, a + hi)
+                        };
                         my_chunks += 1;
                         if c < share_lo || c >= share_hi {
                             my_steals += 1;
@@ -1026,6 +1072,109 @@ mod lanes {
         /// # Safety
         /// As [`LaneOps::splat`].
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+
+        /// Lane-wise `f(a, b)`, written per lane so that every backend runs
+        /// exactly the scalar operation's semantics; the compiler keeps
+        /// the round trip through the stack arrays in registers.
+        ///
+        /// # Safety
+        /// As [`LaneOps::splat`].
+        #[inline(always)]
+        unsafe fn zip(a: Self::V, b: Self::V, f: impl Fn(f64, f64) -> f64) -> Self::V {
+            let (mut x, mut y) = ([0.0f64; LANES], [0.0f64; LANES]);
+            Self::store(x.as_mut_ptr(), a);
+            Self::store(y.as_mut_ptr(), b);
+            let z: [f64; LANES] = std::array::from_fn(|i| f(x[i], y[i]));
+            Self::load(z.as_ptr())
+        }
+    }
+
+    /// The per-lane (⊕, ⊗) pair a forward sweep runs: sum-product for the
+    /// counting kernels, max-product for MPE. Each instance replays, per
+    /// lane, the operation sequence of its scalar oracle in `queries.rs`.
+    pub(super) trait Semiring {
+        /// The value of `⊥` and of an or-gate with no inputs.
+        const ZERO: f64;
+
+        /// An and-gate over the `n` child planes whose slots start at
+        /// `edges`.
+        ///
+        /// # Safety
+        /// As [`LaneOps::splat`]; `edges` must hold `n` slots of `plane`,
+        /// each already written.
+        unsafe fn and<O: LaneOps>(plane: *const [f64; LANES], edges: *const u32, n: usize) -> O::V;
+
+        /// An or-gate over the `n` child planes whose slots start at
+        /// `edges`.
+        ///
+        /// # Safety
+        /// As [`Semiring::and`].
+        unsafe fn or<O: LaneOps>(plane: *const [f64; LANES], edges: *const u32, n: usize) -> O::V;
+    }
+
+    /// The `n` child planes at `edges`, loaded in gate-input order.
+    ///
+    /// # Safety
+    /// As [`Semiring::and`].
+    #[inline(always)]
+    unsafe fn inputs<O: LaneOps>(
+        plane: *const [f64; LANES],
+        edges: *const u32,
+        n: usize,
+    ) -> impl Iterator<Item = O::V> {
+        (0..n).map(move |k| O::load(plane.add(*edges.add(k) as usize) as *const f64))
+    }
+
+    /// Weighted counting: `Circuit::wmc_presmoothed`.
+    pub(super) struct SumProduct;
+
+    impl Semiring for SumProduct {
+        const ZERO: f64 = 0.0;
+
+        // The leading identity element is kept in both folds — `0.0 + x`
+        // is not a bitwise no-op when `x` is `-0.0` — so every backend
+        // runs the identical per-lane op sequence as the scalar kernels.
+        #[inline(always)]
+        unsafe fn and<O: LaneOps>(plane: *const [f64; LANES], edges: *const u32, n: usize) -> O::V {
+            inputs::<O>(plane, edges, n).fold(O::splat(1.0), |acc, x| O::mul(acc, x))
+        }
+
+        #[inline(always)]
+        unsafe fn or<O: LaneOps>(plane: *const [f64; LANES], edges: *const u32, n: usize) -> O::V {
+            inputs::<O>(plane, edges, n).fold(O::splat(0.0), |acc, x| O::add(acc, x))
+        }
+    }
+
+    /// MPE values: `Circuit::max_weight_presmoothed`. An and-gate is −∞
+    /// if any input is −∞ (never `−∞ · 0 = NaN`), otherwise the product
+    /// in input order; an or-gate folds `f64::max` from −∞. The lane max
+    /// is `f64::max` per lane — the `maxnum` the oracle folds with — on
+    /// every backend, never a raw vector max instruction, whose NaN and
+    /// ±0 operand rules differ.
+    pub(super) struct MaxProduct;
+
+    impl Semiring for MaxProduct {
+        const ZERO: f64 = f64::NEG_INFINITY;
+
+        #[inline(always)]
+        unsafe fn and<O: LaneOps>(plane: *const [f64; LANES], edges: *const u32, n: usize) -> O::V {
+            // `low` reaches −∞ exactly in the lanes where some input is
+            // −∞ (`f64::min` ignores NaN inputs); those lanes drop the
+            // product for −∞.
+            let (acc, low) = inputs::<O>(plane, edges, n)
+                .fold((O::splat(1.0), O::splat(0.0)), |(acc, low), x| {
+                    (O::mul(acc, x), O::zip(low, x, f64::min))
+                });
+            let absorb = |acc: f64, low: f64| if low == f64::NEG_INFINITY { low } else { acc };
+            O::zip(acc, low, absorb)
+        }
+
+        #[inline(always)]
+        unsafe fn or<O: LaneOps>(plane: *const [f64; LANES], edges: *const u32, n: usize) -> O::V {
+            inputs::<O>(plane, edges, n).fold(O::splat(f64::NEG_INFINITY), |acc, x| {
+                O::zip(acc, x, f64::max)
+            })
+        }
     }
 
     /// The always-available `[f64; LANES]` reference implementation.

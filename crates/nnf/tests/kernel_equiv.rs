@@ -212,3 +212,77 @@ fn tape_layers_are_topological_and_root_is_last() {
         assert_eq!(tape.num_vars(), smoothed.num_vars(), "instance {i}");
     }
 }
+
+/// An MPE answer as comparable bits: the value's bit pattern and the full
+/// maximizing assignment.
+type MpeBits = Option<(u64, Vec<bool>)>;
+
+fn mpe_bits(answer: &Option<(f64, trl_core::Assignment)>) -> MpeBits {
+    answer
+        .as_ref()
+        .map(|(value, a)| (value.to_bits(), a.values().to_vec()))
+}
+
+/// Weight tables that stress the max-product kernel's edge cases, one
+/// family per `k % 6`: skewed (no ties), unit (every or-gate's inputs tie
+/// exactly), a pinned literal weighing `0.0`, one weighing `-0.0`, both
+/// polarities of a variable at the same value (ties inside the smoothing
+/// gadgets), and a literal weighing −∞ beside one weighing `0.0` (an
+/// and-gate over both is −∞, where the plain product would be NaN).
+fn mpe_weights(n: usize, seed: u64, k: usize) -> LitWeights {
+    let mut w = skewed_weights(n, seed);
+    let v = Var((k % n) as u32);
+    match k % 6 {
+        0 => {}
+        1 => w = LitWeights::unit(n),
+        2 => w.set(v.positive(), 0.0),
+        3 => w.set(v.negative(), -0.0),
+        4 => {
+            w.set(v.positive(), 0.25);
+            w.set(v.negative(), 0.25);
+        }
+        _ => {
+            w.set(v.positive(), f64::NEG_INFINITY);
+            w.set(Var(((k + 1) % n) as u32).negative(), 0.0);
+        }
+    }
+    w
+}
+
+/// The lane-batched max-product kernel answers MPE bit-identically to the
+/// scalar oracle — value bits and the whole assignment — on every
+/// supported backend, for lane groups of 1, 3, 8 and 13 queries, across
+/// the crosscheck corpus plus an unsatisfiable circuit.
+#[test]
+fn max_weight_kernel_bit_matches_scalar_oracle_on_every_backend() {
+    let mut circuits = corpus();
+    let unsat = trl_prop::Cnf::parse_dimacs("p cnf 3 3\n1 2 0\n-1 0\n-2 0\n").unwrap();
+    circuits.push((3, DecisionDnnfCompiler::default().compile(&unsat)));
+    let mut saw_unsat = false;
+    for (i, (n, circuit)) in circuits.into_iter().enumerate() {
+        let smoothed = smooth(&circuit);
+        let weights: Vec<LitWeights> = (0..13)
+            .map(|k| mpe_weights(n, (i * 97 + k) as u64, k))
+            .collect();
+        let expect: Vec<MpeBits> = weights
+            .iter()
+            .map(|w| mpe_bits(&smoothed.max_weight_presmoothed(w)))
+            .collect();
+        saw_unsat |= expect.iter().any(Option::is_none);
+        for backend in LaneBackend::all_supported() {
+            let mut tape = EvalTape::new(&smoothed);
+            tape.set_lane_backend(backend);
+            for group in [1, 3, 8, 13] {
+                let refs: Vec<&LitWeights> = weights[..group].iter().collect();
+                let got: Vec<MpeBits> = tape.max_weight_batch(&refs).iter().map(mpe_bits).collect();
+                assert_eq!(
+                    got,
+                    expect[..group],
+                    "instance {i}: {} group of {group}",
+                    backend.name()
+                );
+            }
+        }
+    }
+    assert!(saw_unsat, "the corpus includes an unsatisfiable circuit");
+}

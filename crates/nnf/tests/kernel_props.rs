@@ -249,3 +249,60 @@ fn backend_and_schedule_matrix_bit_matches_scalar() {
         }
     }
 }
+
+/// The max-product kernel against the scalar MPE oracle on random
+/// instances: random weights with exact zeros, `-0.0`, −∞ and repeated
+/// values (so or-gate inputs tie), random batch sizes, every supported
+/// backend.
+/// Value bits and the full maximizing assignment must match.
+#[test]
+fn max_weight_kernel_bit_matches_scalar_on_random_instances() {
+    type MpeBits = Option<(u64, Vec<bool>)>;
+    let bits = |a: &Option<(f64, trl_core::Assignment)>| -> MpeBits {
+        a.as_ref()
+            .map(|(value, a)| (value.to_bits(), a.values().to_vec()))
+    };
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(0x3a9e_0000 ^ seed);
+        let n = 3 + rng.below(8);
+        let m = 1 + rng.below(3 * n + 1);
+        let k = 2 + rng.below(3);
+        let cnf = trl_prop::gen::random_cnf(&mut rng, n, m, k);
+        let circuit = DecisionDnnfCompiler::default().compile(&cnf);
+        let smoothed = smooth(&circuit);
+
+        let batch = 1 + rng.below(2 * LANES);
+        let weights: Vec<LitWeights> = (0..batch)
+            .map(|_| {
+                let mut w = random_weights(&mut rng, n);
+                for v in 0..n as u32 {
+                    for lit in [Var(v).positive(), Var(v).negative()] {
+                        match rng.below(12) {
+                            0 => w.set(lit, -0.0),
+                            1 => w.set(lit, 0.5),
+                            2 => w.set(lit, f64::NEG_INFINITY),
+                            _ => {}
+                        }
+                    }
+                }
+                w
+            })
+            .collect();
+        let refs: Vec<&LitWeights> = weights.iter().collect();
+        let expect: Vec<MpeBits> = weights
+            .iter()
+            .map(|w| bits(&smoothed.max_weight_presmoothed(w)))
+            .collect();
+        for backend in LaneBackend::all_supported() {
+            let mut tape = EvalTape::new(&smoothed);
+            tape.set_lane_backend(backend);
+            let got: Vec<MpeBits> = tape.max_weight_batch(&refs).iter().map(bits).collect();
+            assert_eq!(
+                got,
+                expect,
+                "seed {seed}: {} max_weight_batch",
+                backend.name()
+            );
+        }
+    }
+}

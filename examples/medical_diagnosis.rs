@@ -25,14 +25,16 @@ fn main() {
 
     // MAR: the patient tested positive on both tests.
     let ev = vec![(T1, 1), (T2, 1)];
-    let posts = compiled.posteriors(&ev);
+    let posts = compiled
+        .posteriors(&ev)
+        .expect("positive tests are possible");
     println!("posteriors given T1=+, T2=+:");
     for v in 0..bn.num_vars() {
         println!("  Pr({} = 1 | e) = {:.4}", names[v], posts[v][1]);
     }
 
     // MPE: single most probable full explanation of the evidence.
-    let (inst, p) = compiled.mpe(&ev);
+    let (inst, p) = compiled.mpe(&ev).expect("positive tests are possible");
     let desc: Vec<String> = inst
         .iter()
         .enumerate()

@@ -15,7 +15,7 @@ fn random_networks_circuit_equals_ve() {
             let p_c = compiled.pr_evidence(&ev);
             assert!((p_ve - p_c).abs() < 1e-9, "seed {seed} ev {ev:?}");
             if p_ve > 1e-12 {
-                let posts = compiled.posteriors(&ev);
+                let posts = compiled.posteriors(&ev).unwrap();
                 #[allow(clippy::needless_range_loop)] // v indexes parallel per-variable tables
                 #[allow(clippy::needless_range_loop)]
                 // v indexes parallel per-variable tables
@@ -28,7 +28,7 @@ fn random_networks_circuit_equals_ve() {
                         );
                     }
                 }
-                let (_, mpe_c) = compiled.mpe(&ev);
+                let (_, mpe_c) = compiled.mpe(&ev).unwrap();
                 let (_, mpe_ve) = bn.mpe(&ev);
                 assert!((mpe_c - mpe_ve).abs() < 1e-9);
             }
@@ -69,7 +69,7 @@ fn deterministic_networks_stay_exact() {
     let bn = random_network(77, 10, 3, 0.8);
     let compiled = CompiledBn::new(bn.clone(), EncodingStyle::LocalStructure);
     let ev = vec![];
-    let posts = compiled.posteriors(&ev);
+    let posts = compiled.posteriors(&ev).unwrap();
     #[allow(clippy::needless_range_loop)] // v indexes parallel per-variable tables
     for v in 0..bn.num_vars() {
         let ve = bn.posterior(v, &ev);
