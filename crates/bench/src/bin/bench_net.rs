@@ -36,7 +36,7 @@ use trl_bench::harness::LatencySummary;
 use trl_bench::{banner, check, random_3cnf, row, section, Rng};
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, Var};
-use trl_engine::{fingerprint, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
+use trl_engine::{fingerprint, Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
 use trl_prop::Cnf;
 use trl_server::{
@@ -109,9 +109,9 @@ fn main() {
 
     // In-process ground truth (and the single-worker throughput bar):
     // the served answers must reproduce these bit-for-bit over the wire.
-    let prepared = Arc::new(PreparedCircuit::new(
+    let prepared = Artifact::Circuit(Arc::new(PreparedCircuit::new(
         DecisionDnnfCompiler::default().compile(&cnf),
-    ));
+    )));
     let baseline = Executor::new(1);
     let flat: Vec<Query> = frames.iter().flatten().cloned().collect();
     // Median of three timed runs: a single pass over a short stream is
@@ -121,7 +121,8 @@ fn main() {
     for _ in 0..3 {
         let start = Instant::now();
         answers = baseline
-            .run_batch(&prepared, flat.clone())
+            .run(&prepared, flat.clone())
+            .expect("valid batch")
             .into_iter()
             .map(|o| o.answer)
             .collect::<Vec<QueryAnswer>>();

@@ -4,7 +4,7 @@
 //! The registry and executor were designed as separable pieces (PRs 2–3);
 //! a serving frontend wants them as one object it can put behind an `Arc`
 //! and hand to every connection thread: compile-or-fetch through a shared
-//! registry, answer through a shared worker pool, and report one coherent
+//! registry, answer through a shared executor, and report one coherent
 //! [`StatsSnapshot`] (registry hit/miss/eviction counters, retained-node
 //! budget pressure, executor backlog) for operational visibility — the
 //! `stats` wire request and `three-roles client stats` read exactly this.
@@ -44,7 +44,8 @@ pub struct StatsSnapshot {
     pub max_retained_nodes: usize,
     /// Executor worker threads.
     pub workers: usize,
-    /// Executor jobs submitted and not yet answered.
+    /// Executor pool jobs submitted and not yet answered (blocking batches
+    /// answer on their caller and never count here).
     pub queue_depth: usize,
     /// Milliseconds since the engine was created.
     pub uptime_ms: u64,
@@ -98,7 +99,11 @@ pub struct Engine {
 impl Engine {
     /// An engine with the given retained-node budget and worker count;
     /// `None` workers defaults to one per hardware thread
-    /// ([`Executor::with_default_workers`]).
+    /// ([`Executor::with_default_workers`]). The workers serve
+    /// asynchronous submissions (the `submit_*` methods — the network
+    /// server's path); in-process callers of [`Engine::run_batch`] and
+    /// [`Engine::run_artifact_batch`] bring their own threads and are
+    /// answered on them.
     pub fn new(max_retained_nodes: usize, workers: Option<usize>) -> Self {
         // Zero-valued minimize.* and trace.* rows from the first snapshot
         // on, like the executor's per-kind counters.
@@ -326,19 +331,20 @@ impl Engine {
         Ok(out)
     }
 
-    /// Validates and answers a batch on the shared worker pool
-    /// ([`Executor::try_run_batch`]).
+    /// Validates and answers a batch on the calling thread
+    /// ([`Executor::run`]).
     pub fn run_batch(
         &self,
         circuit: &Arc<PreparedCircuit>,
         queries: Vec<Query>,
     ) -> Result<Vec<QueryOutcome>> {
-        self.executor.try_run_batch(circuit, queries)
+        self.executor
+            .run(&Artifact::Circuit(Arc::clone(circuit)), queries)
     }
 
-    /// Validates and submits a batch without blocking; the completion
-    /// callback fires on a worker thread once every query is answered
-    /// ([`Executor::submit_batch`]).
+    /// Validates and submits a batch to the worker pool without blocking;
+    /// the completion callback fires on a worker thread once every query
+    /// is answered ([`Executor::submit`]).
     pub fn submit_batch<F>(
         &self,
         circuit: &Arc<PreparedCircuit>,
@@ -348,21 +354,26 @@ impl Engine {
     where
         F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
     {
-        self.executor.submit_batch(circuit, queries, on_done)
+        self.executor.submit(
+            &Artifact::Circuit(Arc::clone(circuit)),
+            queries,
+            None,
+            on_done,
+        )
     }
 
-    /// Validates and answers a batch against any typed artifact
-    /// ([`Executor::try_run_artifact_batch`]).
+    /// Validates and answers a batch against any typed artifact on the
+    /// calling thread ([`Executor::run`]).
     pub fn run_artifact_batch(
         &self,
         artifact: &Artifact,
         queries: Vec<Query>,
     ) -> Result<Vec<QueryOutcome>> {
-        self.executor.try_run_artifact_batch(artifact, queries)
+        self.executor.run(artifact, queries)
     }
 
-    /// Validates and submits a batch against any typed artifact without
-    /// blocking ([`Executor::submit_artifact_batch`]).
+    /// Validates and submits a batch against any typed artifact to the
+    /// worker pool without blocking ([`Executor::submit`]).
     pub fn submit_artifact_batch<F>(
         &self,
         artifact: &Artifact,
@@ -372,12 +383,11 @@ impl Engine {
     where
         F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
     {
-        self.executor
-            .submit_artifact_batch(artifact, queries, on_done)
+        self.executor.submit(artifact, queries, None, on_done)
     }
 
     /// [`Engine::submit_artifact_batch`] carrying a sampled trace context
-    /// ([`Executor::submit_artifact_batch_traced`]).
+    /// ([`Executor::submit`]).
     pub fn submit_artifact_batch_traced<F>(
         &self,
         artifact: &Artifact,
@@ -388,8 +398,7 @@ impl Engine {
     where
         F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
     {
-        self.executor
-            .submit_artifact_batch_traced(artifact, queries, ctx, on_done)
+        self.executor.submit(artifact, queries, ctx, on_done)
     }
 
     /// The shared executor (for callers that manage circuits themselves).

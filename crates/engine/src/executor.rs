@@ -1,24 +1,30 @@
-//! The batched query executor: a fixed worker pool dispatching grouped
-//! queries through the evaluation kernels.
+//! The batched query executor: plans a batch into grouped jobs and answers
+//! each job through the evaluation kernels, on the calling thread or on a
+//! fixed worker pool.
 //!
-//! Workers are plain `std::thread`s pulling jobs off a shared channel;
-//! circuits are shared as `Arc<PreparedCircuit>` so a batch touching one
-//! artifact clones a pointer, not a circuit. A job is no longer one query:
-//! [`Executor::run_batch`] groups compatible queries (same kind, same
-//! circuit) and ships them as a unit, so a worker answers each group with
-//! one lane-batched tape sweep ([`trl_nnf::EvalTape`]) instead of one
-//! scalar arena walk per query. When the opt-in [`ParallelPolicy`] says a
-//! circuit is wide enough, the whole group instead goes to a single worker
-//! that fans each tape layer across the pool's width. Each answered query
+//! Artifacts are shared as `Arc`s, so a job touching one clones a pointer,
+//! not a circuit. A job is not one query: planning groups compatible
+//! queries (same kind, same circuit) so each group is answered with one
+//! lane-batched tape sweep ([`trl_nnf::EvalTape`]) instead of one scalar
+//! arena walk per query. When the [`ParallelPolicy`] says a circuit is
+//! wide enough, a whole group instead becomes one job that fans each tape
+//! layer across the persistent [`trl_nnf::SweepPool`]. Each answered query
 //! reports its service latency, so `bench-serve` can record tail
 //! behaviour, not just throughput.
 //!
-//! Batches can be submitted two ways: [`Executor::run_batch`] /
-//! [`Executor::try_run_batch`] block the caller until the batch drains,
-//! while [`Executor::submit_batch`] returns immediately and fires a
-//! completion callback from the worker that answers the last job — the
-//! submission path the readiness-driven network server uses so its reactor
-//! threads never block on the pool.
+//! Two entry points share the plan and the one function that answers a
+//! job; only the thread differs:
+//!
+//! - [`Executor::run`] blocks and answers every job on the calling thread.
+//!   An in-process caller brings its own thread — one that would otherwise
+//!   sleep on a channel while a worker ran the same code — so a blocking
+//!   batch pays no channel send, no worker wake-up and no completion
+//!   channel, and one issued from inside a completion callback cannot
+//!   wait on the very worker that is running it.
+//! - [`Executor::submit`] returns at once: its jobs go to the worker pool,
+//!   and a completion callback fires from the worker that answers the last
+//!   one — the path the readiness-driven network server uses so its
+//!   reactor threads never block.
 //!
 //! The pool is deliberately dependency-free (std threads + `mpsc`): the
 //! workspace builds air-gapped.
@@ -31,7 +37,6 @@ use std::time::{Duration, Instant};
 
 use crate::artifact::{Artifact, ArtifactKind};
 use crate::error::{EngineError, Result};
-use crate::prepared::PreparedCircuit;
 use trl_core::{Assignment, Cube, PartialAssignment, Var};
 use trl_nnf::{LitWeights, LANES};
 use trl_obs::TraceContext;
@@ -327,17 +332,78 @@ impl QueryAnswer {
 
 /// One answered query: the answer plus its service latency. For a query
 /// answered as part of a kernel group, the latency is the group's sweep
-/// time — the wall time that query actually waited on a worker.
+/// time — the wall time that query actually waited on its answering
+/// thread.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
     /// The computed answer.
     pub answer: QueryAnswer,
-    /// Worker service time for this query (shared across a group).
+    /// Service time for this query (shared across a group).
     pub latency: Duration,
 }
 
 /// The completion callback of an asynchronously submitted batch.
 type Completion = Box<dyn FnOnce(Vec<QueryOutcome>) + Send + 'static>;
+
+/// One planned unit of work: a same-kind circuit query group, or one
+/// ungroupable query, answered by a single `run_job` call.
+struct Job {
+    artifact: Artifact,
+    /// Submission indices, parallel to `queries`.
+    indices: Vec<usize>,
+    queries: Vec<Query>,
+    /// Threads each tape layer may fan across (1 = lane-batched only).
+    layer_threads: usize,
+}
+
+/// A validated batch split into jobs. Both entry points plan a batch the
+/// same way; [`Executor::run`] answers the jobs on the calling thread and
+/// [`Executor::submit`] hands them to the pool.
+struct Plan {
+    jobs: Vec<Job>,
+    /// Kind index per submission index, for per-kind stat attribution.
+    kinds: Vec<usize>,
+    /// Whether this batch dispatches layer-parallel sweeps.
+    layered: bool,
+}
+
+/// Answers one job: the one function behind both entry points, run on a
+/// pool worker for [`Executor::submit`] and on the caller for
+/// [`Executor::run`]. Yields `(submission index, outcome)` pairs; every
+/// query in the job shares the job's service time as its latency.
+fn run_job(job: &Job) -> impl Iterator<Item = (usize, QueryOutcome)> + '_ {
+    let start = Instant::now();
+    let answers = {
+        let _batch = trl_obs::trace_span("executor.batch");
+        match job.artifact.as_circuit() {
+            Some(circuit) => circuit.answer_batch(&job.queries, job.layer_threads),
+            // Role-2/3 artifacts have no lane-batched kernels; answer each
+            // query through the prepared form's `&self` entry point.
+            None => job.queries.iter().map(|q| job.artifact.answer(q)).collect(),
+        }
+    };
+    let latency = start.elapsed();
+    trl_obs::histogram!("engine.service_us").record(latency);
+    job.indices.iter().copied().zip(
+        answers
+            .into_iter()
+            .map(move |answer| QueryOutcome { answer, latency }),
+    )
+}
+
+/// A job in the pool's channel, with what the answering worker needs
+/// beyond the job itself.
+struct Queued {
+    job: Job,
+    /// When the job entered the channel — queue wait is measured from here
+    /// to the moment a worker picks the job up.
+    submitted: Instant,
+    /// The sampled trace context of the request this job belongs to, if
+    /// any: the worker records its queue wait and installs the context
+    /// around the answering sweep so kernel spans attach to the tree.
+    ctx: Option<TraceContext>,
+    pending: Arc<Pending>,
+}
 
 /// Shared state of one submitted batch: the jobs it was split into all
 /// hold an `Arc` to it, and whichever worker finishes the last job
@@ -348,9 +414,7 @@ struct Pending {
     /// Jobs not yet answered; the worker that decrements this to zero
     /// finalizes the batch.
     jobs_left: AtomicUsize,
-    /// Kind index per submission index, for per-kind stat attribution.
     kinds: Vec<usize>,
-    /// Whether this batch dispatched layer-parallel sweeps.
     layered: bool,
     on_done: Mutex<Option<Completion>>,
     /// The owning executor's served-by-kind table (shared so completion
@@ -359,29 +423,13 @@ struct Pending {
 }
 
 impl Pending {
-    /// Called by the worker that answered the batch's last job: drains the
-    /// outcome slots, attributes stats, and fires the completion callback.
+    /// Called once every job is answered: attributes stats and fires the
+    /// completion callback.
     fn finalize(&self) {
-        let outcomes: Vec<QueryOutcome> = {
+        let outcomes = {
             let mut slots = self.slots.lock().expect("batch slots lock");
-            slots
-                .iter_mut()
-                .map(|s| s.take().expect("every index answered exactly once"))
-                .collect()
+            self.stats.finish(&self.kinds, self.layered, &mut slots)
         };
-        // One pass of stat attribution per batch: engine-scoped per-kind
-        // totals plus the process-global request counters and latency
-        // histograms — a few relaxed atomics per query.
-        trl_obs::counter!("engine.batches").inc();
-        trl_obs::counter!("engine.requests").add(outcomes.len() as u64);
-        if self.layered {
-            trl_obs::counter!("engine.layered_dispatches").inc();
-        }
-        for (&kind, outcome) in self.kinds.iter().zip(&outcomes) {
-            self.stats.served_by_kind[kind].fetch_add(1, Ordering::Relaxed);
-            kind_counter(kind).inc();
-            kind_histogram(kind).record(outcome.latency);
-        }
         if let Some(done) = self.on_done.lock().expect("completion lock").take() {
             done(outcomes);
         }
@@ -394,23 +442,33 @@ struct ExecutorStats {
     served_by_kind: [AtomicU64; QUERY_KINDS.len()],
 }
 
-/// A group of same-kind queries shipped to one worker as a unit.
-struct Job {
-    artifact: Artifact,
-    /// Submission indices, parallel to `queries`.
-    indices: Vec<usize>,
-    queries: Vec<Query>,
-    /// Threads the worker may fan each tape layer across (1 = lane-batched
-    /// only).
-    layer_threads: usize,
-    /// When the job entered the channel — queue wait is measured from here
-    /// to the moment a worker picks the job up.
-    submitted: Instant,
-    /// The sampled trace context of the request this job belongs to, if
-    /// any: the worker records its queue wait and installs the context
-    /// around the answering sweep so kernel spans attach to the tree.
-    ctx: Option<TraceContext>,
-    pending: Arc<Pending>,
+impl ExecutorStats {
+    /// Drains a fully answered batch's outcome slots and attributes its
+    /// stats: engine-scoped per-kind totals plus the process-global
+    /// request counters and latency histograms — a few relaxed atomics
+    /// per query, once per batch on either path.
+    fn finish(
+        &self,
+        kinds: &[usize],
+        layered: bool,
+        slots: &mut [Option<QueryOutcome>],
+    ) -> Vec<QueryOutcome> {
+        let outcomes: Vec<QueryOutcome> = slots
+            .iter_mut()
+            .map(|s| s.take().expect("every index answered exactly once"))
+            .collect();
+        trl_obs::counter!("engine.batches").inc();
+        trl_obs::counter!("engine.requests").add(outcomes.len() as u64);
+        if layered {
+            trl_obs::counter!("engine.layered_dispatches").inc();
+        }
+        for (&kind, outcome) in kinds.iter().zip(&outcomes) {
+            self.served_by_kind[kind].fetch_add(1, Ordering::Relaxed);
+            kind_counter(kind).inc();
+            kind_histogram(kind).record(outcome.latency);
+        }
+        outcomes
+    }
 }
 
 /// The `engine.requests.<kind>` counter for a [`Query::kind_index`] row,
@@ -432,13 +490,14 @@ fn kind_histogram(kind: usize) -> &'static trl_obs::Histogram {
     })[kind]
 }
 
-/// A fixed pool of worker threads answering query batches against shared
-/// immutable circuits. Dropping the executor shuts the workers down.
+/// Answers query batches against shared immutable artifacts: on the
+/// calling thread ([`Executor::run`]) or on a fixed pool of worker threads
+/// ([`Executor::submit`]). Dropping the executor shuts the workers down.
 pub struct Executor {
-    tx: Option<Sender<Job>>,
+    tx: Option<Sender<Queued>>,
     workers: Vec<JoinHandle<()>>,
-    /// Jobs submitted but not yet fully answered, across all callers —
-    /// the pool's instantaneous backlog, surfaced as a serving stat.
+    /// Pool jobs submitted but not yet answered, across all callers — the
+    /// pool's instantaneous backlog, surfaced as a serving stat.
     in_flight: Arc<AtomicUsize>,
     /// Queries answered since construction, one row per
     /// [`QUERY_KINDS`] entry — the per-kind `requests_served` table of
@@ -453,10 +512,11 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Spawns a pool of `workers` threads (at least one).
+    /// Spawns a pool of `workers` threads (at least one) for
+    /// [`Executor::submit`]; [`Executor::run`] answers on its caller.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (tx, rx) = channel::<Job>();
+        let (tx, rx) = channel::<Queued>();
         let rx = Arc::new(Mutex::new(rx));
         let in_flight = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
@@ -506,56 +566,51 @@ impl Executor {
         ex
     }
 
-    fn worker_loop(rx: &Mutex<Receiver<Job>>, in_flight: &AtomicUsize) {
+    fn worker_loop(rx: &Mutex<Receiver<Queued>>, in_flight: &AtomicUsize) {
         loop {
             // Hold the lock only to receive, never while answering.
-            let job = match rx.lock() {
+            let queued = match rx.lock() {
                 Ok(guard) => guard.recv(),
                 Err(_) => return, // a sibling panicked; shut down
             };
-            let Ok(job) = job else {
+            let Ok(Queued {
+                job,
+                submitted,
+                ctx,
+                pending,
+            }) = queued
+            else {
                 return; // executor dropped: no more jobs
             };
-            let queue_wait = job.submitted.elapsed();
+            let queue_wait = submitted.elapsed();
             trl_obs::histogram!("engine.queue_wait_us").record(queue_wait);
-            if let Some(ctx) = job.ctx {
-                trl_obs::record_span_under(ctx, "engine.queue_wait", job.submitted, queue_wait);
+            if let Some(ctx) = ctx {
+                trl_obs::record_span_under(ctx, "engine.queue_wait", submitted, queue_wait);
             }
-            let start = Instant::now();
-            let answers = trl_obs::with_current_trace(job.ctx, || {
-                let _batch = trl_obs::trace_span("executor.batch");
-                match job.artifact.as_circuit() {
-                    Some(circuit) => circuit.answer_batch(&job.queries, job.layer_threads),
-                    // Role-2/3 artifacts have no lane-batched kernels;
-                    // answer each query through the prepared form's
-                    // `&self` entry point.
-                    None => job.queries.iter().map(|q| job.artifact.answer(q)).collect(),
-                }
-            });
-            let latency = start.elapsed();
-            trl_obs::histogram!("engine.service_us").record(latency);
+            let answered = trl_obs::with_current_trace(ctx, || run_job(&job));
             {
-                let mut slots = job.pending.slots.lock().expect("batch slots lock");
-                for (&index, answer) in job.indices.iter().zip(answers) {
-                    slots[index] = Some(QueryOutcome { answer, latency });
+                let mut slots = pending.slots.lock().expect("batch slots lock");
+                for (index, outcome) in answered {
+                    slots[index] = Some(outcome);
                 }
             }
             in_flight.fetch_sub(1, Ordering::Relaxed);
             // The last job standing finalizes: stat attribution plus the
             // batch's completion callback, both on this worker thread.
-            if job.pending.jobs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                job.pending.finalize();
+            if pending.jobs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                pending.finalize();
             }
         }
     }
 
-    /// Number of worker threads.
+    /// Number of pool worker threads.
     pub fn num_workers(&self) -> usize {
         self.workers.len()
     }
 
-    /// Jobs submitted to the pool and not yet answered — an instantaneous
-    /// backlog gauge for serving stats, not a synchronization primitive.
+    /// Pool jobs submitted and not yet answered — an instantaneous backlog
+    /// gauge for serving stats, not a synchronization primitive. Batches
+    /// answered by [`Executor::run`] never enter it.
     pub fn queue_depth(&self) -> usize {
         self.in_flight.load(Ordering::Relaxed)
     }
@@ -588,89 +643,41 @@ impl Executor {
         }
     }
 
-    /// Validates a batch of queries against a circuit and answers them on
-    /// the pool, returning outcomes in submission order.
-    pub fn run_batch(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-    ) -> Vec<QueryOutcome> {
-        self.try_run_batch(circuit, queries)
-            .expect("batch queries valid for this circuit")
-    }
-
-    /// [`Executor::run_batch`], returning the first validation error
-    /// instead of panicking. No query runs unless the whole batch is valid.
+    /// Validates a batch and answers it on the calling thread, returning
+    /// outcomes in submission order. No query runs unless the whole batch
+    /// is valid.
     ///
-    /// Blocks until the batch drains; implemented over
-    /// [`Executor::submit_batch`] with a channel completion.
-    pub fn try_run_batch(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-    ) -> Result<Vec<QueryOutcome>> {
-        self.try_run_artifact_batch(&Artifact::Circuit(Arc::clone(circuit)), queries)
+    /// The batch is planned exactly as [`Executor::submit`] plans it and
+    /// every job runs through the same function a pool worker runs; only
+    /// the thread differs. Groups past the [`ParallelPolicy`] threshold
+    /// still fan their tape layers across the persistent sweep pool, but
+    /// the jobs themselves — the kind groups of a mixed batch and the
+    /// lane-aligned chunks of a group larger than [`LANES`] — run one
+    /// after another here instead of side by side on the pool.
+    pub fn run(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Vec<QueryOutcome>> {
+        let plan = self.plan(artifact, queries)?;
+        let mut slots: Vec<Option<QueryOutcome>> = (0..plan.kinds.len()).map(|_| None).collect();
+        for job in &plan.jobs {
+            for (index, outcome) in run_job(job) {
+                slots[index] = Some(outcome);
+            }
+        }
+        Ok(self.stats.finish(&plan.kinds, plan.layered, &mut slots))
     }
 
-    /// [`Executor::try_run_batch`] against any typed artifact.
-    pub fn try_run_artifact_batch(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-    ) -> Result<Vec<QueryOutcome>> {
-        let (done_tx, done_rx) = channel();
-        self.submit_artifact_batch(artifact, queries, move |outcomes| {
-            // The submitter may have given up waiting; that's its business.
-            let _ = done_tx.send(outcomes);
-        })?;
-        Ok(done_rx.recv().expect("a worker died mid-batch"))
-    }
-
-    /// Validates and submits a circuit batch without blocking — see
-    /// [`Executor::submit_artifact_batch`] for the semantics.
-    pub fn submit_batch<F>(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.submit_artifact_batch(&Artifact::Circuit(Arc::clone(circuit)), queries, on_done)
-    }
-
-    /// Validates and submits a batch without blocking: `on_done` fires on
-    /// a worker thread (or inline, for an empty batch) once every query is
-    /// answered, receiving outcomes in submission order. This is the
-    /// readiness-driven server's path — a reactor thread submits a
-    /// pipelined connection's queries as one batch and keeps polling while
-    /// the pool works.
+    /// Validates and submits a batch to the worker pool without blocking:
+    /// `on_done` fires on a worker thread (or inline, for an empty batch)
+    /// once every query is answered, receiving outcomes in submission
+    /// order. This is the readiness-driven server's path — a reactor thread
+    /// submits a pipelined connection's queries as one batch and keeps
+    /// polling while the pool works. An invalid batch returns its error
+    /// and never fires `on_done`.
     ///
-    /// Every query must be addressed to the artifact's kind
-    /// ([`Artifact::validate`]). Circuit queries of the same counting or
-    /// MPE kind are grouped and each group split into lane-aligned chunks
-    /// across the pool (or handed whole to one worker when the active
-    /// [`ParallelPolicy`] says the circuit is wide enough, where WMC and
-    /// marginals sweep layer-parallel); SAT and every role-2/3 query run
-    /// individually.
-    pub fn submit_artifact_batch<F>(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.submit_artifact_batch_traced(artifact, queries, None, on_done)
-    }
-
-    /// [`Executor::submit_artifact_batch`] carrying a sampled
-    /// [`TraceContext`]: every job records its queue wait as a child span
-    /// and installs the context on the answering worker, so kernel-level
-    /// spans (sweeps, layer barriers) land in the request's tree.
-    pub fn submit_artifact_batch_traced<F>(
+    /// A sampled `ctx` makes every job record its queue wait as a child
+    /// span and installs the context on the answering worker, so
+    /// kernel-level spans (sweeps, layer barriers) land in the request's
+    /// tree.
+    pub fn submit<F>(
         &self,
         artifact: &Artifact,
         queries: Vec<Query>,
@@ -680,17 +687,54 @@ impl Executor {
     where
         F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
     {
+        let Plan {
+            jobs,
+            kinds,
+            layered,
+        } = self.plan(artifact, queries)?;
+        let pending = Arc::new(Pending {
+            slots: Mutex::new((0..kinds.len()).map(|_| None).collect()),
+            jobs_left: AtomicUsize::new(jobs.len()),
+            kinds,
+            layered,
+            on_done: Mutex::new(Some(Box::new(on_done))),
+            stats: Arc::clone(&self.stats),
+        });
+        if jobs.is_empty() {
+            pending.finalize();
+            return Ok(());
+        }
+        let tx = self.tx.as_ref().expect("executor is live until dropped");
+        self.in_flight.fetch_add(jobs.len(), Ordering::Relaxed);
+        for job in jobs {
+            let queued = Queued {
+                job,
+                submitted: Instant::now(),
+                ctx,
+                pending: Arc::clone(&pending),
+            };
+            tx.send(queued).expect("worker pool alive");
+        }
+        Ok(())
+    }
+
+    /// Validates a batch and splits it into jobs. Every query must be
+    /// addressed to the artifact's kind ([`Artifact::validate`]). Circuit
+    /// queries of the same counting or MPE kind are grouped, and each group
+    /// is split into lane-aligned chunks, one per worker — or kept whole
+    /// when the active [`ParallelPolicy`] says the circuit is wide enough,
+    /// where WMC and marginals sweep layer-parallel. SAT and every role-2/3
+    /// query become a job of their own.
+    fn plan(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Plan> {
         for q in &queries {
             artifact.validate(q)?;
         }
-        let n = queries.len();
-        let tx = self.tx.as_ref().expect("executor is live until dropped");
 
         // Partition into per-kind groups (indices + queries, in submission
         // order) and ungroupable singles.
         let mut buckets: [(Vec<usize>, Vec<Query>); 5] = Default::default();
         let mut singles: Vec<(usize, Query)> = Vec::new();
-        let mut kinds = Vec::with_capacity(n);
+        let mut kinds = Vec::with_capacity(queries.len());
         for (index, query) in queries.into_iter().enumerate() {
             kinds.push(query.kind_index());
             if query.groupable() {
@@ -709,42 +753,24 @@ impl Executor {
             }
             _ => false,
         };
-        // `jobs_left` starts at 1: the submitter holds a guard so no job
-        // finishing early can finalize the batch before every job is in
-        // the channel. The guard drops after the last send.
-        let pending = Arc::new(Pending {
-            slots: Mutex::new((0..n).map(|_| None).collect()),
-            jobs_left: AtomicUsize::new(1),
-            kinds,
-            layered,
-            on_done: Mutex::new(Some(Box::new(on_done))),
-            stats: Arc::clone(&self.stats),
-        });
-
-        let send = |indices: Vec<usize>, queries: Vec<Query>, layer_threads: usize| {
-            let job = Job {
+        let mut jobs = Vec::new();
+        let mut push = |indices: Vec<usize>, queries: Vec<Query>, layer_threads: usize| {
+            jobs.push(Job {
                 artifact: artifact.clone(),
                 indices,
                 queries,
                 layer_threads,
-                submitted: Instant::now(),
-                ctx,
-                pending: Arc::clone(&pending),
-            };
-            pending.jobs_left.fetch_add(1, Ordering::Relaxed);
-            self.in_flight.fetch_add(1, Ordering::Relaxed);
-            tx.send(job).expect("worker pool alive");
+            });
         };
-
         for (indices, group) in buckets {
             if group.is_empty() {
                 continue;
             }
             if layered {
-                // One job, whole group: the worker fans each tape layer
-                // across the persistent sweep pool's full width (the
-                // kernel clamps to what the pool actually has).
-                send(indices, group, trl_nnf::SweepPool::global().size());
+                // One job, whole group: each tape layer fans across the
+                // persistent sweep pool's full width (the kernel clamps to
+                // what the pool actually has).
+                push(indices, group, trl_nnf::SweepPool::global().size());
                 continue;
             }
             // Split the group across workers in lane-aligned chunks, so
@@ -759,19 +785,17 @@ impl Executor {
                     break;
                 }
                 let qs: Vec<Query> = group.by_ref().take(ix.len()).collect();
-                send(ix, qs, 1);
+                push(ix, qs, 1);
             }
         }
         for (index, query) in singles {
-            send(vec![index], vec![query], 1);
+            push(vec![index], vec![query], 1);
         }
-
-        // Drop the submission guard; if every job already drained (or the
-        // batch was empty) this thread finalizes inline.
-        if pending.jobs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-            pending.finalize();
-        }
-        Ok(())
+        Ok(Plan {
+            jobs,
+            kinds,
+            layered,
+        })
     }
 }
 
@@ -798,6 +822,7 @@ impl Drop for Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::PreparedCircuit;
     use trl_compiler::DecisionDnnfCompiler;
     use trl_prop::Cnf;
 
@@ -806,6 +831,20 @@ mod tests {
         Arc::new(PreparedCircuit::new(
             DecisionDnnfCompiler::default().compile(&cnf),
         ))
+    }
+
+    fn circuit(p: &Arc<PreparedCircuit>) -> Artifact {
+        Artifact::Circuit(Arc::clone(p))
+    }
+
+    /// Submits to the pool and waits for the completion callback.
+    fn run_on_pool(ex: &Executor, art: &Artifact, queries: Vec<Query>) -> Vec<QueryOutcome> {
+        let (tx, rx) = channel();
+        ex.submit(art, queries, None, move |o| {
+            let _ = tx.send(o);
+        })
+        .unwrap();
+        rx.recv().unwrap()
     }
 
     #[test]
@@ -820,13 +859,16 @@ mod tests {
             queries.push(Query::Sat);
             queries.push(Query::Wmc(LitWeights::unit(4)));
         }
-        let outcomes = ex.run_batch(&p, queries);
-        assert_eq!(outcomes.len(), 51);
-        for chunk in outcomes.chunks(3) {
-            assert_eq!(chunk[0].answer.model_count(), Some(expected_count));
-            assert_eq!(chunk[1].answer, QueryAnswer::Sat(true));
-            assert_eq!(chunk[2].answer.wmc(), Some(expected_count as f64));
-            assert!(chunk.iter().all(|o| o.latency > Duration::ZERO));
+        let inline = ex.run(&circuit(&p), queries.clone()).unwrap();
+        let pooled = run_on_pool(&ex, &circuit(&p), queries);
+        for outcomes in [inline, pooled] {
+            assert_eq!(outcomes.len(), 51);
+            for chunk in outcomes.chunks(3) {
+                assert_eq!(chunk[0].answer.model_count(), Some(expected_count));
+                assert_eq!(chunk[1].answer, QueryAnswer::Sat(true));
+                assert_eq!(chunk[2].answer.wmc(), Some(expected_count as f64));
+                assert!(chunk.iter().all(|o| o.latency > Duration::ZERO));
+            }
         }
     }
 
@@ -851,16 +893,22 @@ mod tests {
             }
         }
         let ex = Executor::new(2);
-        let outcomes = ex.run_batch(&p, queries.clone());
-        for (q, o) in queries.iter().zip(&outcomes) {
-            assert_eq!(o.answer, p.answer(q), "kind={}", q.kind());
+        let inline = ex.run(&circuit(&p), queries.clone()).unwrap();
+        let pooled = run_on_pool(&ex, &circuit(&p), queries.clone());
+        for outcomes in [inline, pooled] {
+            for (q, o) in queries.iter().zip(&outcomes) {
+                assert_eq!(o.answer, p.answer(q), "kind={}", q.kind());
+            }
         }
     }
 
     #[test]
     fn empty_batch_is_fine() {
         let ex = Executor::new(2);
-        assert!(ex.run_batch(&prepared(), Vec::new()).is_empty());
+        assert!(ex
+            .run(&circuit(&prepared()), Vec::new())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -868,12 +916,12 @@ mod tests {
         let ex = Executor::new(1);
         let bad = vec![Query::ModelCount, Query::Wmc(LitWeights::unit(2))];
         assert!(matches!(
-            ex.try_run_batch(&prepared(), bad),
+            ex.run(&circuit(&prepared()), bad),
             Err(EngineError::Structure(_))
         ));
         let bad_evidence = vec![Query::ModelCountUnder(PartialAssignment::new(2))];
         assert!(matches!(
-            ex.try_run_batch(&prepared(), bad_evidence),
+            ex.run(&circuit(&prepared()), bad_evidence),
             Err(EngineError::Structure(_))
         ));
     }
@@ -883,7 +931,7 @@ mod tests {
         let p = prepared();
         let ex = Executor::new(2);
         for _ in 0..10 {
-            let outcomes = ex.run_batch(&p, vec![Query::ModelCount; 8]);
+            let outcomes = ex.run(&circuit(&p), vec![Query::ModelCount; 8]).unwrap();
             assert!(outcomes
                 .iter()
                 .all(|o| o.answer.model_count() == Some(p.raw().model_count())));
@@ -894,7 +942,7 @@ mod tests {
     fn zero_worker_request_still_gets_one() {
         let ex = Executor::new(0);
         assert_eq!(ex.num_workers(), 1);
-        let outcomes = ex.run_batch(&prepared(), vec![Query::Sat]);
+        let outcomes = run_on_pool(&ex, &circuit(&prepared()), vec![Query::Sat]);
         assert_eq!(outcomes[0].answer, QueryAnswer::Sat(true));
     }
 
@@ -931,17 +979,19 @@ mod tests {
     fn layered_opt_in_answers_identically() {
         let p = prepared();
         let ex = Executor::new(2);
-        let lane = ex.run_batch(&p, vec![Query::ModelCount; 20]);
+        let lane = ex.run(&circuit(&p), vec![Query::ModelCount; 20]).unwrap();
         // min_nodes: 1 forces the layered sweep even on this tiny circuit.
         ex.set_parallel_policy(ParallelPolicy::Layered { min_nodes: 1 });
-        let layered = ex.run_batch(&p, vec![Query::ModelCount; 20]);
-        for (a, b) in lane.iter().zip(&layered) {
+        let layered = ex.run(&circuit(&p), vec![Query::ModelCount; 20]).unwrap();
+        let layered_pool = run_on_pool(&ex, &circuit(&p), vec![Query::ModelCount; 20]);
+        for ((a, b), c) in lane.iter().zip(&layered).zip(&layered_pool) {
             assert_eq!(a.answer, b.answer);
+            assert_eq!(a.answer, c.answer);
         }
     }
 
     #[test]
-    fn submit_batch_completes_asynchronously_in_submission_order() {
+    fn submit_completes_asynchronously_in_submission_order() {
         let p = prepared();
         let ex = Executor::new(2);
         let expected: Vec<_> = [
@@ -955,13 +1005,14 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         for _ in 0..8 {
             let tx = tx.clone();
-            ex.submit_batch(
-                &p,
+            ex.submit(
+                &circuit(&p),
                 vec![
                     Query::ModelCount,
                     Query::Sat,
                     Query::Wmc(LitWeights::unit(4)),
                 ],
+                None,
                 move |outcomes| {
                     let _ = tx.send(outcomes);
                 },
@@ -981,11 +1032,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_empty_fires_inline() {
+    fn submit_empty_fires_inline() {
         let ex = Executor::new(1);
         let fired = Arc::new(AtomicUsize::new(0));
         let flag = Arc::clone(&fired);
-        ex.submit_batch(&prepared(), Vec::new(), move |outcomes| {
+        ex.submit(&circuit(&prepared()), Vec::new(), None, move |outcomes| {
             assert!(outcomes.is_empty());
             flag.fetch_add(1, Ordering::SeqCst);
         })
@@ -1014,7 +1065,7 @@ mod tests {
         e.assign(Var(2).positive());
         let art = Artifact::Psdd(Arc::clone(&psdd));
         let outcomes = ex
-            .try_run_artifact_batch(
+            .run(
                 &art,
                 vec![
                     Query::PsddLogLikelihood(data.clone()),
@@ -1033,7 +1084,7 @@ mod tests {
 
         let art = Artifact::Space(Arc::clone(&space));
         let outcomes = ex
-            .try_run_artifact_batch(
+            .run(
                 &art,
                 vec![
                     Query::SpaceCount(PartialAssignment::new(3)),
@@ -1053,7 +1104,7 @@ mod tests {
         let x = Assignment::from_values(&[true, true, true]);
         let art = Artifact::Classifier(Arc::clone(&clf));
         let outcomes = ex
-            .try_run_artifact_batch(
+            .run(
                 &art,
                 vec![
                     Query::SufficientReason(x.clone()),
@@ -1082,7 +1133,7 @@ mod tests {
     #[test]
     fn kind_mismatch_rejected_before_running() {
         let ex = Executor::new(1);
-        let result = ex.try_run_artifact_batch(
+        let result = ex.run(
             &Artifact::Circuit(prepared()),
             vec![Query::SpaceCount(PartialAssignment::new(4))],
         );
@@ -1090,13 +1141,45 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_rejects_invalid_without_firing() {
+    fn submit_rejects_invalid_without_firing() {
         let ex = Executor::new(1);
-        let result = ex.submit_batch(
-            &prepared(),
+        let result = ex.submit(
+            &circuit(&prepared()),
             vec![Query::Wmc(LitWeights::unit(2))],
+            None,
             move |_| panic!("completion must not fire for a rejected batch"),
         );
         assert!(matches!(result, Err(EngineError::Structure(_))));
+    }
+
+    #[test]
+    fn blocking_batch_inside_a_completion_callback_returns() {
+        // A completion callback runs on a pool worker — on a one-worker
+        // executor, the only one. A blocking batch issued from there that
+        // queued its jobs behind that worker would wait on itself forever;
+        // answered on the caller's thread, it returns.
+        let p = prepared();
+        let ex = Arc::new(Executor::new(1));
+        let (tx, rx) = channel();
+        let inner = Arc::clone(&ex);
+        let art = circuit(&p);
+        let submitter = std::thread::spawn(move || {
+            let outer = art.clone();
+            ex.submit(&outer, vec![Query::Sat], None, move |_| {
+                let _ = tx.send(inner.run(&art, vec![Query::ModelCount; 3]));
+            })
+            .unwrap();
+        });
+        // This thread is the watchdog: a regression parks the worker for
+        // good, and the test fails here instead of hanging.
+        let outcomes = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a blocking batch inside a completion callback never returned")
+            .unwrap();
+        submitter.join().unwrap();
+        assert_eq!(outcomes.len(), 3);
+        for o in outcomes {
+            assert_eq!(o.answer.model_count(), Some(p.raw().model_count()));
+        }
     }
 }

@@ -22,9 +22,10 @@
 //!   "compiled circuit" to the paper's other two roles — learned PSDDs
 //!   (role 2), compiled structured spaces (role 2), and compiled
 //!   classifiers (role 3) — each with kind-salted fingerprints;
-//! * [`executor`] — a fixed worker pool (std threads + channels) that
-//!   groups compatible [`Query`] values per circuit and answers each group
-//!   with one lane-batched kernel sweep, reporting per-query latency;
+//! * [`executor`] — groups compatible [`Query`] values per circuit and
+//!   answers each group with one lane-batched kernel sweep, on the calling
+//!   thread for blocking batches or on a fixed worker pool (std threads +
+//!   channels) for asynchronous ones, reporting per-query latency;
 //! * [`engine`] — [`Engine`]: the registry and executor bundled behind one
 //!   `Arc`-shareable handle with a [`StatsSnapshot`] counter surface — what
 //!   a serving frontend (`trl-server`) holds;
@@ -34,7 +35,7 @@
 //!   (`BENCH_eval.json`).
 //!
 //! ```
-//! use trl_engine::{Executor, PreparedCircuit, Query, Registry};
+//! use trl_engine::{Artifact, Executor, PreparedCircuit, Query, Registry};
 //! use trl_prop::Cnf;
 //! use std::sync::Arc;
 //!
@@ -45,7 +46,9 @@
 //! assert!(Arc::ptr_eq(&circuit, &again));
 //!
 //! let executor = Executor::new(2);
-//! let outcomes = executor.run_batch(&circuit, vec![Query::ModelCount, Query::Sat]);
+//! let outcomes = executor
+//!     .run(&Artifact::Circuit(circuit), vec![Query::ModelCount, Query::Sat])
+//!     .unwrap();
 //! assert_eq!(outcomes[0].answer.model_count(), Some(2));
 //! ```
 

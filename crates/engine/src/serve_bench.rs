@@ -7,18 +7,19 @@
 //! * **baseline** — one query at a time on one thread, the way every
 //!   pre-engine example in this repo did it: each query re-smooths the
 //!   circuit internally;
-//! * **served** — batches through the [`Executor`] against a
-//!   [`PreparedCircuit`], which smooths **once**; the numeric pass is all
-//!   that remains per query, and multiple workers overlap queries when
-//!   cores allow.
+//! * **served** — batches submitted to the [`Executor`]'s worker pool
+//!   against a [`PreparedCircuit`], which smooths **once**; the numeric
+//!   pass is all that remains per query, and multiple workers overlap
+//!   queries when cores allow.
 //!
 //! The speedup is therefore dominated by batch amortization of smoothing
 //! (it holds even on a single-core host) with worker parallelism on top.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
+use crate::artifact::Artifact;
 use crate::executor::{Executor, Query};
 use crate::prepared::PreparedCircuit;
 use trl_core::{SplitMix64, Var};
@@ -34,7 +35,7 @@ pub use trl_obs::LatencySummary;
 pub struct ServeConfigReport {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Queries per `run_batch` call.
+    /// Queries per submitted batch.
     pub batch_size: usize,
     /// Total queries answered.
     pub queries: usize,
@@ -201,6 +202,7 @@ pub fn serving_benchmark(
     let start = Instant::now();
     let prepared = Arc::new(PreparedCircuit::new(circuit.clone()));
     prepared.warm();
+    let artifact = Artifact::Circuit(prepared);
     let prepare_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut configs = Vec::new();
@@ -215,8 +217,15 @@ pub fn serving_benchmark(
             let mut latencies_us: Vec<f64> = Vec::with_capacity(queries.len());
             let mut served: Vec<f64> = Vec::with_capacity(queries.len());
             for chunk in queries.chunks(batch_size) {
-                let outcomes = executor.run_batch(&prepared, chunk.to_vec());
-                for o in outcomes {
+                // Through the worker pool (the server's path), so the worker
+                // count is what this configuration varies.
+                let (tx, rx) = mpsc::channel();
+                executor
+                    .submit(&artifact, chunk.to_vec(), None, move |o| {
+                        let _ = tx.send(o);
+                    })
+                    .expect("WMC batch valid for this circuit");
+                for o in rx.recv().expect("the pool answers every batch") {
                     latencies_us.push(o.latency.as_secs_f64() * 1e6);
                     served.push(o.answer.wmc().expect("WMC stream"));
                 }

@@ -10,10 +10,10 @@
 //!
 //! Design constraints, in order:
 //!
-//! - **Disabled cost is one relaxed atomic load.** [`trace_span`] checks a
-//!   process-global `ACTIVE` flag before touching thread-locals or the
-//!   clock; with sampling off and no forced trace in flight, instrumented
-//!   hot paths pay nothing else.
+//! - **Disabled cost is one relaxed atomic load.** [`trace_span`] checks
+//!   the process-global sampler's `active` flag before touching
+//!   thread-locals or the clock; with sampling off and no forced trace in
+//!   flight, instrumented hot paths pay nothing else.
 //! - **No allocation on the hot path.** Completed spans go into a
 //!   fixed-capacity per-thread ring of atomic words (the **flight
 //!   recorder**). A writer claims a slot with one thread-local
@@ -118,84 +118,153 @@ fn next_id() -> u64 {
 
 // ------------------------------------------------------- sampling control
 
-/// `f64::to_bits` of the sampling probability in `[0, 1]`.
-static SAMPLE_RATE_BITS: AtomicU64 = AtomicU64::new(0);
-/// Live forced-trace guards (wire `Trace` frames, the trace CLI).
-static FORCED: AtomicUsize = AtomicUsize::new(0);
-/// The one-load fast-path gate: true iff sampling > 0 or FORCED > 0.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Monotonic counter feeding the sampling decision.
-static SAMPLE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn recompute_active() {
-    let rate = f64::from_bits(SAMPLE_RATE_BITS.load(Ordering::Relaxed));
-    let forced = FORCED.load(Ordering::Relaxed) > 0;
-    ACTIVE.store(rate > 0.0 || forced, Ordering::Release);
+/// Sampling and activation state: the probability [`Sampler::maybe_sample`]
+/// samples with, the live forced-trace guards, and the one-load `active`
+/// gate derived from both.
+///
+/// One process-global instance backs the free functions
+/// ([`set_trace_sampling`], [`maybe_sample`], [`force_tracing`],
+/// [`trace_span`], ...). Code that must not see — or disturb — that
+/// shared state, such as a test asserting exact activation, builds its own
+/// instance.
+pub(crate) struct Sampler {
+    /// `f64::to_bits` of the sampling probability in `[0, 1]`.
+    rate_bits: AtomicU64,
+    /// Live forced-trace guards (wire `Trace` frames, the trace CLI).
+    forced: AtomicUsize,
+    /// The one-load fast-path gate: true iff rate > 0 or forced > 0.
+    active: AtomicBool,
+    /// Monotonic counter feeding the sampling decision.
+    seq: AtomicU64,
 }
 
-/// Sets the probability (clamped to `[0, 1]`) that [`maybe_sample`]
-/// returns a sampled context. Zero disables sampling; forced traces
+/// The instance behind the free functions.
+static SAMPLER: Sampler = Sampler::new();
+
+impl Sampler {
+    /// An inactive sampler: rate zero, nothing forced.
+    pub(crate) const fn new() -> Sampler {
+        Sampler {
+            rate_bits: AtomicU64::new(0),
+            forced: AtomicUsize::new(0),
+            active: AtomicBool::new(false),
+            seq: AtomicU64::new(0),
+        }
+    }
+
+    fn recompute_active(&self) {
+        let forced = self.forced.load(Ordering::Relaxed) > 0;
+        self.active
+            .store(self.rate() > 0.0 || forced, Ordering::Release);
+    }
+
+    /// Sets the probability (clamped to `[0, 1]`; non-finite means zero)
+    /// that [`Sampler::maybe_sample`] returns a sampled context. Zero
+    /// disables sampling; forced traces still record.
+    pub(crate) fn set_rate(&self, rate: f64) {
+        let rate = if rate.is_finite() {
+            rate.clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        self.rate_bits.store(rate.to_bits(), Ordering::Relaxed);
+        // Pin the epoch before the first span can need it.
+        let _ = epoch();
+        self.recompute_active();
+    }
+
+    /// The configured sampling probability.
+    pub(crate) fn rate(&self) -> f64 {
+        f64::from_bits(self.rate_bits.load(Ordering::Relaxed))
+    }
+
+    /// Whether recording can happen (sampling enabled or a forced trace in
+    /// flight) — the one relaxed load the hot path makes.
+    #[inline]
+    pub(crate) fn active(&self) -> bool {
+        self.active.load(Ordering::Relaxed)
+    }
+
+    /// Rolls the sampling dice: `Some(sampled context)` for roughly the
+    /// configured fraction of calls, `None` otherwise.
+    pub(crate) fn maybe_sample(&self) -> Option<TraceContext> {
+        let rate = self.rate();
+        if rate <= 0.0 {
+            return None;
+        }
+        let x = mix(self.seq.fetch_add(1, Ordering::Relaxed));
+        // Map the mixed counter to [0, 1); rate = 1.0 samples everything.
+        if (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < rate {
+            crate::counter!("trace.requests_sampled").inc();
+            Some(TraceContext::generate(true))
+        } else {
+            None
+        }
+    }
+
+    /// Forces recording on until the returned guard drops, regardless of
+    /// the sampling rate.
+    pub(crate) fn force(&self) -> ForcedTracing<'_> {
+        self.forced.fetch_add(1, Ordering::Relaxed);
+        let _ = epoch();
+        self.recompute_active();
+        crate::counter!("trace.requests_sampled").inc();
+        ForcedTracing(self)
+    }
+
+    /// Opens a span under the thread's current context, gated on this
+    /// sampler: inert (no clock read, nothing recorded) unless it is
+    /// active *and* a sampled context is installed.
+    #[inline]
+    pub(crate) fn span(&self, name: &'static str) -> TraceSpan {
+        if !self.active() {
+            return TraceSpan { state: None };
+        }
+        trace_span_slow(name)
+    }
+}
+
+/// Sets the process-wide probability (clamped to `[0, 1]`; non-finite
+/// means zero) that [`maybe_sample`] returns a sampled context — the
+/// server's `--trace-sample` flag. Zero disables sampling; forced traces
 /// still record.
 pub fn set_trace_sampling(rate: f64) {
-    let rate = if rate.is_finite() {
-        rate.clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    SAMPLE_RATE_BITS.store(rate.to_bits(), Ordering::Relaxed);
-    // Pin the epoch before the first span can need it.
-    let _ = epoch();
-    recompute_active();
+    SAMPLER.set_rate(rate);
 }
 
-/// The currently configured sampling probability.
+/// The process-wide sampling probability.
 pub fn trace_sampling() -> f64 {
-    f64::from_bits(SAMPLE_RATE_BITS.load(Ordering::Relaxed))
+    SAMPLER.rate()
 }
 
 /// Whether any recording can happen right now (sampling enabled or a
 /// forced trace in flight) — the same one-load check the hot path makes.
 pub fn tracing_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+    SAMPLER.active()
 }
 
-/// Rolls the sampling dice: `Some(sampled context)` for roughly
-/// `set_trace_sampling`'s fraction of calls, `None` otherwise.
+/// Rolls the process-wide sampling dice: `Some(sampled context)` for
+/// roughly [`set_trace_sampling`]'s fraction of calls, `None` otherwise.
 pub fn maybe_sample() -> Option<TraceContext> {
-    let rate = f64::from_bits(SAMPLE_RATE_BITS.load(Ordering::Relaxed));
-    if rate <= 0.0 {
-        return None;
-    }
-    let x = mix(SAMPLE_SEQ.fetch_add(1, Ordering::Relaxed));
-    // Map the mixed counter to [0, 1); rate = 1.0 samples everything.
-    if (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < rate {
-        crate::counter!("trace.requests_sampled").inc();
-        Some(TraceContext::generate(true))
-    } else {
-        None
-    }
+    SAMPLER.maybe_sample()
 }
 
-/// Keeps recording enabled while alive, regardless of the sampling rate
-/// — one guard per forced (explicitly requested) trace.
+/// Keeps recording enabled on its sampler while alive, regardless of the
+/// sampling rate — one guard per forced (explicitly requested) trace.
 #[must_use = "tracing is forced only while the guard lives"]
-pub struct ForcedTracing(());
+pub struct ForcedTracing<'a>(&'a Sampler);
 
-/// Forces recording on until the returned guard drops. Used by the wire
-/// `Trace` frame and the `three-roles trace` CLI so a single request can
-/// be traced with sampling at zero.
-pub fn force_tracing() -> ForcedTracing {
-    FORCED.fetch_add(1, Ordering::Relaxed);
-    let _ = epoch();
-    recompute_active();
-    crate::counter!("trace.requests_sampled").inc();
-    ForcedTracing(())
+/// Forces process-wide recording on until the returned guard drops. Used
+/// by the wire `Trace` frame and the `three-roles trace` CLI so a single
+/// request can be traced with sampling at zero.
+pub fn force_tracing() -> ForcedTracing<'static> {
+    SAMPLER.force()
 }
 
-impl Drop for ForcedTracing {
+impl Drop for ForcedTracing<'_> {
     fn drop(&mut self) {
-        FORCED.fetch_sub(1, Ordering::Relaxed);
-        recompute_active();
+        self.0.forced.fetch_sub(1, Ordering::Relaxed);
+        self.0.recompute_active();
     }
 }
 
@@ -403,10 +472,7 @@ impl TraceSpan {
 /// context is installed — the fast path is one relaxed atomic load.
 #[inline]
 pub fn trace_span(name: &'static str) -> TraceSpan {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return TraceSpan { state: None };
-    }
-    trace_span_slow(name)
+    SAMPLER.span(name)
 }
 
 #[cold]
@@ -437,7 +503,7 @@ impl Drop for TraceSpan {
 /// when tracing is inactive.
 #[inline]
 pub fn record_trace_at(name: &'static str, start: Instant, dur: Duration) {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !SAMPLER.active() {
         return;
     }
     let (trace_id, parent_id) = CURRENT.with(Cell::get);
@@ -686,29 +752,40 @@ pub fn register_trace_metrics() {
 mod tests {
     use super::*;
 
-    // Sampling-rate state and the ACTIVE flag are process-global, so the
-    // paths that depend on their exact value live in this one test;
-    // other tests use forced guards, which compose concurrently.
+    // The process-global sampler is shared with every sibling test (they
+    // hold forced guards on it), so exact activation is asserted on a
+    // sampler of this test's own.
     #[test]
     fn sampling_controls_recording() {
-        assert!(maybe_sample().is_none(), "rate starts at zero");
-        // Inactive tracing: guards are inert even with a context installed.
+        let sampler = Sampler::new();
+        assert!(!sampler.active());
+        assert!(sampler.maybe_sample().is_none(), "rate starts at zero");
+        // Inactive sampler: spans are inert even with a context installed.
         let ctx = TraceContext::generate(true);
         with_current_trace(Some(ctx), || {
-            assert_eq!(trace_span("test.inert").id(), 0);
+            assert_eq!(sampler.span("test.inert").id(), 0);
         });
         assert!(collect_trace(ctx.trace_id).is_empty());
 
-        set_trace_sampling(2.0); // clamped to 1.0
-        assert_eq!(trace_sampling(), 1.0);
-        let sampled = maybe_sample().expect("rate 1.0 samples everything");
+        sampler.set_rate(2.0); // clamped to 1.0
+        assert_eq!(sampler.rate(), 1.0);
+        assert!(sampler.active());
+        let sampled = sampler.maybe_sample().expect("rate 1.0 samples everything");
         assert!(sampled.sampled);
-        set_trace_sampling(0.0);
-        assert!(maybe_sample().is_none());
-        // Forced guards re-activate recording independently of the rate.
-        let guard = force_tracing();
-        assert!(tracing_active());
+        sampler.set_rate(f64::NAN);
+        assert_eq!(sampler.rate(), 0.0);
+        assert!(!sampler.active());
+        assert!(sampler.maybe_sample().is_none());
+        // Forced guards re-activate recording independently of the rate,
+        // and only while they live.
+        let guard = sampler.force();
+        assert!(sampler.active());
+        with_current_trace(Some(ctx), || {
+            assert_ne!(sampler.span("test.forced").id(), 0);
+        });
         drop(guard);
+        assert!(!sampler.active());
+        assert_eq!(collect_trace(ctx.trace_id).len(), 1);
     }
 
     #[test]

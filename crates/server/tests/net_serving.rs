@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, Var};
-use trl_engine::{Engine, Executor, PreparedCircuit, Query, QueryAnswer};
+use trl_engine::{Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
 use trl_prop::Cnf;
 use trl_server::{Client, ClientError, Server, ServerConfig, WireError};
@@ -49,9 +49,9 @@ fn query_stream(n_vars: usize, rounds: usize) -> Vec<Query> {
 #[test]
 fn eight_concurrent_clients_get_bit_identical_answers() {
     let cnf = acceptance_cnf();
-    let direct = Arc::new(PreparedCircuit::new(
+    let direct = Artifact::Circuit(Arc::new(PreparedCircuit::new(
         DecisionDnnfCompiler::default().compile(&cnf),
-    ));
+    )));
     let direct_executor = Executor::new(2);
 
     let engine = Arc::new(Engine::new(1 << 22, Some(4)));
@@ -60,7 +60,8 @@ fn eight_concurrent_clients_get_bit_identical_answers() {
 
     let queries = query_stream(cnf.num_vars(), 6);
     let expected: Vec<QueryAnswer> = direct_executor
-        .run_batch(&direct, queries.clone())
+        .run(&direct, queries.clone())
+        .unwrap()
         .into_iter()
         .map(|o| o.answer)
         .collect();

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, Var};
-use trl_engine::{Engine, Executor, PreparedCircuit, Query, QueryAnswer};
+use trl_engine::{Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
 use trl_prop::Cnf;
 use trl_server::{Client, Server, ServerConfig, WireError};
@@ -47,9 +47,9 @@ fn frame_queries(n_vars: usize, salt: u32) -> Vec<Query> {
 #[test]
 fn pipelined_answers_are_bit_identical_to_in_process() {
     let cnf = acceptance_cnf();
-    let direct = Arc::new(PreparedCircuit::new(
+    let direct = Artifact::Circuit(Arc::new(PreparedCircuit::new(
         DecisionDnnfCompiler::default().compile(&cnf),
-    ));
+    )));
     let direct_executor = Executor::new(2);
 
     let engine = Arc::new(Engine::new(1 << 22, Some(2)));
@@ -60,7 +60,8 @@ fn pipelined_answers_are_bit_identical_to_in_process() {
         .iter()
         .map(|qs| {
             direct_executor
-                .run_batch(&direct, qs.clone())
+                .run(&direct, qs.clone())
+                .unwrap()
                 .into_iter()
                 .map(|o| o.answer)
                 .collect()

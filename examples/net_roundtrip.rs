@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use three_roles::compiler::DecisionDnnfCompiler;
 use three_roles::core::{PartialAssignment, Var};
-use three_roles::engine::{Engine, Executor, PreparedCircuit, Query};
+use three_roles::engine::{Artifact, Engine, Executor, PreparedCircuit, Query};
 use three_roles::nnf::LitWeights;
 use three_roles::prop::Cnf;
 use three_roles::server::{Client, ClientError, Server, ServerConfig, WireError};
@@ -49,7 +49,9 @@ fn main() {
     let prepared = Arc::new(PreparedCircuit::new(
         DecisionDnnfCompiler::default().compile(&cnf),
     ));
-    let expected = Executor::new(1).run_batch(&prepared, queries.clone());
+    let expected = Executor::new(1)
+        .run(&Artifact::Circuit(prepared), queries.clone())
+        .expect("valid batch");
 
     // Bind a server on an ephemeral port over a fresh engine (2 workers).
     let engine = Arc::new(Engine::new(1 << 20, Some(2)));

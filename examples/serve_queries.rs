@@ -84,7 +84,9 @@ fn main() {
         Query::MaxWeight(w),
     ];
     let kinds: Vec<&str> = batch.iter().map(Query::kind).collect();
-    let outcomes = executor.run_batch(&prepared, batch);
+    let outcomes = executor
+        .run(&Artifact::Circuit(prepared), batch)
+        .expect("valid batch");
     for (kind, outcome) in kinds.iter().zip(&outcomes) {
         let shown = match &outcome.answer {
             QueryAnswer::ModelCount(n) => format!("{n}"),

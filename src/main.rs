@@ -700,13 +700,15 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let circuit = load_artifact(&artifact, validation)?;
     let queries = spec.build(circuit.num_vars())?;
 
-    let prepared = std::sync::Arc::new(three_roles::engine::PreparedCircuit::new(circuit));
+    let prepared = three_roles::engine::Artifact::Circuit(std::sync::Arc::new(
+        three_roles::engine::PreparedCircuit::new(circuit),
+    ));
     let executor = match workers {
         Some(w) => Executor::new(w),
         None => Executor::with_default_workers(),
     };
     let outcomes = executor
-        .try_run_batch(&prepared, queries.clone())
+        .run(&prepared, queries.clone())
         .map_err(|e| e.to_string())?;
     for (query, outcome) in queries.iter().zip(outcomes) {
         print_outcome(query.kind(), &outcome.answer, outcome.latency);
@@ -1072,7 +1074,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 let start = Instant::now();
                 let (tx, rx) = std::sync::mpsc::channel();
                 executor
-                    .submit_artifact_batch_traced(&artifact, vec![query], Some(ctx), move |o| {
+                    .submit(&artifact, vec![query], Some(ctx), move |o| {
                         let _ = tx.send(o);
                     })
                     .map_err(|e| e.to_string())?;

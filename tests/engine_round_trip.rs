@@ -54,10 +54,12 @@ fn save_load_query_lifecycle_matches_in_memory() {
     ] {
         let prepared = Arc::new(PreparedCircuit::new(loaded));
         let executor = Executor::new(2);
-        let outcomes = executor.run_batch(
-            &prepared,
-            vec![Query::ModelCount, Query::Wmc(w.clone()), Query::Sat],
-        );
+        let outcomes = executor
+            .run(
+                &Artifact::Circuit(prepared),
+                vec![Query::ModelCount, Query::Wmc(w.clone()), Query::Sat],
+            )
+            .unwrap();
         assert_eq!(outcomes[0].answer.model_count(), Some(expected_count));
         assert_eq!(outcomes[1].answer.wmc(), Some(expected_wmc));
         assert_eq!(outcomes[2].answer, QueryAnswer::Sat(expected_count > 0));
