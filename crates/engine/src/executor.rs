@@ -65,8 +65,8 @@ pub const DEFAULT_LAYERED_MIN_NODES: usize = 1 << 16;
 /// inline). Flip at runtime with [`Executor::set_parallel_policy`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
-    /// Lane-batched kernels only; groups are chunked across the worker
-    /// pool, never fanned within a layer. The default.
+    /// Lane-batched kernels only; groups are never fanned within a
+    /// layer (on the pool they are chunked across workers). The default.
     #[default]
     LaneOnly,
     /// Groups against circuits with at least `min_nodes` raw arena nodes
@@ -356,9 +356,9 @@ struct Job {
     layer_threads: usize,
 }
 
-/// A validated batch split into jobs. Both entry points plan a batch the
-/// same way; [`Executor::run`] answers the jobs on the calling thread and
-/// [`Executor::submit`] hands them to the pool.
+/// A validated batch split into jobs. Both entry points plan a batch with
+/// the same function; [`Executor::run`] answers the jobs on the calling
+/// thread and [`Executor::submit`] hands them to the pool.
 struct Plan {
     jobs: Vec<Job>,
     /// Kind index per submission index, for per-kind stat attribution.
@@ -647,15 +647,15 @@ impl Executor {
     /// outcomes in submission order. No query runs unless the whole batch
     /// is valid.
     ///
-    /// The batch is planned exactly as [`Executor::submit`] plans it and
-    /// every job runs through the same function a pool worker runs; only
-    /// the thread differs. Groups past the [`ParallelPolicy`] threshold
-    /// still fan their tape layers across the persistent sweep pool, but
-    /// the jobs themselves — the kind groups of a mixed batch and the
-    /// lane-aligned chunks of a group larger than [`LANES`] — run one
-    /// after another here instead of side by side on the pool.
+    /// The batch is planned as [`Executor::submit`] plans it, except that
+    /// a kind group is never split across workers: one job per kind group
+    /// plus one per ungroupable query. Every job runs through the same
+    /// function a pool worker runs; only the thread differs. Groups past
+    /// the [`ParallelPolicy`] threshold still fan their tape layers across
+    /// the persistent sweep pool, but the kind groups of a mixed batch run
+    /// one after another here instead of side by side on the pool.
     pub fn run(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Vec<QueryOutcome>> {
-        let plan = self.plan(artifact, queries)?;
+        let plan = self.plan(artifact, queries, 1)?;
         let mut slots: Vec<Option<QueryOutcome>> = (0..plan.kinds.len()).map(|_| None).collect();
         for job in &plan.jobs {
             for (index, outcome) in run_job(job) {
@@ -691,7 +691,7 @@ impl Executor {
             jobs,
             kinds,
             layered,
-        } = self.plan(artifact, queries)?;
+        } = self.plan(artifact, queries, self.num_workers())?;
         let pending = Arc::new(Pending {
             slots: Mutex::new((0..kinds.len()).map(|_| None).collect()),
             jobs_left: AtomicUsize::new(jobs.len()),
@@ -721,11 +721,12 @@ impl Executor {
     /// Validates a batch and splits it into jobs. Every query must be
     /// addressed to the artifact's kind ([`Artifact::validate`]). Circuit
     /// queries of the same counting or MPE kind are grouped, and each group
-    /// is split into lane-aligned chunks, one per worker — or kept whole
-    /// when the active [`ParallelPolicy`] says the circuit is wide enough,
-    /// where WMC and marginals sweep layer-parallel. SAT and every role-2/3
-    /// query become a job of their own.
-    fn plan(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Plan> {
+    /// is split into at most `split` lane-aligned chunks, one per thread
+    /// that will answer them — or kept whole when the active
+    /// [`ParallelPolicy`] says the circuit is wide enough, where WMC and
+    /// marginals sweep layer-parallel. SAT and every role-2/3 query become
+    /// a job of their own.
+    fn plan(&self, artifact: &Artifact, queries: Vec<Query>, split: usize) -> Result<Plan> {
         for q in &queries {
             artifact.validate(q)?;
         }
@@ -746,7 +747,6 @@ impl Executor {
             }
         }
 
-        let workers = self.num_workers();
         let layered = match (self.parallel_policy(), artifact.as_circuit()) {
             (ParallelPolicy::Layered { min_nodes }, Some(circuit)) => {
                 circuit.raw().node_count() >= min_nodes
@@ -773,9 +773,9 @@ impl Executor {
                 push(indices, group, trl_nnf::SweepPool::global().size());
                 continue;
             }
-            // Split the group across workers in lane-aligned chunks, so
+            // Split the group across threads in lane-aligned chunks, so
             // every chunk fills whole value planes.
-            let per_worker = group.len().div_ceil(workers);
+            let per_worker = group.len().div_ceil(split);
             let chunk = per_worker.max(LANES).div_ceil(LANES) * LANES;
             let mut indices = indices.into_iter();
             let mut group = group.into_iter();
@@ -931,11 +931,27 @@ mod tests {
         let p = prepared();
         let ex = Executor::new(2);
         for _ in 0..10 {
-            let outcomes = ex.run(&circuit(&p), vec![Query::ModelCount; 8]).unwrap();
+            let outcomes = run_on_pool(&ex, &circuit(&p), vec![Query::ModelCount; 8]);
             assert!(outcomes
                 .iter()
                 .all(|o| o.answer.model_count() == Some(p.raw().model_count())));
         }
+    }
+
+    #[test]
+    fn only_the_pool_splits_a_kind_group() {
+        let ex = Executor::new(4);
+        let mut queries = vec![Query::ModelCount; 20];
+        queries.extend(vec![Query::Wmc(LitWeights::unit(4)); 20]);
+        queries.extend(vec![Query::Sat; 3]);
+        let jobs = |split| {
+            let plan = ex.plan(&circuit(&prepared()), queries.clone(), split);
+            plan.unwrap().jobs.len()
+        };
+        // Inline: one job per kind group plus one per SAT query.
+        assert_eq!(jobs(1), 2 + 3);
+        // Pool: each 20-query group splits into lane-aligned chunks of 8.
+        assert_eq!(jobs(ex.num_workers()), 3 + 3 + 3);
     }
 
     #[test]

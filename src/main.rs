@@ -7,7 +7,7 @@
 //!                   [--passes N] [--min-nodes N] [--server ADDR]
 //! three-roles query <artifact> [--count] [--sat] [--wmc] [--marginals] [--mpe]
 //!                   [--weight LIT=W]... [--under LIT]... [--batch FILE]
-//!                   [--workers N] [--trust]
+//!                   [--trust]
 //! three-roles learn <cnf> --data FILE [--alpha A] [--ll] [--evidence LIT]...
 //!                   [--server ADDR]
 //! three-roles space <graph> [--count] [--under LIT]... [--top] [--weight LIT=W]...
@@ -127,7 +127,7 @@ USAGE:
                     [--passes N] [--min-nodes N] [--server ADDR]
   three-roles query <artifact> [--count] [--sat] [--wmc] [--marginals] [--mpe]
                     [--weight LIT=W]... [--under LIT]... [--batch FILE]
-                    [--workers N] [--trust]
+                    [--trust]
   three-roles learn <cnf> --data FILE [--alpha A] [--ll] [--evidence LIT]...
                     [--server ADDR]
   three-roles space <graph> [--count] [--under LIT]... [--top] [--weight LIT=W]...
@@ -185,7 +185,6 @@ QUERY (artifacts ending in .nnf use the text reader, anything else binary):
                      ('count 1 -3' counts models with x1 true, x3 false;
                       blank lines and '#' comments are skipped). Same-kind
                      queries are grouped into shared lane-batched sweeps.
-  --workers N        executor worker threads (default: all available cores)
   --trust            skip d-DNNF property re-verification on load
 
 LEARN (role 2: fit a PSDD to weighted complete data under a CNF):
@@ -257,7 +256,7 @@ CLIENT (speaks the trl-server wire protocol to a running `serve`):
   compile <cnf>                compile server-side, print the registry key
   query <cnf> [query flags]    compile (a registry hit when warm), then
                                answer queries; accepts the QUERY flags above
-                               except --workers/--trust (server-side concerns)
+                               except --trust (a server-side concern)
 
 METRICS (dump a serving process's metric registry):
   --prom             Prometheus text exposition instead of a table
@@ -687,9 +686,6 @@ fn print_outcome(kind: &str, answer: &QueryAnswer, latency: Duration) {
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let spec = QuerySpec::take(&mut args)?;
-    let workers = take_value(&mut args, "--workers")?
-        .map(|n| parse_num(&n, "worker count"))
-        .transpose()?;
     let validation = if take_flag(&mut args, "--trust") {
         Validation::Trust
     } else {
@@ -703,11 +699,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let prepared = three_roles::engine::Artifact::Circuit(std::sync::Arc::new(
         three_roles::engine::PreparedCircuit::new(circuit),
     ));
-    let executor = match workers {
-        Some(w) => Executor::new(w),
-        None => Executor::with_default_workers(),
-    };
-    let outcomes = executor
+    // `run` answers on this thread; the default executor keeps the layered
+    // policy for wide circuits.
+    let outcomes = Executor::with_default_workers()
         .run(&prepared, queries.clone())
         .map_err(|e| e.to_string())?;
     for (query, outcome) in queries.iter().zip(outcomes) {
