@@ -54,7 +54,10 @@ use std::time::Instant;
 use crate::serve_bench::LatencySummary;
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
-use trl_nnf::{smooth, Circuit, EvalTape, LaneBackend, LitWeights, SweepPool, LANES};
+use trl_nnf::{
+    smooth, Circuit, EvalTape, LaneBackend, LitWeights, SumProductAnswer, SumProductLane,
+    SweepPool, LANES,
+};
 use trl_prop::gen::random_cnf;
 
 /// Measurements for one evaluation variant.
@@ -533,12 +536,14 @@ pub fn kernel_identity_sweep() -> (usize, bool) {
             pa.assign(Var((i % (n - 1)) as u32 + 1).literal(i % 3 == 0));
         }
         let empty = PartialAssignment::new(n);
-        let expect_under: Vec<u128> = [&empty, &pa]
-            .iter()
-            .map(|pa| smoothed.model_count_under_presmoothed(pa))
-            .collect();
+        let expect_under = [&empty, &pa].map(|pa| smoothed.model_count_under_presmoothed(pa));
         identical &= tape.model_count_under(&pa) == expect_under[1];
-        identical &= tape.model_count_under_batch(&[&empty, &pa]) == expect_under;
+        let count_lanes = [
+            SumProductLane::CountUnder(&empty),
+            SumProductLane::CountUnder(&pa),
+        ];
+        identical &=
+            tape.sum_product_batch(&count_lanes) == expect_under.map(SumProductAnswer::Count);
 
         // Marginals: wmc and every per-literal pair, bit for bit.
         let expect: Vec<(f64, Vec<(f64, f64)>)> = weights
@@ -563,8 +568,21 @@ pub fn kernel_identity_sweep() -> (usize, bool) {
         ) == marg_bits(&expect);
         identical &= marg_bits(&tape.marginals_batch(&refs)) == marg_bits(&expect);
         identical &= marg_bits(&scalar_tape.marginals_batch(&refs)) == marg_bits(&expect);
-        identical &= marg_bits(&tape.marginals_batch_layered(&refs, 2)) == marg_bits(&expect);
-        identical &= marg_bits(&tape.marginals_batch_pooled(&refs, &pool, 2)) == marg_bits(&expect);
+        let marginal_lanes: Vec<SumProductLane> =
+            refs.iter().map(|w| SumProductLane::Marginals(w)).collect();
+        let marginals_of = |answers: Vec<SumProductAnswer>| -> Vec<(f64, Vec<(f64, f64)>)> {
+            answers
+                .into_iter()
+                .filter_map(|a| match a {
+                    SumProductAnswer::Marginals { wmc, marginals } => Some((wmc, marginals)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let layered = marginals_of(tape.sum_product_batch_layered(&marginal_lanes, 2));
+        let pooled = marginals_of(tape.sum_product_batch_pooled(&marginal_lanes, &pool, 2));
+        identical &= marg_bits(&layered) == marg_bits(&expect);
+        identical &= marg_bits(&pooled) == marg_bits(&expect);
     }
     (instances, identical)
 }

@@ -3,12 +3,14 @@
 //! fixed worker pool.
 //!
 //! Artifacts are shared as `Arc`s, so a job touching one clones a pointer,
-//! not a circuit. A job is not one query: planning groups compatible
-//! queries (same kind, same circuit) so each group is answered with one
-//! lane-batched tape sweep ([`trl_nnf::EvalTape`]) instead of one scalar
-//! arena walk per query. When the [`ParallelPolicy`] says a circuit is
-//! wide enough, a whole group instead becomes one job that fans each tape
-//! layer across the persistent [`trl_nnf::SweepPool`]. Each answered query
+//! not a circuit. A job is not one query: planning puts a circuit's
+//! queries into two buckets — the sum-product kinds (counts, counts under
+//! evidence, WMC, marginals), which share one lane-batched tape sweep
+//! ([`trl_nnf::EvalTape::sum_product_batch`]) whatever their mix, and MPE,
+//! which shares one max-product sweep — instead of one arena walk per
+//! query. When the [`ParallelPolicy`] says a circuit is wide enough, a
+//! whole bucket instead becomes one job that fans each tape layer across
+//! the persistent [`trl_nnf::SweepPool`]. Each answered query
 //! reports its service latency, so `bench-serve` can record tail
 //! behaviour, not just throughput.
 //!
@@ -245,28 +247,17 @@ impl Query {
         }
     }
 
-    /// Whether queries of this kind benefit from being grouped into one
-    /// lane-batched kernel sweep.
-    fn groupable(&self) -> bool {
-        matches!(
-            self,
-            Query::ModelCount
-                | Query::ModelCountUnder(_)
-                | Query::Wmc(_)
-                | Query::Marginals(_)
-                | Query::MaxWeight(_)
-        )
-    }
-
-    /// Bucket index for grouping; only meaningful for groupable queries.
-    fn group_bucket(&self) -> usize {
+    /// The kernel bucket this query joins, if it shares lane-batched tape
+    /// sweeps with others: 0 for the sum-product kinds (counts, WMC and
+    /// marginals share one sweep), 1 for MPE (max-product). SAT and role
+    /// queries are answered one by one.
+    fn kernel_bucket(&self) -> Option<usize> {
         match self {
-            Query::ModelCount => 0,
-            Query::ModelCountUnder(_) => 1,
-            Query::Wmc(_) => 2,
-            Query::Marginals(_) => 3,
-            Query::MaxWeight(_) => 4,
-            _ => usize::MAX,
+            Query::ModelCount | Query::ModelCountUnder(_) | Query::Wmc(_) | Query::Marginals(_) => {
+                Some(0)
+            }
+            Query::MaxWeight(_) => Some(1),
+            _ => None,
         }
     }
 }
@@ -345,8 +336,8 @@ pub struct QueryOutcome {
 /// The completion callback of an asynchronously submitted batch.
 type Completion = Box<dyn FnOnce(Vec<QueryOutcome>) + Send + 'static>;
 
-/// One planned unit of work: a same-kind circuit query group, or one
-/// ungroupable query, answered by a single `run_job` call.
+/// One planned unit of work: a circuit's sum-product or MPE query group,
+/// or one ungroupable query, answered by a single `run_job` call.
 struct Job {
     artifact: Artifact,
     /// Submission indices, parallel to `queries`.
@@ -648,12 +639,13 @@ impl Executor {
     /// is valid.
     ///
     /// The batch is planned as [`Executor::submit`] plans it, except that
-    /// a kind group is never split across workers: one job per kind group
-    /// plus one per ungroupable query. Every job runs through the same
-    /// function a pool worker runs; only the thread differs. Groups past
-    /// the [`ParallelPolicy`] threshold still fan their tape layers across
-    /// the persistent sweep pool, but the kind groups of a mixed batch run
-    /// one after another here instead of side by side on the pool.
+    /// a bucket is never split across workers: one job per bucket (the
+    /// sum-product group and the MPE group) plus one per ungroupable query.
+    /// Every job runs through the same function a pool worker runs; only
+    /// the thread differs. Groups past the [`ParallelPolicy`] threshold
+    /// still fan their tape layers across the persistent sweep pool, but
+    /// the jobs of a batch run one after another here instead of side by
+    /// side on the pool.
     pub fn run(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Vec<QueryOutcome>> {
         let plan = self.plan(artifact, queries, 1)?;
         let mut slots: Vec<Option<QueryOutcome>> = (0..plan.kinds.len()).map(|_| None).collect();
@@ -720,30 +712,31 @@ impl Executor {
 
     /// Validates a batch and splits it into jobs. Every query must be
     /// addressed to the artifact's kind ([`Artifact::validate`]). Circuit
-    /// queries of the same counting or MPE kind are grouped, and each group
-    /// is split into at most `split` lane-aligned chunks, one per thread
-    /// that will answer them — or kept whole when the active
-    /// [`ParallelPolicy`] says the circuit is wide enough, where WMC and
-    /// marginals sweep layer-parallel. SAT and every role-2/3 query become
-    /// a job of their own.
+    /// queries are grouped into two buckets — sum-product (counts, WMC,
+    /// marginals, in any mix) and MPE — and each group is split into at
+    /// most `split` lane-aligned chunks, one per thread that will answer
+    /// them — or kept whole when the active [`ParallelPolicy`] says the
+    /// circuit is wide enough, where the sum-product forward sweep runs
+    /// layer-parallel. SAT and every role-2/3 query become a job of their
+    /// own.
     fn plan(&self, artifact: &Artifact, queries: Vec<Query>, split: usize) -> Result<Plan> {
         for q in &queries {
             artifact.validate(q)?;
         }
 
-        // Partition into per-kind groups (indices + queries, in submission
-        // order) and ungroupable singles.
-        let mut buckets: [(Vec<usize>, Vec<Query>); 5] = Default::default();
+        // Partition into the two kernel buckets (indices + queries, in
+        // submission order) and ungroupable singles.
+        let mut buckets: [(Vec<usize>, Vec<Query>); 2] = Default::default();
         let mut singles: Vec<(usize, Query)> = Vec::new();
         let mut kinds = Vec::with_capacity(queries.len());
         for (index, query) in queries.into_iter().enumerate() {
             kinds.push(query.kind_index());
-            if query.groupable() {
-                let b = &mut buckets[query.group_bucket()];
-                b.0.push(index);
-                b.1.push(query);
-            } else {
-                singles.push((index, query));
+            match query.kernel_bucket() {
+                Some(b) => {
+                    buckets[b].0.push(index);
+                    buckets[b].1.push(query);
+                }
+                None => singles.push((index, query)),
             }
         }
 
@@ -943,14 +936,18 @@ mod tests {
         let ex = Executor::new(4);
         let mut queries = vec![Query::ModelCount; 20];
         queries.extend(vec![Query::Wmc(LitWeights::unit(4)); 20]);
+        queries.extend(vec![Query::MaxWeight(LitWeights::unit(4)); 20]);
         queries.extend(vec![Query::Sat; 3]);
         let jobs = |split| {
             let plan = ex.plan(&circuit(&prepared()), queries.clone(), split);
             plan.unwrap().jobs.len()
         };
-        // Inline: one job per kind group plus one per SAT query.
+        // Inline: counts and WMC share the sum-product job, MPE has its
+        // own, plus one per SAT query.
         assert_eq!(jobs(1), 2 + 3);
-        // Pool: each 20-query group splits into lane-aligned chunks of 8.
+        // Pool: the 40-query sum-product group splits into lane-aligned
+        // chunks of 16 (40 / 4 workers, rounded up to whole lane groups),
+        // the 20-query MPE group into chunks of 8.
         assert_eq!(jobs(ex.num_workers()), 3 + 3 + 3);
     }
 

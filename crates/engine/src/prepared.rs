@@ -9,14 +9,15 @@
 //! **lazily**: the first query that needs the [`EvalTape`] smooths the
 //! circuit, linearizes the smoothed copy into the tape and drops the copy.
 //! A served circuit therefore retains exactly two structures: the compiled
-//! arena, which SAT reads, and the tape, whose lane-batched kernels answer
-//! every other circuit query — counts, WMC, marginals and MPE. A pure SAT
-//! workload never builds the tape at all.
+//! arena, which the first SAT query reads once, and the tape, whose two
+//! lane-batched kernels answer every other circuit query — one sum-product
+//! sweep for counts, WMC and marginals in any mix, one max-product sweep
+//! for MPE. A pure SAT workload never builds the tape at all.
 
 use std::sync::OnceLock;
 
 use crate::executor::{Query, QueryAnswer};
-use trl_nnf::{smooth, Circuit, EvalTape, LitWeights};
+use trl_nnf::{smooth, Circuit, EvalTape, LitWeights, SumProductAnswer, SumProductLane};
 
 /// An immutable, shareable serving artifact: the compiled circuit plus its
 /// lazily built evaluation tape. Wrap it in an `Arc` and hand it to any
@@ -24,6 +25,9 @@ use trl_nnf::{smooth, Circuit, EvalTape, LitWeights};
 #[derive(Clone, Debug)]
 pub struct PreparedCircuit {
     raw: Circuit,
+    /// Whether the circuit is satisfiable, filled by the first SAT query:
+    /// a per-circuit constant, so the arena is walked once.
+    sat: OnceLock<bool>,
     /// The kernel tape over the smoothed circuit, built by the first query
     /// other than SAT. The smoothed circuit it is linearized from is not
     /// kept.
@@ -36,6 +40,7 @@ impl PreparedCircuit {
     pub fn new(raw: Circuit) -> Self {
         PreparedCircuit {
             raw,
+            sat: OnceLock::new(),
             tape: OnceLock::new(),
         }
     }
@@ -49,6 +54,13 @@ impl PreparedCircuit {
     /// transient smoothed copy of the circuit.
     pub fn tape(&self) -> &EvalTape {
         self.tape.get_or_init(|| EvalTape::new(&smooth(&self.raw)))
+    }
+
+    /// Whether the circuit is satisfiable: linear on DNNF, computed from
+    /// the raw arena by the first call and remembered. Never builds the
+    /// tape.
+    pub fn sat(&self) -> bool {
+        *self.sat.get_or_init(|| self.raw.sat_dnnf())
     }
 
     /// Builds the evaluation tape now instead of on the first query that
@@ -82,125 +94,82 @@ impl PreparedCircuit {
         self.raw.node_count() + self.tape.get().map_or(0, EvalTape::len)
     }
 
-    /// Answers one query. Weighted queries require weights covering the
-    /// circuit's universe (checked; see [`Query::validate`]).
+    /// Answers one query: a batch of one. Weighted queries require weights
+    /// covering the circuit's universe (checked; see [`Query::validate`]).
     pub fn answer(&self, query: &Query) -> QueryAnswer {
         query
             .validate(self.num_vars())
             .expect("query validated against this circuit");
-        match query {
-            Query::Sat => QueryAnswer::Sat(self.raw.sat_dnnf()),
-            Query::ModelCount => QueryAnswer::ModelCount(self.tape().model_count()),
-            Query::ModelCountUnder(pa) => {
-                QueryAnswer::ModelCount(self.tape().model_count_under(pa))
-            }
-            Query::Wmc(w) => QueryAnswer::Wmc(self.tape().wmc(w)),
-            Query::Marginals(w) => {
-                let (wmc, marginals) = self.tape().marginals(w);
-                QueryAnswer::Marginals { wmc, marginals }
-            }
-            Query::MaxWeight(w) => {
-                let mut out = self.tape().max_weight_batch(&[w]);
-                QueryAnswer::MaxWeight(out.pop().expect("one lane in, one answer out"))
-            }
-            // Role-2/3 queries never reach a circuit: `Query::validate`
-            // only checks universes, but the executor's typed-artifact
-            // dispatch ([`crate::Artifact::validate`]) rejects the kind
-            // mismatch before any answer path runs.
-            _ => panic!(
-                "query kind {} requires a {} artifact, not a circuit",
-                query.kind(),
-                query.artifact_kind().name()
-            ),
-        }
+        let mut out = self.answer_batch(std::slice::from_ref(query), 1);
+        out.pop().expect("one query in, one answer out")
     }
 
-    /// Answers a group of queries in order, dispatching homogeneous
-    /// counting and MPE groups to the lane-batched kernels (one tape scan
-    /// per [`trl_nnf::LANES`] queries). `layer_threads > 1` additionally
-    /// fans each tape layer of a WMC or marginals sweep out across that
-    /// many threads — worth it only for large circuits; the executor
-    /// decides. Mixed groups fall back to per-query answering; answers are
-    /// bit-identical either way.
+    /// Answers a group of queries, any mix of circuit kinds, in order. All
+    /// counts, WMC and marginals queries share one lane-batched
+    /// sum-product sweep ([`EvalTape::sum_product_batch`], one tape scan
+    /// per [`trl_nnf::LANES`] queries), all MPE queries one max-product
+    /// sweep, and SAT reads the per-circuit constant; a group of one takes
+    /// the same kernels. `layer_threads > 1` additionally fans each tape
+    /// layer of the sum-product forward sweep out across that many threads
+    /// — worth it only for large circuits; the executor decides. MPE runs
+    /// on sequential lanes whatever `layer_threads` says. Answers are
+    /// bit-identical to the scalar oracles either way.
     pub fn answer_batch(&self, queries: &[Query], layer_threads: usize) -> Vec<QueryAnswer> {
-        if queries.len() > 1 {
-            if queries.iter().all(|q| matches!(q, Query::Wmc(_))) {
-                let ws: Vec<&LitWeights> = queries
-                    .iter()
-                    .map(|q| match q {
-                        Query::Wmc(w) => w,
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect();
-                let tape = self.tape();
-                let answers = if layer_threads > 1 {
-                    tape.wmc_batch_layered(&ws, layer_threads)
-                } else {
-                    tape.wmc_batch(&ws)
-                };
-                return answers.into_iter().map(QueryAnswer::Wmc).collect();
-            }
-            if queries.iter().all(|q| matches!(q, Query::Marginals(_))) {
-                let ws: Vec<&LitWeights> = queries
-                    .iter()
-                    .map(|q| match q {
-                        Query::Marginals(w) => w,
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect();
-                let tape = self.tape();
-                let answers = if layer_threads > 1 {
-                    tape.marginals_batch_layered(&ws, layer_threads)
-                } else {
-                    tape.marginals_batch(&ws)
-                };
-                return answers
-                    .into_iter()
-                    .map(|(wmc, marginals)| QueryAnswer::Marginals { wmc, marginals })
-                    .collect();
-            }
-            if queries
-                .iter()
-                .all(|q| matches!(q, Query::ModelCountUnder(_)))
-            {
-                let pas: Vec<&trl_core::PartialAssignment> = queries
-                    .iter()
-                    .map(|q| match q {
-                        Query::ModelCountUnder(pa) => pa,
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect();
-                return self
-                    .tape()
-                    .model_count_under_batch(&pas)
-                    .into_iter()
-                    .map(QueryAnswer::ModelCount)
-                    .collect();
-            }
-            if queries.iter().all(|q| matches!(q, Query::MaxWeight(_))) {
-                // Sequential lanes whatever `layer_threads` says: MPE has
-                // no layered sweep.
-                let ws: Vec<&LitWeights> = queries
-                    .iter()
-                    .map(|q| match q {
-                        Query::MaxWeight(w) => w,
-                        _ => unreachable!("checked above"),
-                    })
-                    .collect();
-                return self
-                    .tape()
-                    .max_weight_batch(&ws)
-                    .into_iter()
-                    .map(QueryAnswer::MaxWeight)
-                    .collect();
-            }
-            if queries.iter().all(|q| matches!(q, Query::ModelCount)) {
-                // Parameterless: one sweep answers the whole group.
-                let count = self.tape().model_count();
-                return vec![QueryAnswer::ModelCount(count); queries.len()];
+        let mut sum_product: Vec<SumProductLane> = Vec::new();
+        let mut mpe: Vec<&LitWeights> = Vec::new();
+        for query in queries {
+            match query {
+                Query::Sat => {}
+                Query::ModelCount => sum_product.push(SumProductLane::Count),
+                Query::ModelCountUnder(pa) => sum_product.push(SumProductLane::CountUnder(pa)),
+                Query::Wmc(w) => sum_product.push(SumProductLane::Wmc(w)),
+                Query::Marginals(w) => sum_product.push(SumProductLane::Marginals(w)),
+                Query::MaxWeight(w) => mpe.push(w),
+                // Role-2/3 queries never reach a circuit: `Query::validate`
+                // only checks universes, but the executor's typed-artifact
+                // dispatch ([`crate::Artifact::validate`]) rejects the kind
+                // mismatch before any answer path runs.
+                _ => panic!(
+                    "query kind {} requires a {} artifact, not a circuit",
+                    query.kind(),
+                    query.artifact_kind().name()
+                ),
             }
         }
-        queries.iter().map(|q| self.answer(q)).collect()
+        let mut sum_product = if sum_product.is_empty() {
+            Vec::new()
+        } else if layer_threads > 1 {
+            self.tape()
+                .sum_product_batch_layered(&sum_product, layer_threads)
+        } else {
+            self.tape().sum_product_batch(&sum_product)
+        }
+        .into_iter();
+        let mut mpe = if mpe.is_empty() {
+            Vec::new()
+        } else {
+            self.tape().max_weight_batch(&mpe)
+        }
+        .into_iter();
+        queries
+            .iter()
+            .map(|query| match query {
+                Query::Sat => QueryAnswer::Sat(self.sat()),
+                Query::MaxWeight(_) => {
+                    QueryAnswer::MaxWeight(mpe.next().expect("one MPE answer per query"))
+                }
+                _ => match sum_product
+                    .next()
+                    .expect("one answer per sum-product query")
+                {
+                    SumProductAnswer::Wmc(x) => QueryAnswer::Wmc(x),
+                    SumProductAnswer::Count(n) => QueryAnswer::ModelCount(n),
+                    SumProductAnswer::Marginals { wmc, marginals } => {
+                        QueryAnswer::Marginals { wmc, marginals }
+                    }
+                },
+            })
+            .collect()
     }
 }
 
@@ -257,8 +226,10 @@ mod tests {
             assert!(!p.smoothing_materialized());
             assert_eq!(p.retained_nodes(), p.raw().node_count());
 
-            // SAT reads the raw arena and never builds the tape.
+            // SAT reads the raw arena once and never builds the tape.
+            assert!(p.sat.get().is_none());
             assert_eq!(p.answer(&Query::Sat), QueryAnswer::Sat(true));
+            assert_eq!(p.sat.get(), Some(&true), "SAT is remembered");
             assert!(!p.smoothing_materialized());
 
             // The first count or MPE query builds it, exactly once.
@@ -297,15 +268,35 @@ mod tests {
             }
         }
 
-        // Mixed groups fall back to per-query answering.
+        // Mixed groups share the kernels and answer as the scalar
+        // oracles on the raw circuit do.
+        let c = p.raw().clone();
+        let mut pa = PartialAssignment::new(5);
+        pa.assign(trl_core::Var(3).negative());
+        let mut w = LitWeights::unit(5);
+        w.set(trl_core::Var(2).positive(), 0.3);
+        w.set(trl_core::Var(2).negative(), 0.7);
         let mixed = vec![
             Query::Sat,
             Query::ModelCount,
             Query::Wmc(LitWeights::unit(5)),
+            Query::MaxWeight(w.clone()),
+            Query::ModelCountUnder(pa.clone()),
+            Query::Marginals(w.clone()),
+            Query::Sat,
         ];
-        let batched = p.answer_batch(&mixed, 1);
-        for (q, got) in mixed.iter().zip(&batched) {
-            assert_eq!(*got, p.answer(q));
+        let (wmc, marginals) = c.wmc_marginals(&w);
+        let expect = vec![
+            QueryAnswer::Sat(c.sat_dnnf()),
+            QueryAnswer::ModelCount(c.model_count()),
+            QueryAnswer::Wmc(c.wmc(&LitWeights::unit(5))),
+            QueryAnswer::MaxWeight(c.max_weight(&w)),
+            QueryAnswer::ModelCount(c.model_count_under(&pa)),
+            QueryAnswer::Marginals { wmc, marginals },
+            QueryAnswer::Sat(c.sat_dnnf()),
+        ];
+        for layer_threads in [1, 3] {
+            assert_eq!(p.answer_batch(&mixed, layer_threads), expect);
         }
     }
 }

@@ -16,33 +16,50 @@
 //!   child reads then advance roughly monotonically through the previous
 //!   layers instead of hopping across them, which keeps the sweep inside
 //!   the cache lines it just filled.
-//! * **Lane batching with explicit SIMD** — [`EvalTape::wmc_batch`] and
-//!   friends give every node a `[f64; LANES]` value plane and answer
-//!   `LANES` queries per tape scan. The per-node inner loops run on the
-//!   widest [`LaneBackend`] the CPU supports — one AVX-512 register or two
-//!   AVX2 registers per plane on `x86_64`, four NEON registers on
-//!   `aarch64` — with the plain `[f64; 8]` scalar-lane path always
-//!   compiled as the bit-identical fallback (and the only path when the
-//!   `simd` cargo feature is off).
+//! * **One sum-product lane kernel** — [`EvalTape::sum_product_batch`]
+//!   gives every node a `[f64; LANES]` value plane and answers `LANES`
+//!   queries per tape scan, whatever their kind. On a smooth d-DNNF a model
+//!   count is WMC under 0/1 literal weights, so each lane holds one of
+//!   three inputs ([`SumProductLane`]): a weight table (WMC, marginals),
+//!   evidence read as 0/1 leaves (count under evidence), or unit weights
+//!   (model count). A marginals lane additionally asks for the backward
+//!   derivative pass, which runs only for a lane group holding one, and
+//!   only such lanes accumulate literal marginals. Count lanes are exact in
+//!   `f64` while `num_vars ≤ 53` (`f64::MANTISSA_DIGITS`): every node of a
+//!   smooth, deterministic, decomposable circuit counts at most
+//!   `2^num_vars` models, so every partial product and partial sum is an
+//!   integer `f64` represents exactly. Count lanes of wider circuits take a
+//!   `u128` lane sweep instead (counted as `kernel.u128_sweeps`).
+//!   [`EvalTape::max_weight_batch`] runs the same forward loop as a
+//!   max-product instance for MPE.
+//! * **Explicit SIMD** — the per-node inner loops run on the widest
+//!   [`LaneBackend`] the CPU supports — one AVX-512 register or two AVX2
+//!   registers per plane on `x86_64`, four NEON registers on `aarch64` —
+//!   with the plain `[f64; 8]` scalar-lane path always compiled as the
+//!   bit-identical fallback (and the only path when the `simd` cargo
+//!   feature is off).
 //! * **Layer scheduling on a persistent pool** — nodes are stored grouped
 //!   by dependency depth (children always in strictly earlier layers), so
-//!   each layer is a contiguous block that [`EvalTape::wmc_batch_layered`]
-//!   fans out across the persistent [`SweepPool`]: workers claim chunks of
-//!   each layer off a shared cursor (chunked work-stealing) and meet at
-//!   one barrier per layer. No threads are spawned per sweep.
+//!   each layer is a contiguous block that
+//!   [`EvalTape::sum_product_batch_layered`] fans out across the persistent
+//!   [`SweepPool`]: workers claim chunks of each layer off a shared cursor
+//!   (chunked work-stealing) and meet at one barrier per layer. No threads
+//!   are spawned per sweep.
 //!
-//! Every kernel returns answers **bit-identical** to the corresponding
-//! scalar entry point in [`crate::queries`] (`wmc_presmoothed`,
+//! Every lane answers **bit-identically** to the corresponding scalar
+//! oracle in [`crate::queries`] (`wmc_presmoothed`,
 //! `model_count_presmoothed`, `model_count_under_presmoothed`,
-//! `wmc_marginals_presmoothed`, and — for the max-product sweep of
-//! [`EvalTape::max_weight_batch`], value and assignment —
-//! `max_weight_presmoothed`): per node, the same floating-point
-//! operations run in the same per-lane order on every backend and under
-//! every schedule, the order-sensitive derivative accumulation of the
-//! marginal kernel replays the original arena order via a stored
+//! `wmc_marginals_presmoothed`, and — value and assignment —
+//! `max_weight_presmoothed`), whatever else shares its lane group: per
+//! node, the same floating-point operations run in the same per-lane order
+//! on every backend and under every schedule, the order-sensitive
+//! derivative accumulation replays the original arena order via a stored
 //! permutation, and the MPE traceback walks the oracle's traversal order.
-//! `crates/nnf/tests/kernel_equiv.rs` and `tests/kernel_props.rs` assert
-//! this across the crosscheck corpus, for every supported backend.
+//! The one-query scalar tape passes ([`EvalTape::wmc`],
+//! [`EvalTape::model_count`], [`EvalTape::model_count_under`]) are kept as
+//! test oracles only. `crates/nnf/tests/kernel_equiv.rs` and
+//! `tests/kernel_props.rs` assert all of this across the crosscheck
+//! corpus, for every supported backend.
 //!
 //! Preconditions match the `_presmoothed` queries: the circuit must be
 //! decomposable, deterministic, and already smooth with the root covering
@@ -90,6 +107,88 @@ fn sweep_span_name(backend: LaneBackend) -> &'static str {
         LaneBackend::Avx512 => "kernel.sweep.avx512",
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         LaneBackend::Neon => "kernel.sweep.neon",
+    }
+}
+
+/// The widest variable universe whose count lanes stay in `f64`: every
+/// integer up to `2^53` is exact in `f64`, and no node of a smooth d-DNNF
+/// over `n` variables counts more than `2^n` models.
+const F64_EXACT_COUNT_VARS: usize = f64::MANTISSA_DIGITS as usize;
+
+/// One query of a sum-product lane group: what
+/// [`EvalTape::sum_product_batch`] sweeps in one lane.
+#[derive(Clone, Copy, Debug)]
+pub enum SumProductLane<'a> {
+    /// Weighted model count under the literal weights.
+    Wmc(&'a LitWeights),
+    /// WMC plus every literal's marginal (the backward derivative pass).
+    Marginals(&'a LitWeights),
+    /// Model count over the circuit's universe: unit literal weights.
+    Count,
+    /// Model count under evidence: a literal the evidence falsifies
+    /// weighs 0, every other literal 1.
+    CountUnder(&'a PartialAssignment),
+}
+
+impl SumProductLane<'_> {
+    fn is_count(&self) -> bool {
+        matches!(self, SumProductLane::Count | SumProductLane::CountUnder(_))
+    }
+
+    fn leaves(&self) -> Leaves<'_> {
+        match *self {
+            SumProductLane::Wmc(w) | SumProductLane::Marginals(w) => Leaves::Weights(w),
+            SumProductLane::Count => Leaves::Unit,
+            SumProductLane::CountUnder(pa) => Leaves::Evidence(pa),
+        }
+    }
+}
+
+/// The answer of one [`SumProductLane`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum SumProductAnswer {
+    /// The weighted model count.
+    Wmc(f64),
+    /// The weighted model count and, per variable,
+    /// `(WMC(Δ∧v), WMC(Δ∧¬v))`.
+    Marginals {
+        /// The total weighted model count.
+        wmc: f64,
+        /// Per-variable literal marginals.
+        marginals: Vec<(f64, f64)>,
+    },
+    /// An exact model count.
+    Count(u128),
+}
+
+/// The literal values one lane's leaves take.
+#[derive(Clone, Copy)]
+enum Leaves<'a> {
+    Weights(&'a LitWeights),
+    Evidence(&'a PartialAssignment),
+    Unit,
+}
+
+impl Leaves<'_> {
+    /// The literal's value in an `f64` lane.
+    #[inline(always)]
+    fn weight(&self, l: Lit) -> f64 {
+        match *self {
+            Leaves::Weights(w) => w.get(l),
+            Leaves::Evidence(pa) if pa.eval(l) == Some(false) => 0.0,
+            Leaves::Evidence(_) | Leaves::Unit => 1.0,
+        }
+    }
+
+    /// The literal's value in a `u128` count lane: 0 where the evidence
+    /// falsifies it, else 1.
+    #[inline(always)]
+    fn count(&self, l: Lit) -> u128 {
+        match *self {
+            Leaves::Evidence(pa) => (pa.eval(l) != Some(false)) as u128,
+            Leaves::Unit => 1,
+            Leaves::Weights(_) => unreachable!("weight tables never take a count lane"),
+        }
     }
 }
 
@@ -479,21 +578,181 @@ impl EvalTape {
     // Lane-batched kernels: LANES queries per scan, SIMD per node.
     // ------------------------------------------------------------------
 
-    /// Answers one WMC query per weight table, `LANES` at a time: a single
-    /// tape scan fills every lane of a `[f64; LANES]` value plane through
-    /// the active [`LaneBackend`], so the traversal cost is amortized
-    /// across the group and each node's arithmetic runs on the widest
-    /// vector unit available. Answers are bit-identical to calling
-    /// [`EvalTape::wmc`] per table, on every backend.
+    /// Answers every sum-product query — WMC, marginals, model counts
+    /// with or without evidence, in any mix — `LANES` at a time: one tape
+    /// scan fills every lane of a `[f64; LANES]` value plane through the
+    /// active [`LaneBackend`], so the traversal cost is amortized across
+    /// the group and each node's arithmetic runs on the widest vector unit
+    /// available. The derivative pass runs only for a lane group holding a
+    /// [`SumProductLane::Marginals`] lane. Answers come back in input
+    /// order, each bit-identical to its scalar oracle on every backend
+    /// (counts: equal integers).
+    ///
+    /// Count lanes of a circuit over more than 53 variables would not be
+    /// exact in `f64`; they are answered by a separate `u128` lane sweep.
+    pub fn sum_product_batch(&self, lanes: &[SumProductLane<'_>]) -> Vec<SumProductAnswer> {
+        self.sum_product(lanes, None)
+    }
+
+    /// [`EvalTape::sum_product_batch`] with each dependency layer of the
+    /// forward sweep fanned out across up to `threads` workers of the
+    /// process-global persistent [`SweepPool`] (chunked work-stealing
+    /// within a layer, one barrier per layer, no thread spawned per
+    /// sweep). Intended for large circuits, where a layer holds enough
+    /// nodes to amortize the synchronization; answers remain
+    /// bit-identical because every node still runs the same per-node
+    /// arithmetic — only the schedule changes. The order-sensitive
+    /// derivative pass stays sequential. Falls back to the sequential
+    /// kernel when fewer than two workers are available (`threads <= 1`,
+    /// or a single-CPU host whose global pool has size 1).
+    pub fn sum_product_batch_layered(
+        &self,
+        lanes: &[SumProductLane<'_>],
+        threads: usize,
+    ) -> Vec<SumProductAnswer> {
+        self.sum_product_batch_pooled(lanes, SweepPool::global(), threads)
+    }
+
+    /// [`EvalTape::sum_product_batch_layered`] against an explicit pool —
+    /// the entry point tests and benchmarks use to exercise real worker
+    /// threads regardless of the host's CPU count.
+    pub fn sum_product_batch_pooled(
+        &self,
+        lanes: &[SumProductLane<'_>],
+        pool: &SweepPool,
+        threads: usize,
+    ) -> Vec<SumProductAnswer> {
+        self.sum_product(lanes, self.layered_schedule(pool, threads))
+    }
+
+    /// WMC per weight table: [`EvalTape::sum_product_batch`] over
+    /// [`SumProductLane::Wmc`] lanes.
     pub fn wmc_batch(&self, weights: &[&LitWeights]) -> Vec<f64> {
+        self.wmc_lanes(weights, None)
+    }
+
+    /// WMC per weight table on the layered schedule:
+    /// [`EvalTape::sum_product_batch_layered`] over WMC lanes.
+    pub fn wmc_batch_layered(&self, weights: &[&LitWeights], threads: usize) -> Vec<f64> {
+        self.wmc_batch_pooled(weights, SweepPool::global(), threads)
+    }
+
+    /// [`EvalTape::wmc_batch_layered`] against an explicit pool.
+    pub fn wmc_batch_pooled(
+        &self,
+        weights: &[&LitWeights],
+        pool: &SweepPool,
+        threads: usize,
+    ) -> Vec<f64> {
+        self.wmc_lanes(weights, self.layered_schedule(pool, threads))
+    }
+
+    /// The pool and participant count a layered sweep over `threads`
+    /// workers of `pool` runs with, or `None` for the sequential kernel
+    /// when fewer than two workers would take part.
+    fn layered_schedule<'p>(
+        &self,
+        pool: &'p SweepPool,
+        threads: usize,
+    ) -> Option<(&'p SweepPool, usize)> {
+        let participants = threads.min(pool.size());
+        (participants > 1 && self.len() >= 2).then_some((pool, participants))
+    }
+
+    fn wmc_lanes(&self, weights: &[&LitWeights], pool: Option<(&SweepPool, usize)>) -> Vec<f64> {
+        let lanes: Vec<SumProductLane> = weights.iter().map(|w| SumProductLane::Wmc(w)).collect();
+        self.sum_product(&lanes, pool)
+            .into_iter()
+            .map(|answer| match answer {
+                SumProductAnswer::Wmc(x) => x,
+                _ => unreachable!("a WMC lane answers a WMC"),
+            })
+            .collect()
+    }
+
+    /// WMC plus all literal marginals per weight table:
+    /// [`EvalTape::sum_product_batch`] over [`SumProductLane::Marginals`]
+    /// lanes, bit-identical to
+    /// [`Circuit::wmc_marginals_presmoothed`](crate::circuit::Circuit).
+    pub fn marginals_batch(&self, weights: &[&LitWeights]) -> Vec<(f64, Vec<(f64, f64)>)> {
+        let lanes: Vec<SumProductLane> = weights
+            .iter()
+            .map(|w| SumProductLane::Marginals(w))
+            .collect();
+        self.sum_product(&lanes, None)
+            .into_iter()
+            .map(|answer| match answer {
+                SumProductAnswer::Marginals { wmc, marginals } => (wmc, marginals),
+                _ => unreachable!("a marginals lane answers marginals"),
+            })
+            .collect()
+    }
+
+    /// The sum-product kernel on the sequential schedule (`pool` is
+    /// `None`) or fanned across `pool`'s first `participants` workers.
+    fn sum_product(
+        &self,
+        batch: &[SumProductLane<'_>],
+        pool: Option<(&SweepPool, usize)>,
+    ) -> Vec<SumProductAnswer> {
+        if self.num_vars > F64_EXACT_COUNT_VARS && batch.iter().any(SumProductLane::is_count) {
+            // Past 2^53 a count is no longer exact in f64: the count lanes
+            // take the u128 sweep, the rest the f64 lanes, and the answers
+            // are merged back into input order.
+            let (counts, rest): (Vec<SumProductLane>, Vec<SumProductLane>) =
+                batch.iter().partition(|q| q.is_count());
+            let counts: Vec<Leaves> = counts.iter().map(SumProductLane::leaves).collect();
+            let mut counts = self.count_lanes_u128(&counts).into_iter();
+            let mut rest = self.sum_product(&rest, pool).into_iter();
+            return batch
+                .iter()
+                .map(|q| {
+                    if q.is_count() {
+                        SumProductAnswer::Count(counts.next().expect("one count per lane"))
+                    } else {
+                        rest.next().expect("one answer per lane")
+                    }
+                })
+                .collect();
+        }
         let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
-        record_sweeps(weights.len());
-        let mut out = Vec::with_capacity(weights.len());
+        record_sweeps(batch.len());
+        let leaves: Vec<Leaves> = batch.iter().map(SumProductLane::leaves).collect();
+        let mut out = Vec::with_capacity(batch.len());
         let mut plane = PlaneBuf::new(self.len());
-        for group in weights.chunks(LANES) {
-            self.forward_lanes::<lanes::SumProduct>(group, &mut plane);
-            let root = &plane.planes()[self.root as usize];
-            out.extend_from_slice(&root[..group.len()]);
+        let mut der = Vec::new();
+        let mut prefix = Vec::new();
+        for (group, leaves) in batch.chunks(LANES).zip(leaves.chunks(LANES)) {
+            match pool {
+                Some((pool, participants)) => {
+                    self.forward_lanes_pooled(leaves, &mut plane, pool, participants)
+                }
+                None => self.forward_lanes::<lanes::SumProduct>(leaves, &mut plane),
+            }
+            let wants: [bool; LANES] = std::array::from_fn(|lane| {
+                matches!(group.get(lane), Some(SumProductLane::Marginals(_)))
+            });
+            let mut marginals = Vec::new();
+            if wants.contains(&true) {
+                self.derivative_lanes(plane.planes(), wants, &mut der, &mut prefix);
+                marginals = self.lit_marginals(group, &der);
+            }
+            let root = plane.planes()[self.root as usize];
+            let mut marginals = marginals.into_iter();
+            for (lane, q) in group.iter().enumerate() {
+                out.push(match q {
+                    SumProductLane::Wmc(_) => SumProductAnswer::Wmc(root[lane]),
+                    // Exact: an integer no greater than 2^53 (see
+                    // `F64_EXACT_COUNT_VARS`).
+                    SumProductLane::Count | SumProductLane::CountUnder(_) => {
+                        SumProductAnswer::Count(root[lane] as u128)
+                    }
+                    SumProductLane::Marginals(_) => SumProductAnswer::Marginals {
+                        wmc: root[lane],
+                        marginals: marginals.next().expect("one table per marginals lane"),
+                    },
+                });
+            }
         }
         out
     }
@@ -501,7 +760,7 @@ impl EvalTape {
     /// One lane-group forward sweep under the semiring `S`;
     /// `group.len() <= LANES`, dead lanes evaluate under all-zero literal
     /// weights and are never read back.
-    fn forward_lanes<S: lanes::Semiring>(&self, group: &[&LitWeights], plane: &mut PlaneBuf) {
+    fn forward_lanes<S: lanes::Semiring>(&self, group: &[Leaves<'_>], plane: &mut PlaneBuf) {
         debug_assert!(group.len() <= LANES && plane.len == self.len());
         // SAFETY: `plane` is exclusively borrowed and covers the tape, and
         // the full range is swept in layer order, so every child is
@@ -521,7 +780,7 @@ impl EvalTape {
     /// sit below `lo` when sweeping layer slices in order).
     unsafe fn sweep_range<S: lanes::Semiring>(
         &self,
-        group: &[&LitWeights],
+        group: &[Leaves<'_>],
         plane: *mut [f64; LANES],
         lo: usize,
         hi: usize,
@@ -552,7 +811,7 @@ impl EvalTape {
     #[inline(always)]
     unsafe fn sweep_range_with<S: lanes::Semiring, O: lanes::LaneOps>(
         &self,
-        group: &[&LitWeights],
+        group: &[Leaves<'_>],
         plane: *mut [f64; LANES],
         lo: usize,
         hi: usize,
@@ -579,10 +838,10 @@ impl EvalTape {
                 Op::True | Op::And => O::store(out, O::splat(1.0)),
             }
         }
-        for (lane, w) in group.iter().enumerate() {
+        for (lane, leaves) in group.iter().enumerate() {
             for i in lo..leaf_hi {
                 if *ops.add(i) == Op::Lit {
-                    *(plane.add(i) as *mut f64).add(lane) = w.get(*lits.add(i));
+                    *(plane.add(i) as *mut f64).add(lane) = leaves.weight(*lits.add(i));
                 }
             }
         }
@@ -602,8 +861,8 @@ impl EvalTape {
                     // lanes in a stack buffer, publish with one store.
                     let l = *lits.add(i);
                     let mut vals = [0.0f64; LANES];
-                    for (lane, w) in group.iter().enumerate() {
-                        vals[lane] = w.get(l);
+                    for (lane, leaves) in group.iter().enumerate() {
+                        vals[lane] = leaves.weight(l);
                     }
                     O::store(out, O::load(vals.as_ptr()));
                 }
@@ -625,7 +884,7 @@ impl EvalTape {
     #[target_feature(enable = "avx2")]
     unsafe fn sweep_range_avx2<S: lanes::Semiring>(
         &self,
-        group: &[&LitWeights],
+        group: &[Leaves<'_>],
         plane: *mut [f64; LANES],
         lo: usize,
         hi: usize,
@@ -642,7 +901,7 @@ impl EvalTape {
     #[target_feature(enable = "avx512f")]
     unsafe fn sweep_range_avx512<S: lanes::Semiring>(
         &self,
-        group: &[&LitWeights],
+        group: &[Leaves<'_>],
         plane: *mut [f64; LANES],
         lo: usize,
         hi: usize,
@@ -662,7 +921,8 @@ impl EvalTape {
         let mut out = Vec::with_capacity(weights.len());
         let mut plane = PlaneBuf::new(self.len());
         let mut stack = Vec::new();
-        for group in weights.chunks(LANES) {
+        let leaves: Vec<Leaves> = weights.iter().map(|w| Leaves::Weights(w)).collect();
+        for group in leaves.chunks(LANES) {
             self.forward_lanes::<lanes::MaxProduct>(group, &mut plane);
             let planes = plane.planes();
             for lane in 0..group.len() {
@@ -705,19 +965,20 @@ impl EvalTape {
         a
     }
 
-    /// Lane-batched model counting under evidence: one plane scan per group
-    /// of up to `LANES` partial assignments, each node holding one `u128`
-    /// per query actually in the group (a group of two sweeps two lanes,
-    /// not eight). Counts are exact, so agreement with the scalar kernels
-    /// is plain equality.
-    pub fn model_count_under_batch(&self, evidence: &[&PartialAssignment]) -> Vec<u128> {
+    /// The exact `u128` lane sweep for count lanes (unit or evidence
+    /// leaves) of circuits too wide for exact `f64` counts: one plane scan
+    /// per group of up to `LANES` lanes, each node holding one `u128` per
+    /// lane actually in the group (a group of two sweeps two lanes, not
+    /// eight).
+    fn count_lanes_u128(&self, lanes: &[Leaves<'_>]) -> Vec<u128> {
         // Exact u128 counting never touches the SIMD lanes, so the span
         // carries its own name rather than the backend's.
         let _sweep = trl_obs::trace_span("kernel.sweep.count");
-        record_sweeps(evidence.len());
-        let mut out = Vec::with_capacity(evidence.len());
-        let mut plane = vec![0u128; self.len() * evidence.len().min(LANES)];
-        for group in evidence.chunks(LANES) {
+        record_sweeps(lanes.len());
+        trl_obs::counter!("kernel.u128_sweeps").add(lanes.len().div_ceil(LANES) as u64);
+        let mut out = Vec::with_capacity(lanes.len());
+        let mut plane = vec![0u128; self.len() * lanes.len().min(LANES)];
+        for group in lanes.chunks(LANES) {
             let k = group.len();
             for i in 0..self.len() {
                 let (below, rest) = plane.split_at_mut(i * k);
@@ -727,8 +988,8 @@ impl EvalTape {
                     Op::True => acc.fill(1),
                     Op::Lit => {
                         let l = self.lits[i];
-                        for (a, pa) in acc.iter_mut().zip(group) {
-                            *a = (pa.eval(l) != Some(false)) as u128;
+                        for (a, leaves) in acc.iter_mut().zip(group) {
+                            *a = leaves.count(l);
                         }
                     }
                     Op::And => {
@@ -756,49 +1017,31 @@ impl EvalTape {
         out
     }
 
-    /// Lane-batched marginals: one upward plane sweep plus one downward
-    /// derivative sweep per group of `LANES` weight tables. Bit-identical
-    /// to [`Circuit::wmc_marginals_presmoothed`](crate::circuit::Circuit)
-    /// per lane: the downward pass replays the original arena order and
-    /// skips zero derivatives exactly like the scalar code.
-    pub fn marginals_batch(&self, weights: &[&LitWeights]) -> Vec<(f64, Vec<(f64, f64)>)> {
-        let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
-        record_sweeps(weights.len());
-        let n = self.num_vars;
-        let mut out = Vec::with_capacity(weights.len());
-        let mut plane = PlaneBuf::new(self.len());
-        let mut der = vec![[0.0f64; LANES]; self.len()];
-        let mut prefix: Vec<[f64; LANES]> = Vec::new();
-        for group in weights.chunks(LANES) {
-            self.forward_lanes::<lanes::SumProduct>(group, &mut plane);
-            self.derivative_lanes(plane.planes(), &mut der, &mut prefix);
-            // Per-lane literal marginal accumulation, leaves in arena order
-            // (layer 0 is stably sorted, so tape order agrees).
-            let mut marginals = vec![vec![(0.0f64, 0.0f64); n]; group.len()];
-            self.accumulate_lit_marginals(group, &der, &mut marginals);
-            let root = plane.planes()[self.root as usize];
-            for (lane, m) in marginals.into_iter().enumerate() {
-                out.push((root[lane], m));
-            }
-        }
-        out
-    }
-
-    /// Folds each literal slot's weighted derivative into the per-lane
-    /// marginal table (positive/negative split per variable).
-    fn accumulate_lit_marginals(
+    /// The literal marginal tables of a group's marginals lanes, in lane
+    /// order: each literal slot's weighted derivative folded into its
+    /// variable's (positive, negative) pair, leaves in arena order (layer
+    /// 0 is stably sorted, so tape order agrees).
+    fn lit_marginals(
         &self,
-        group: &[&LitWeights],
+        group: &[SumProductLane<'_>],
         der: &[[f64; LANES]],
-        marginals: &mut [Vec<(f64, f64)>],
-    ) {
+    ) -> Vec<Vec<(f64, f64)>> {
+        let wanted: Vec<(usize, &LitWeights)> = group
+            .iter()
+            .enumerate()
+            .filter_map(|(lane, q)| match q {
+                SumProductLane::Marginals(w) => Some((lane, *w)),
+                _ => None,
+            })
+            .collect();
+        let mut marginals = vec![vec![(0.0f64, 0.0f64); self.num_vars]; wanted.len()];
         for ((op, l), d) in self.ops.iter().zip(&self.lits).zip(der) {
             if *op != Op::Lit {
                 continue;
             }
-            for (lane, w) in group.iter().enumerate() {
+            for (table, &(lane, w)) in marginals.iter_mut().zip(&wanted) {
                 let m = w.get(*l) * d[lane];
-                let slot = &mut marginals[lane][l.var().index()];
+                let slot = &mut table[l.var().index()];
                 if l.is_positive() {
                     slot.0 += m;
                 } else {
@@ -806,20 +1049,23 @@ impl EvalTape {
                 }
             }
         }
+        marginals
     }
 
-    /// The downward derivative sweep shared by the marginal kernels. The
-    /// accumulation into a child's derivative is order-sensitive, so the
-    /// sweep replays the reverse of the original arena order.
+    /// The downward derivative sweep of the lanes flagged in `wants`; the
+    /// other lanes' derivatives stay 0 throughout. The accumulation into a
+    /// child's derivative is order-sensitive, so the sweep replays the
+    /// reverse of the original arena order.
     fn derivative_lanes(
         &self,
         plane: &[[f64; LANES]],
+        wants: [bool; LANES],
         der: &mut Vec<[f64; LANES]>,
         prefix: &mut Vec<[f64; LANES]>,
     ) {
         der.clear();
         der.resize(self.len(), [0.0; LANES]);
-        der[self.root as usize] = [1.0; LANES];
+        der[self.root as usize] = wants.map(|w| if w { 1.0 } else { 0.0 });
         for &t in self.arena_order.iter().rev() {
             let i = t as usize;
             let d = der[i];
@@ -866,89 +1112,8 @@ impl EvalTape {
     }
 
     // ------------------------------------------------------------------
-    // Layer-parallel kernels: one lane group, many cores, zero spawns.
+    // Layer-parallel forward sweep: one lane group, many cores, zero spawns.
     // ------------------------------------------------------------------
-
-    /// [`EvalTape::wmc_batch`] with each dependency layer fanned out
-    /// across up to `threads` workers of the process-global persistent
-    /// [`SweepPool`] (chunked work-stealing within a layer, one barrier
-    /// per layer, no thread spawned per sweep). Intended for large
-    /// circuits, where a layer holds enough nodes to amortize the
-    /// synchronization; answers remain bit-identical because every node
-    /// still runs the same per-node arithmetic — only the schedule
-    /// changes. Falls back to the sequential lane-batched kernel when
-    /// fewer than two workers are available (`threads <= 1`, or a
-    /// single-CPU host whose global pool has size 1).
-    pub fn wmc_batch_layered(&self, weights: &[&LitWeights], threads: usize) -> Vec<f64> {
-        self.wmc_batch_pooled(weights, SweepPool::global(), threads)
-    }
-
-    /// [`EvalTape::wmc_batch_layered`] against an explicit pool — the
-    /// entry point tests and benchmarks use to exercise real worker
-    /// threads regardless of the host's CPU count.
-    pub fn wmc_batch_pooled(
-        &self,
-        weights: &[&LitWeights],
-        pool: &SweepPool,
-        threads: usize,
-    ) -> Vec<f64> {
-        let participants = threads.min(pool.size());
-        if participants <= 1 || self.len() < 2 {
-            return self.wmc_batch(weights);
-        }
-        let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
-        record_sweeps(weights.len());
-        let mut out = Vec::with_capacity(weights.len());
-        let mut plane = PlaneBuf::new(self.len());
-        for group in weights.chunks(LANES) {
-            self.forward_lanes_pooled(group, &mut plane, pool, participants);
-            let root = &plane.planes()[self.root as usize];
-            out.extend_from_slice(&root[..group.len()]);
-        }
-        out
-    }
-
-    /// Layer-parallel marginals: the upward sweep fans out across the
-    /// pool; the order-sensitive downward sweep stays sequential so the
-    /// derivative accumulation replays the arena order bit-for-bit.
-    pub fn marginals_batch_layered(
-        &self,
-        weights: &[&LitWeights],
-        threads: usize,
-    ) -> Vec<(f64, Vec<(f64, f64)>)> {
-        self.marginals_batch_pooled(weights, SweepPool::global(), threads)
-    }
-
-    /// [`EvalTape::marginals_batch_layered`] against an explicit pool.
-    pub fn marginals_batch_pooled(
-        &self,
-        weights: &[&LitWeights],
-        pool: &SweepPool,
-        threads: usize,
-    ) -> Vec<(f64, Vec<(f64, f64)>)> {
-        let participants = threads.min(pool.size());
-        if participants <= 1 || self.len() < 2 {
-            return self.marginals_batch(weights);
-        }
-        let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
-        record_sweeps(weights.len());
-        let n = self.num_vars;
-        let mut plane = PlaneBuf::new(self.len());
-        let mut der = vec![[0.0f64; LANES]; self.len()];
-        let mut prefix: Vec<[f64; LANES]> = Vec::new();
-        let mut out = Vec::with_capacity(weights.len());
-        for group in weights.chunks(LANES) {
-            self.forward_lanes_pooled(group, &mut plane, pool, participants);
-            self.derivative_lanes(plane.planes(), &mut der, &mut prefix);
-            let mut marginals = vec![vec![(0.0f64, 0.0f64); n]; group.len()];
-            self.accumulate_lit_marginals(group, &der, &mut marginals);
-            let root = plane.planes()[self.root as usize];
-            for (lane, m) in marginals.into_iter().enumerate() {
-                out.push((root[lane], m));
-            }
-        }
-        out
-    }
 
     /// The pooled layered forward sweep: `participants` pool workers
     /// (caller included) claim [`POOL_CHUNK`]-slot chunks of each
@@ -959,7 +1124,7 @@ impl EvalTape {
     /// (counted as `kernel.pool_steals`).
     fn forward_lanes_pooled(
         &self,
-        group: &[&LitWeights],
+        group: &[Leaves<'_>],
         plane: &mut PlaneBuf,
         pool: &SweepPool,
         participants: usize,
@@ -1351,6 +1516,23 @@ mod tests {
         b.finish(root)
     }
 
+    fn marginal_lanes<'a>(weights: &[&'a LitWeights]) -> Vec<SumProductLane<'a>> {
+        weights
+            .iter()
+            .map(|w| SumProductLane::Marginals(w))
+            .collect()
+    }
+
+    fn marginals_of(answers: Vec<SumProductAnswer>) -> Vec<(f64, Vec<(f64, f64)>)> {
+        answers
+            .into_iter()
+            .map(|a| match a {
+                SumProductAnswer::Marginals { wmc, marginals } => (wmc, marginals),
+                other => panic!("not a marginals answer: {other:?}"),
+            })
+            .collect()
+    }
+
     fn skewed(n: usize, seed: u64) -> LitWeights {
         let mut rng = SplitMix64::new(seed);
         let mut w = LitWeights::unit(n);
@@ -1434,7 +1616,7 @@ mod tests {
             assert_eq!(layered[i].to_bits(), scalar.to_bits(), "layered {i}");
         }
         let marg_b = tape.marginals_batch(&refs);
-        let marg_l = tape.marginals_batch_layered(&refs, 3);
+        let marg_l = marginals_of(tape.sum_product_batch_layered(&marginal_lanes(&refs), 3));
         for (i, w) in weights.iter().enumerate() {
             let scalar = c.wmc_marginals_presmoothed(w);
             assert_eq!(marg_b[i].0.to_bits(), scalar.0.to_bits());
@@ -1493,7 +1675,8 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         let marg_seq = tape.marginals_batch(&refs);
-        let marg_pool = tape.marginals_batch_pooled(&refs, &pool, 3);
+        let marg_pool =
+            marginals_of(tape.sum_product_batch_pooled(&marginal_lanes(&refs), &pool, 3));
         for (a, b) in marg_pool.iter().zip(&marg_seq) {
             assert_eq!(a.0.to_bits(), b.0.to_bits());
             assert_eq!(a.1, b.1);
@@ -1516,8 +1699,14 @@ mod tests {
         pb.assign(v(0).negative());
         pb.assign(v(1).negative());
         let empty = PartialAssignment::new(2);
-        let batch = tape.model_count_under_batch(&[&empty, &pa, &pb]);
-        assert_eq!(batch, vec![3, 2, 0]);
+        let batch = tape.sum_product_batch(&[
+            SumProductLane::CountUnder(&empty),
+            SumProductLane::CountUnder(&pa),
+            SumProductLane::CountUnder(&pb),
+            SumProductLane::Count,
+        ]);
+        let counts = [3, 2, 0, 3].map(SumProductAnswer::Count);
+        assert_eq!(batch, counts);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //!   and minimum cardinality;
 //! * [`kernel`] — the serving-grade evaluation kernels: the reachable
 //!   arena linearized into a cache-ordered, layer-grouped instruction tape
-//!   ([`EvalTape`]), swept by scalar, lane-batched ([`LANES`] queries per
-//!   scan, dispatched to the widest supported [`LaneBackend`]), and
-//!   layer-parallel kernels running on the persistent [`SweepPool`] —
-//!   every variant bit-identical to the scalar [`queries`].
+//!   ([`EvalTape`]), swept by one lane-batched sum-product kernel for
+//!   counts, WMC and marginals in any mix ([`LANES`] queries per scan,
+//!   dispatched to the widest supported [`LaneBackend`], optionally
+//!   layer-parallel on the persistent [`SweepPool`]) and its max-product
+//!   twin for MPE — every lane bit-identical to the scalar [`queries`].
 
 pub mod circuit;
 pub mod kernel;
@@ -39,7 +40,7 @@ pub mod simd;
 pub mod taxonomy;
 
 pub use circuit::{Circuit, CircuitBuilder, NnfId, NnfNode};
-pub use kernel::{EvalTape, LANES};
+pub use kernel::{EvalTape, SumProductAnswer, SumProductLane, LANES};
 pub use pool::SweepPool;
 pub use properties::smooth;
 pub use queries::LitWeights;

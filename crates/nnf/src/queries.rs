@@ -152,7 +152,9 @@ impl Circuit {
                 NnfNode::False => 0.0,
                 NnfNode::Lit(l) => w.get(*l),
                 NnfNode::And(xs) => xs.iter().map(|x| val[x.index()]).product(),
-                NnfNode::Or(xs) => xs.iter().map(|x| val[x.index()]).sum(),
+                // Folded from +0.0, like the tape kernels: `Sum for f64`
+                // starts at -0.0, which keeps an all-(-0.0) sum negative.
+                NnfNode::Or(xs) => xs.iter().fold(0.0, |acc, x| acc + val[x.index()]),
             };
         }
         val[self.root().index()]
@@ -238,7 +240,9 @@ impl Circuit {
                 NnfNode::False => 0.0,
                 NnfNode::Lit(l) => w.get(*l),
                 NnfNode::And(xs) => xs.iter().map(|x| val[x.index()]).product(),
-                NnfNode::Or(xs) => xs.iter().map(|x| val[x.index()]).sum(),
+                // Folded from +0.0, like the tape kernels: `Sum for f64`
+                // starts at -0.0, which keeps an all-(-0.0) sum negative.
+                NnfNode::Or(xs) => xs.iter().fold(0.0, |acc, x| acc + val[x.index()]),
             };
         }
         let mut der = vec![0.0f64; s.node_count()];

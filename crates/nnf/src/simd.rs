@@ -94,22 +94,18 @@ impl LaneBackend {
     /// Every backend this CPU supports, [`LaneBackend::Scalar`] first —
     /// the iteration set of the cross-backend identity tests.
     pub fn all_supported() -> Vec<LaneBackend> {
-        let mut all = vec![LaneBackend::Scalar];
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            for b in [LaneBackend::Avx2, LaneBackend::Avx512] {
-                if b.is_supported() {
-                    all.push(b);
-                }
-            }
-        }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        {
-            if LaneBackend::Neon.is_supported() {
-                all.push(LaneBackend::Neon);
-            }
-        }
-        all
+        [
+            LaneBackend::Scalar,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            LaneBackend::Avx2,
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            LaneBackend::Avx512,
+            #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+            LaneBackend::Neon,
+        ]
+        .into_iter()
+        .filter(|b| b.is_supported())
+        .collect()
     }
 
     /// A stable one-token name for logs and benchmark JSON.
@@ -136,6 +132,15 @@ mod tests {
         let all = LaneBackend::all_supported();
         assert_eq!(all[0], LaneBackend::Scalar);
         assert!(all.iter().all(|b| b.is_supported()));
+    }
+
+    /// Without the `simd` feature only the scalar backend exists, whatever
+    /// the CPU offers: this is what the feature-off build must test.
+    #[cfg(not(feature = "simd"))]
+    #[test]
+    fn without_the_simd_feature_only_scalar_is_supported() {
+        assert_eq!(LaneBackend::all_supported(), [LaneBackend::Scalar]);
+        assert_eq!(LaneBackend::detect(), LaneBackend::Scalar);
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! Every kernel variant — tape scalar, lane-batched, layer-parallel — must
 //! return answers **bit-identical** (`f64::to_bits`, exact `u128` equality)
 //! to the corresponding `queries.rs` entry point on the same smoothed
-//! circuit: WMC, model count, model count under evidence, and marginals.
+//! circuit: WMC, model count, model count under evidence, marginals and
+//! MPE — the sum-product kinds also when they share one lane group.
 //! The corpus is the same 50 deterministic instances the compiler's
 //! crosscheck suite sweeps, so any divergence pins to a seed.
 
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
-use trl_nnf::{smooth, Circuit, EvalTape, LaneBackend, LitWeights, LANES};
+use trl_nnf::{
+    smooth, Circuit, EvalTape, LaneBackend, LitWeights, SumProductAnswer, SumProductLane, LANES,
+};
 
 /// Per-variable weights skewed away from 1 so products differ per lane and
 /// rounding is actually exercised.
@@ -94,12 +97,17 @@ fn counting_kernels_match_scalar_queries() {
             "instance {i}"
         );
         assert_eq!(
-            tape.model_count_under_batch(&[&empty, &pa, &empty, &pa]),
+            tape.sum_product_batch(&[
+                SumProductLane::CountUnder(&empty),
+                SumProductLane::CountUnder(&pa),
+                SumProductLane::Count,
+                SumProductLane::CountUnder(&pa),
+            ]),
             vec![
-                smoothed.model_count_presmoothed(),
-                smoothed.model_count_under_presmoothed(&pa),
-                smoothed.model_count_presmoothed(),
-                smoothed.model_count_under_presmoothed(&pa),
+                SumProductAnswer::Count(smoothed.model_count_presmoothed()),
+                SumProductAnswer::Count(smoothed.model_count_under_presmoothed(&pa)),
+                SumProductAnswer::Count(smoothed.model_count_presmoothed()),
+                SumProductAnswer::Count(smoothed.model_count_under_presmoothed(&pa)),
             ],
             "instance {i}"
         );
@@ -133,10 +141,17 @@ fn marginal_kernels_bit_match_scalar_queries() {
             .map(|w| as_bits(&tape.marginals(w)))
             .collect();
         let batched: Vec<_> = tape.marginals_batch(&refs).iter().map(as_bits).collect();
+        let lanes: Vec<SumProductLane> =
+            refs.iter().map(|w| SumProductLane::Marginals(w)).collect();
         let layered: Vec<_> = tape
-            .marginals_batch_layered(&refs, 3)
+            .sum_product_batch_layered(&lanes, 3)
             .iter()
-            .map(as_bits)
+            .map(|a| match a {
+                SumProductAnswer::Marginals { wmc, marginals } => {
+                    as_bits(&(*wmc, marginals.clone()))
+                }
+                other => panic!("instance {i}: {other:?} for a marginals lane"),
+            })
             .collect();
         assert_eq!(tape_scalar, expect, "instance {i}: tape scalar diverged");
         assert_eq!(batched, expect, "instance {i}: lane-batched diverged");
@@ -285,4 +300,105 @@ fn max_weight_kernel_bit_matches_scalar_oracle_on_every_backend() {
         }
     }
     assert!(saw_unsat, "the corpus includes an unsatisfiable circuit");
+}
+
+/// The weight families of the mixed-group test, one per `k % 4`: skewed
+/// (no zeros), a literal weighing `0.0`, one weighing `-0.0`, and one
+/// weighing `+∞` (its products with zero-valued nodes are NaN, which must
+/// come out as the same bits too).
+fn edge_weights(n: usize, seed: u64, k: usize) -> LitWeights {
+    let mut w = skewed_weights(n, seed);
+    let v = Var((k % n) as u32);
+    match k % 4 {
+        0 => {}
+        1 => w.set(v.positive(), 0.0),
+        2 => w.set(v.negative(), -0.0),
+        _ => w.set(v.positive(), f64::INFINITY),
+    }
+    w
+}
+
+/// A sum-product answer as comparable bits: a kind tag, then every `f64`
+/// as its bit pattern, or the exact count.
+fn sum_product_bits(answer: &SumProductAnswer) -> Vec<u128> {
+    match answer {
+        SumProductAnswer::Wmc(x) => vec![0, x.to_bits().into()],
+        SumProductAnswer::Count(n) => vec![1, *n],
+        SumProductAnswer::Marginals { wmc, marginals } => [2, wmc.to_bits().into()]
+            .into_iter()
+            .chain(
+                marginals
+                    .iter()
+                    .flat_map(|(p, q)| [p.to_bits().into(), q.to_bits().into()]),
+            )
+            .collect(),
+    }
+}
+
+/// Lane groups mixing all four sum-product kinds, where only some lanes
+/// ask for marginals, answer every lane bit for bit as its own scalar
+/// oracle does — on every supported backend, sequentially and
+/// layer-parallel, for groups of 1, 3, 8 and 13 lanes (the last crossing
+/// a group boundary), across the corpus plus an unsatisfiable circuit.
+#[test]
+fn mixed_sum_product_groups_bit_match_scalar_oracles_on_every_backend() {
+    let mut circuits = corpus();
+    let unsat = trl_prop::Cnf::parse_dimacs("p cnf 3 3\n1 2 0\n-1 0\n-2 0\n").unwrap();
+    circuits.push((3, DecisionDnnfCompiler::default().compile(&unsat)));
+    for (i, (n, circuit)) in circuits.into_iter().enumerate() {
+        let smoothed = smooth(&circuit);
+        let weights: Vec<LitWeights> = (0..13)
+            .map(|k| edge_weights(n, (i * 53 + k) as u64, k))
+            .collect();
+        let evidence: Vec<PartialAssignment> = (0..13).map(|k| evidence(n, i + k)).collect();
+        // Kinds rotate with a period (5) prime to the weight families (4),
+        // so every kind meets every weight family.
+        let lanes: Vec<SumProductLane> = (0..13)
+            .map(|k| match k % 5 {
+                0 | 3 => SumProductLane::Wmc(&weights[k]),
+                1 => SumProductLane::Marginals(&weights[k]),
+                2 => SumProductLane::CountUnder(&evidence[k]),
+                _ => SumProductLane::Count,
+            })
+            .collect();
+        let expect: Vec<Vec<u128>> = lanes
+            .iter()
+            .map(|lane| {
+                sum_product_bits(&match *lane {
+                    SumProductLane::Wmc(w) => SumProductAnswer::Wmc(smoothed.wmc_presmoothed(w)),
+                    SumProductLane::Marginals(w) => {
+                        let (wmc, marginals) = smoothed.wmc_marginals_presmoothed(w);
+                        SumProductAnswer::Marginals { wmc, marginals }
+                    }
+                    SumProductLane::Count => {
+                        SumProductAnswer::Count(smoothed.model_count_presmoothed())
+                    }
+                    SumProductLane::CountUnder(pa) => {
+                        SumProductAnswer::Count(smoothed.model_count_under_presmoothed(pa))
+                    }
+                })
+            })
+            .collect();
+        for backend in LaneBackend::all_supported() {
+            let mut tape = EvalTape::new(&smoothed);
+            tape.set_lane_backend(backend);
+            for group in [1, 3, 8, 13] {
+                let name = backend.name();
+                for (schedule, got) in [
+                    ("lanes", tape.sum_product_batch(&lanes[..group])),
+                    (
+                        "layered",
+                        tape.sum_product_batch_layered(&lanes[..group], 3),
+                    ),
+                ] {
+                    let got: Vec<Vec<u128>> = got.iter().map(sum_product_bits).collect();
+                    assert_eq!(
+                        got,
+                        expect[..group],
+                        "instance {i}: {name} {schedule} group of {group}"
+                    );
+                }
+            }
+        }
+    }
 }

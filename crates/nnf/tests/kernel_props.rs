@@ -15,7 +15,9 @@
 
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
-use trl_nnf::{smooth, EvalTape, LaneBackend, LitWeights, SweepPool, LANES};
+use trl_nnf::{
+    smooth, EvalTape, LaneBackend, LitWeights, SumProductAnswer, SumProductLane, SweepPool, LANES,
+};
 
 const CASES: u64 = 60;
 
@@ -45,6 +47,23 @@ fn random_evidence(rng: &mut SplitMix64, n: usize) -> PartialAssignment {
         }
     }
     pa
+}
+
+fn marginal_lanes<'a>(weights: &[&'a LitWeights]) -> Vec<SumProductLane<'a>> {
+    weights
+        .iter()
+        .map(|w| SumProductLane::Marginals(w))
+        .collect()
+}
+
+fn marginals_of(answers: Vec<SumProductAnswer>) -> Vec<(f64, Vec<(f64, f64)>)> {
+    answers
+        .into_iter()
+        .map(|a| match a {
+            SumProductAnswer::Marginals { wmc, marginals } => (wmc, marginals),
+            other => panic!("{other:?} for a marginals lane"),
+        })
+        .collect()
 }
 
 #[test]
@@ -103,8 +122,8 @@ fn kernels_bit_match_scalar_on_random_instances() {
             ),
             ("marginals_batch", tape.marginals_batch(&refs)),
             (
-                "marginals_batch_layered",
-                tape.marginals_batch_layered(&refs, threads),
+                "sum_product_batch_layered",
+                marginals_of(tape.sum_product_batch_layered(&marginal_lanes(&refs), threads)),
             ),
         ] {
             let got: Vec<(u64, Vec<(u64, u64)>)> = got
@@ -139,10 +158,17 @@ fn kernels_bit_match_scalar_on_random_instances() {
             .map(|pa| tape.model_count_under(pa))
             .collect();
         assert_eq!(scalar, expect, "seed {seed}: model_count_under");
+        let lanes: Vec<SumProductLane> = erefs
+            .iter()
+            .map(|pa| SumProductLane::CountUnder(pa))
+            .collect();
         assert_eq!(
-            tape.model_count_under_batch(&erefs),
-            expect,
-            "seed {seed}: model_count_under_batch"
+            tape.sum_product_batch(&lanes),
+            expect
+                .iter()
+                .map(|&n| SumProductAnswer::Count(n))
+                .collect::<Vec<_>>(),
+            "seed {seed}: sum_product_batch counts under evidence"
         );
 
         // Evidence counting agrees with brute-force model filtering.
@@ -224,8 +250,12 @@ fn backend_and_schedule_matrix_bit_matches_scalar() {
             for (schedule, got) in [
                 ("marginals_batch", tape.marginals_batch(&refs)),
                 (
-                    "marginals_batch_pooled",
-                    tape.marginals_batch_pooled(&refs, &pool, participants),
+                    "sum_product_batch_pooled",
+                    marginals_of(tape.sum_product_batch_pooled(
+                        &marginal_lanes(&refs),
+                        &pool,
+                        participants,
+                    )),
                 ),
             ] {
                 let got: Vec<(u64, Vec<(u64, u64)>)> = got
@@ -242,8 +272,8 @@ fn backend_and_schedule_matrix_bit_matches_scalar() {
                 assert_eq!(got, expect_marg, "seed {seed}: {name} {schedule}");
             }
             assert_eq!(
-                tape.model_count_under_batch(&[&pa]),
-                vec![expect_under],
+                tape.sum_product_batch(&[SumProductLane::CountUnder(&pa)]),
+                vec![SumProductAnswer::Count(expect_under)],
                 "seed {seed}: {name} count under evidence"
             );
         }
@@ -303,6 +333,100 @@ fn max_weight_kernel_bit_matches_scalar_on_random_instances() {
                 "seed {seed}: {} max_weight_batch",
                 backend.name()
             );
+        }
+    }
+}
+
+/// Random mixed sum-product lane groups against the scalar oracles: every
+/// lane draws its kind (WMC, marginals, count, count under evidence), so
+/// only some lanes of a group ask for marginals; weights draw exact `0.0`,
+/// `-0.0` and `+∞`; batch sizes and participant counts are random. Every
+/// supported backend, sequential and on a private pool; every lane must
+/// match its own oracle bit for bit (counts: equal integers).
+#[test]
+fn mixed_sum_product_lanes_bit_match_scalar_on_random_instances() {
+    let pool = SweepPool::new(3);
+    let bits = |a: &SumProductAnswer| -> Vec<u128> {
+        match a {
+            SumProductAnswer::Wmc(x) => vec![0, x.to_bits().into()],
+            SumProductAnswer::Count(n) => vec![1, *n],
+            SumProductAnswer::Marginals { wmc, marginals } => [2, wmc.to_bits().into()]
+                .into_iter()
+                .chain(
+                    marginals
+                        .iter()
+                        .flat_map(|(p, q)| [p.to_bits().into(), q.to_bits().into()]),
+                )
+                .collect(),
+        }
+    };
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(0x5a3d_0000 ^ seed);
+        let n = 3 + rng.below(8);
+        let m = 1 + rng.below(3 * n + 1);
+        let cnf = trl_prop::gen::random_cnf(&mut rng, n, m, 3);
+        let circuit = DecisionDnnfCompiler::default().compile(&cnf);
+        let smoothed = smooth(&circuit);
+
+        let batch = 1 + rng.below(2 * LANES);
+        let participants = 2 + rng.below(2);
+        let weights: Vec<LitWeights> = (0..batch)
+            .map(|_| {
+                let mut w = random_weights(&mut rng, n);
+                for v in 0..n as u32 {
+                    for lit in [Var(v).positive(), Var(v).negative()] {
+                        match rng.below(16) {
+                            0 => w.set(lit, -0.0),
+                            1 => w.set(lit, f64::INFINITY),
+                            _ => {}
+                        }
+                    }
+                }
+                w
+            })
+            .collect();
+        let evidence: Vec<PartialAssignment> =
+            (0..batch).map(|_| random_evidence(&mut rng, n)).collect();
+        let lanes: Vec<SumProductLane> = (0..batch)
+            .map(|k| match rng.below(4) {
+                0 => SumProductLane::Wmc(&weights[k]),
+                1 => SumProductLane::Marginals(&weights[k]),
+                2 => SumProductLane::CountUnder(&evidence[k]),
+                _ => SumProductLane::Count,
+            })
+            .collect();
+        let expect: Vec<Vec<u128>> = lanes
+            .iter()
+            .map(|lane| {
+                bits(&match *lane {
+                    SumProductLane::Wmc(w) => SumProductAnswer::Wmc(smoothed.wmc_presmoothed(w)),
+                    SumProductLane::Marginals(w) => {
+                        let (wmc, marginals) = smoothed.wmc_marginals_presmoothed(w);
+                        SumProductAnswer::Marginals { wmc, marginals }
+                    }
+                    SumProductLane::Count => {
+                        SumProductAnswer::Count(smoothed.model_count_presmoothed())
+                    }
+                    SumProductLane::CountUnder(pa) => {
+                        SumProductAnswer::Count(smoothed.model_count_under_presmoothed(pa))
+                    }
+                })
+            })
+            .collect();
+        for backend in LaneBackend::all_supported() {
+            let mut tape = EvalTape::new(&smoothed);
+            tape.set_lane_backend(backend);
+            let name = backend.name();
+            for (schedule, got) in [
+                ("sum_product_batch", tape.sum_product_batch(&lanes)),
+                (
+                    "sum_product_batch_pooled",
+                    tape.sum_product_batch_pooled(&lanes, &pool, participants),
+                ),
+            ] {
+                let got: Vec<Vec<u128>> = got.iter().map(bits).collect();
+                assert_eq!(got, expect, "seed {seed}: {name} {schedule}");
+            }
         }
     }
 }

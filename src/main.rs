@@ -33,8 +33,8 @@
 //! `.nnf` extension), re-verifies the d-DNNF properties unless `--trust`,
 //! and answers the requested queries through the batched executor — either
 //! from flags or, with `--batch`, from a file of one query per line (which
-//! exercises the lane-batched kernel path: same-kind queries are grouped
-//! into shared tape sweeps). `serve` runs the `trl-server` TCP frontend
+//! exercises the lane-batched kernel path: counts, WMC and marginals share
+//! one tape sweep, MPE queries another). `serve` runs the `trl-server` TCP frontend
 //! over a shared engine; `client` speaks its wire protocol (a `client
 //! query` compiles server-side first — a registry hit when already
 //! resident — and prints answers in exactly the local `query` format, so
@@ -1315,9 +1315,10 @@ fn print_stats(addr: &str, s: &StatsSnapshot) {
         counter("compiler.cache_hits") + counter("compiler.cache_misses"),
     );
     println!(
-        "  kernel     {} tape builds, {} sweeps, {} lanes filled, {} pooled sweeps ({} steals)",
+        "  kernel     {} tape builds, {} sweeps ({} u128), {} lanes filled, {} pooled sweeps ({} steals)",
         counter("kernel.tape_builds"),
         counter("kernel.sweeps"),
+        counter("kernel.u128_sweeps"),
         counter("kernel.lanes_filled"),
         counter("kernel.pool_sweeps"),
         counter("kernel.pool_steals"),
