@@ -100,9 +100,10 @@ impl Engine {
     /// An engine with the given retained-node budget and worker count;
     /// `None` workers defaults to one per hardware thread
     /// ([`Executor::with_default_workers`]). The workers serve
-    /// asynchronous submissions (the `submit_*` methods — the network
-    /// server's path); in-process callers of [`Engine::run_batch`] and
-    /// [`Engine::run_artifact_batch`] bring their own threads and are
+    /// asynchronous submissions (the `submit_*` methods) and the network
+    /// server's artifact builds ([`Executor::execute`]); callers of
+    /// [`Engine::run_batch`] and [`Engine::run_artifact_batch`] — the
+    /// server's reactors among them — bring their own threads and are
     /// answered on them.
     pub fn new(max_retained_nodes: usize, workers: Option<usize>) -> Self {
         // Zero-valued minimize.* and trace.* rows from the first snapshot
@@ -384,21 +385,6 @@ impl Engine {
         F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
     {
         self.executor.submit(artifact, queries, None, on_done)
-    }
-
-    /// [`Engine::submit_artifact_batch`] carrying a sampled trace context
-    /// ([`Executor::submit`]).
-    pub fn submit_artifact_batch_traced<F>(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-        ctx: Option<trl_obs::TraceContext>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.executor.submit(artifact, queries, ctx, on_done)
     }
 
     /// The shared executor (for callers that manage circuits themselves).

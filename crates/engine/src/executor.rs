@@ -18,15 +18,19 @@
 //! job; only the thread differs:
 //!
 //! - [`Executor::run`] blocks and answers every job on the calling thread.
-//!   An in-process caller brings its own thread — one that would otherwise
-//!   sleep on a channel while a worker ran the same code — so a blocking
-//!   batch pays no channel send, no worker wake-up and no completion
-//!   channel, and one issued from inside a completion callback cannot
-//!   wait on the very worker that is running it.
+//!   A caller brings its own thread — one that would otherwise sleep on a
+//!   channel while a worker ran the same code — so a blocking batch pays
+//!   no channel send, no worker wake-up and no completion channel, and one
+//!   issued from inside a completion callback cannot wait on the very
+//!   worker that is running it. The network server's reactors answer
+//!   every query frame this way.
 //! - [`Executor::submit`] returns at once: its jobs go to the worker pool,
 //!   and a completion callback fires from the worker that answers the last
-//!   one — the path the readiness-driven network server uses so its
-//!   reactor threads never block.
+//!   one — for in-process callers that must not block.
+//!
+//! The same workers also run arbitrary tasks ([`Executor::execute`]): the
+//! network server's artifact builds (compile, learn, optimize), which can
+//! take arbitrarily long and so must not run on a reactor.
 //!
 //! The pool is deliberately dependency-free (std threads + `mpsc`): the
 //! workspace builds air-gapped.
@@ -382,6 +386,12 @@ fn run_job(job: &Job) -> impl Iterator<Item = (usize, QueryOutcome)> + '_ {
     )
 }
 
+/// What the pool's channel carries: a planned query job or a task.
+enum Work {
+    Job(Queued),
+    Task(Box<dyn FnOnce() + Send + 'static>),
+}
+
 /// A job in the pool's channel, with what the answering worker needs
 /// beyond the job itself.
 struct Queued {
@@ -483,9 +493,10 @@ fn kind_histogram(kind: usize) -> &'static trl_obs::Histogram {
 
 /// Answers query batches against shared immutable artifacts: on the
 /// calling thread ([`Executor::run`]) or on a fixed pool of worker threads
-/// ([`Executor::submit`]). Dropping the executor shuts the workers down.
+/// ([`Executor::submit`]), which also runs plain tasks
+/// ([`Executor::execute`]). Dropping the executor shuts the workers down.
 pub struct Executor {
-    tx: Option<Sender<Queued>>,
+    tx: Option<Sender<Work>>,
     workers: Vec<JoinHandle<()>>,
     /// Pool jobs submitted but not yet answered, across all callers — the
     /// pool's instantaneous backlog, surfaced as a serving stat.
@@ -507,7 +518,7 @@ impl Executor {
     /// [`Executor::submit`]; [`Executor::run`] answers on its caller.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (tx, rx) = channel::<Queued>();
+        let (tx, rx) = channel::<Work>();
         let rx = Arc::new(Mutex::new(rx));
         let in_flight = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
@@ -557,21 +568,27 @@ impl Executor {
         ex
     }
 
-    fn worker_loop(rx: &Mutex<Receiver<Queued>>, in_flight: &AtomicUsize) {
+    fn worker_loop(rx: &Mutex<Receiver<Work>>, in_flight: &AtomicUsize) {
         loop {
             // Hold the lock only to receive, never while answering.
-            let queued = match rx.lock() {
+            let work = match rx.lock() {
                 Ok(guard) => guard.recv(),
                 Err(_) => return, // a sibling panicked; shut down
             };
-            let Ok(Queued {
+            let Queued {
                 job,
                 submitted,
                 ctx,
                 pending,
-            }) = queued
-            else {
-                return; // executor dropped: no more jobs
+            } = match work {
+                Ok(Work::Job(queued)) => queued,
+                Ok(Work::Task(task)) => {
+                    // A panicking task must not take the worker with it:
+                    // the pool would shrink for every later caller.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+                    continue;
+                }
+                Err(_) => return, // executor dropped: no more jobs
             };
             let queue_wait = submitted.elapsed();
             trl_obs::histogram!("engine.queue_wait_us").record(queue_wait);
@@ -660,10 +677,8 @@ impl Executor {
     /// Validates and submits a batch to the worker pool without blocking:
     /// `on_done` fires on a worker thread (or inline, for an empty batch)
     /// once every query is answered, receiving outcomes in submission
-    /// order. This is the readiness-driven server's path — a reactor thread
-    /// submits a pipelined connection's queries as one batch and keeps
-    /// polling while the pool works. An invalid batch returns its error
-    /// and never fires `on_done`.
+    /// order. An invalid batch returns its error and never fires
+    /// `on_done`.
     ///
     /// A sampled `ctx` makes every job record its queue wait as a child
     /// span and installs the context on the answering worker, so
@@ -705,9 +720,19 @@ impl Executor {
                 ctx,
                 pending: Arc::clone(&pending),
             };
-            tx.send(queued).expect("worker pool alive");
+            tx.send(Work::Job(queued)).expect("worker pool alive");
         }
         Ok(())
+    }
+
+    /// Runs `task` on a pool worker and returns at once. Tasks and
+    /// [`Executor::submit`] jobs share one queue, in submission order; a
+    /// task does not count in [`Executor::queue_depth`]. A task that
+    /// panics is dropped and the worker carries on.
+    pub fn execute(&self, task: impl FnOnce() + Send + 'static) {
+        let tx = self.tx.as_ref().expect("executor is live until dropped");
+        tx.send(Work::Task(Box::new(task)))
+            .expect("worker pool alive");
     }
 
     /// Validates a batch and splits it into jobs. Every query must be
@@ -1151,6 +1176,24 @@ mod tests {
             vec![Query::SpaceCount(PartialAssignment::new(4))],
         );
         assert!(matches!(result, Err(EngineError::Structure(_))));
+    }
+
+    #[test]
+    fn tasks_run_on_the_pool_in_submission_order() {
+        let ex = Executor::new(1);
+        let (tx, rx) = channel();
+        for i in 0..4 {
+            let tx = tx.clone();
+            ex.execute(move || {
+                let name = std::thread::current().name().map(str::to_string);
+                let _ = tx.send((i, name));
+            });
+        }
+        drop(tx);
+        let ran: Vec<_> = rx.iter().collect();
+        let worker = Some("trl-engine-worker-0".to_string());
+        assert_eq!(ran, (0..4).map(|i| (i, worker.clone())).collect::<Vec<_>>());
+        assert_eq!(ex.queue_depth(), 0, "tasks never count as query jobs");
     }
 
     #[test]

@@ -212,6 +212,7 @@ enum Op {
 /// register access to a plane would span two cache lines seven times out
 /// of eight; aligning the first plane to a line boundary makes every
 /// plane line-exact (one plane is exactly one 64-byte line).
+#[derive(Default)]
 struct PlaneBuf {
     buf: Vec<f64>,
     /// Offset (in `f64`s) of the first aligned plane.
@@ -220,11 +221,31 @@ struct PlaneBuf {
     len: usize,
 }
 
+thread_local! {
+    /// Each thread's plane buffer, kept between sweeps.
+    static THREAD_PLANE: std::cell::Cell<PlaneBuf> = const {
+        std::cell::Cell::new(PlaneBuf { buf: Vec::new(), off: 0, len: 0 })
+    };
+}
+
 impl PlaneBuf {
-    fn new(len: usize) -> PlaneBuf {
-        let buf = vec![0.0f64; len * LANES + LANES - 1];
-        let off = buf.as_ptr().align_offset(64).min(LANES - 1);
-        PlaneBuf { buf, off, len }
+    /// Runs `f` on this thread's plane buffer, sized to `len` planes. The
+    /// buffer is reused from sweep to sweep and only grows; its contents
+    /// are never cleared, because every sweep stores each slot before it
+    /// reads that slot (children sit below their parents on the tape).
+    fn with_thread_plane<R>(len: usize, f: impl FnOnce(&mut PlaneBuf) -> R) -> R {
+        // Taken out, not borrowed: a nested sweep on this thread (none
+        // exists today) would get a fresh buffer instead of a panic.
+        let mut plane = THREAD_PLANE.with(std::cell::Cell::take);
+        let need = len * LANES + LANES - 1;
+        if plane.buf.len() < need {
+            plane.buf = vec![0.0f64; need];
+            plane.off = plane.buf.as_ptr().align_offset(64).min(LANES - 1);
+        }
+        plane.len = len;
+        let out = f(&mut plane);
+        THREAD_PLANE.with(|cell| cell.set(plane));
+        out
     }
 
     fn as_mut_ptr(&mut self) -> *mut [f64; LANES] {
@@ -718,16 +739,28 @@ impl EvalTape {
         let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
         record_sweeps(batch.len());
         let leaves: Vec<Leaves> = batch.iter().map(SumProductLane::leaves).collect();
+        PlaneBuf::with_thread_plane(self.len(), |plane| {
+            self.sum_product_on(batch, &leaves, pool, plane)
+        })
+    }
+
+    /// [`EvalTape::sum_product`]'s lane-group loop over one plane buffer.
+    fn sum_product_on(
+        &self,
+        batch: &[SumProductLane<'_>],
+        leaves: &[Leaves<'_>],
+        pool: Option<(&SweepPool, usize)>,
+        plane: &mut PlaneBuf,
+    ) -> Vec<SumProductAnswer> {
         let mut out = Vec::with_capacity(batch.len());
-        let mut plane = PlaneBuf::new(self.len());
         let mut der = Vec::new();
         let mut prefix = Vec::new();
         for (group, leaves) in batch.chunks(LANES).zip(leaves.chunks(LANES)) {
             match pool {
                 Some((pool, participants)) => {
-                    self.forward_lanes_pooled(leaves, &mut plane, pool, participants)
+                    self.forward_lanes_pooled(leaves, plane, pool, participants)
                 }
-                None => self.forward_lanes::<lanes::SumProduct>(leaves, &mut plane),
+                None => self.forward_lanes::<lanes::SumProduct>(leaves, plane),
             }
             let wants: [bool; LANES] = std::array::from_fn(|lane| {
                 matches!(group.get(lane), Some(SumProductLane::Marginals(_)))
@@ -919,20 +952,21 @@ impl EvalTape {
         let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
         record_sweeps(weights.len());
         let mut out = Vec::with_capacity(weights.len());
-        let mut plane = PlaneBuf::new(self.len());
         let mut stack = Vec::new();
         let leaves: Vec<Leaves> = weights.iter().map(|w| Leaves::Weights(w)).collect();
-        for group in leaves.chunks(LANES) {
-            self.forward_lanes::<lanes::MaxProduct>(group, &mut plane);
-            let planes = plane.planes();
-            for lane in 0..group.len() {
-                let value = planes[self.root as usize][lane];
-                out.push(
-                    (value != f64::NEG_INFINITY)
-                        .then(|| (value, self.argmax(planes, lane, &mut stack))),
-                );
+        PlaneBuf::with_thread_plane(self.len(), |plane| {
+            for group in leaves.chunks(LANES) {
+                self.forward_lanes::<lanes::MaxProduct>(group, plane);
+                let planes = plane.planes();
+                for lane in 0..group.len() {
+                    let value = planes[self.root as usize][lane];
+                    out.push(
+                        (value != f64::NEG_INFINITY)
+                            .then(|| (value, self.argmax(planes, lane, &mut stack))),
+                    );
+                }
             }
-        }
+        });
         out
     }
 

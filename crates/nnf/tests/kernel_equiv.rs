@@ -402,3 +402,79 @@ fn mixed_sum_product_groups_bit_match_scalar_oracles_on_every_backend() {
         }
     }
 }
+
+/// Every answer of one mixed sum-product batch and one MPE batch over
+/// `tape`, as comparable bits.
+fn sweep_bits(tape: &EvalTape, n: usize, seed: u64) -> (Vec<Vec<u128>>, Vec<MpeBits>) {
+    let weights: Vec<LitWeights> = (0..11)
+        .map(|k| edge_weights(n, seed + k as u64, k))
+        .collect();
+    let evidence: Vec<PartialAssignment> =
+        (0..11).map(|k| evidence(n, seed as usize + k)).collect();
+    let lanes: Vec<SumProductLane> = (0..11)
+        .map(|k| match k % 4 {
+            0 => SumProductLane::Wmc(&weights[k]),
+            1 => SumProductLane::Marginals(&weights[k]),
+            2 => SumProductLane::CountUnder(&evidence[k]),
+            _ => SumProductLane::Count,
+        })
+        .collect();
+    let mpe: Vec<LitWeights> = (0..11)
+        .map(|k| mpe_weights(n, seed + k as u64, k))
+        .collect();
+    let mpe: Vec<&LitWeights> = mpe.iter().collect();
+    let sum_product = tape
+        .sum_product_batch(&lanes)
+        .iter()
+        .chain(&tape.sum_product_batch_layered(&lanes, 3))
+        .map(sum_product_bits)
+        .collect();
+    (
+        sum_product,
+        tape.max_weight_batch(&mpe).iter().map(mpe_bits).collect(),
+    )
+}
+
+/// Each thread keeps one plane buffer from sweep to sweep and never
+/// clears it. Sweeping a large tape, then a small one, then the large one
+/// again on one thread must answer — sum-product lanes with marginals,
+/// and MPE lanes — bit for bit as sweeps on fresh threads, whose buffers
+/// start empty, on every backend.
+#[test]
+fn reused_plane_buffers_answer_like_fresh_ones_on_every_backend() {
+    let mut rng = SplitMix64::new(0x91a2e);
+    let compiler = DecisionDnnfCompiler::default();
+    let (large_n, small_n) = (28, 6);
+    let large = smooth(&compiler.compile(&trl_prop::gen::random_cnf(&mut rng, large_n, 40, 6)));
+    let small = smooth(&compiler.compile(&trl_prop::gen::random_cnf(&mut rng, small_n, 8, 3)));
+    for backend in LaneBackend::all_supported() {
+        let mut large_tape = EvalTape::new(&large);
+        let mut small_tape = EvalTape::new(&small);
+        large_tape.set_lane_backend(backend);
+        small_tape.set_lane_backend(backend);
+        assert!(
+            large_tape.len() > 8 * small_tape.len(),
+            "tapes too alike: {} vs {}",
+            large_tape.len(),
+            small_tape.len()
+        );
+        // Different inputs per step, so a slot read before it is written
+        // would see another sweep's value.
+        let steps = [
+            (&large_tape, large_n, 1),
+            (&small_tape, small_n, 2),
+            (&large_tape, large_n, 3),
+        ];
+        let fresh: Vec<_> = steps
+            .iter()
+            .map(|&(tape, n, seed)| {
+                std::thread::scope(|s| s.spawn(|| sweep_bits(tape, n, seed)).join().unwrap())
+            })
+            .collect();
+        let reused: Vec<_> = steps
+            .iter()
+            .map(|&(tape, n, seed)| sweep_bits(tape, n, seed))
+            .collect();
+        assert_eq!(reused, fresh, "{}", backend.name());
+    }
+}

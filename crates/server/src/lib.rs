@@ -16,12 +16,13 @@
 //!   queries (role 3). Corrupt, truncated, or oversized frames yield typed
 //!   [`ProtocolError`]s, never panics, and floats travel as IEEE-754 bit
 //!   patterns so served answers are **bit-identical** to in-process ones;
-//! * [`server`] — a readiness-driven multiplexed TCP server with a bounded
-//!   connection-acceptance gate, per-connection stall deadlines, a
-//!   bounded submission queue that answers [`WireError::Overloaded`] when
-//!   full (backpressure instead of unbounded buffering), and graceful
-//!   shutdown that stops accepting, drains in-flight requests, and joins
-//!   every thread;
+//! * [`server`] — a readiness-driven multiplexed TCP server whose reactor
+//!   threads answer queries themselves and hand builds to the engine's
+//!   worker pool, with a bounded connection-acceptance gate,
+//!   per-connection stall deadlines, a bounded admission queue that
+//!   answers [`WireError::Overloaded`] when full (backpressure instead of
+//!   unbounded buffering), and graceful shutdown that stops accepting,
+//!   drains in-flight requests, and joins every thread;
 //! * [`client`] — a blocking client used by the `three-roles` CLI, the
 //!   examples, and the `bench_net` closed-loop load generator
 //!   (`BENCH_net.json`).

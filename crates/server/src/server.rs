@@ -15,26 +15,40 @@
 //!   machine accumulates partial frames in a read buffer, peels complete
 //!   frames off with [`crate::protocol::scan_frame`], and stages encoded
 //!   responses in a write buffer flushed as the socket allows. Idle
-//!   connections cost **zero** wakeups — the old 25 ms idle-poll loop (and
-//!   its `server.idle_wakeups` counter) is gone; shutdown and completed
-//!   work arrive through a per-reactor eventfd [`crate::reactor::Waker`];
+//!   connections cost **zero** wakeups; shutdown and finished builds
+//!   arrive through a per-reactor eventfd [`crate::reactor::Waker`];
+//! * **queries are answered on the reactor thread**: every query frame
+//!   (pipelined, `Query`, `Batch`, `Trace`) decoded in one readiness drain
+//!   is answered at the end of that drain through
+//!   [`Engine::run_artifact_batch`], and its response bytes go straight
+//!   into the write buffer — no hand-off to a worker and back. The cost:
+//!   a long batch holds up the other connections on its reactor, and one
+//!   connection's frames are answered one group after another on one
+//!   thread instead of fanning out across workers;
+//! * **builds run on the engine's workers**: compile, learn, space,
+//!   classifier and optimize requests become tasks on the executor's
+//!   fixed pool ([`trl_engine::Executor::execute`]), so a slow build never
+//!   stalls a reactor and no request spawns a thread. A finished build
+//!   returns its response through the reactor's inbox;
 //! * **pipelining**: a connection may have any number of frames in
 //!   flight. Pre-version-3 request kinds are answered strictly in arrival
-//!   order (a reorder buffer holds responses that complete early);
+//!   order (a reorder buffer holds responses that are ready early, such
+//!   as a query answered while a build before it still runs);
 //!   [`Request::PipelinedBatch`] frames carry a client-chosen id and are
-//!   answered the moment they complete, out of order. All pipelined
-//!   frames that arrive in one readiness drain for the same registry key
-//!   are **coalesced into a single executor submission**, so the engine's
-//!   lane-batched kernels see one big batch instead of many small ones;
-//! * a **bounded submission queue** guards the shared [`Engine`]: each
+//!   answered out of order. All pipelined frames that arrive in one
+//!   readiness drain for the same registry key are **coalesced into a
+//!   single executor batch**, so the engine's lane-batched kernels see one
+//!   big batch instead of many small ones;
+//! * a **bounded admission queue** guards the shared [`Engine`]: each
 //!   admitted query holds one unit of [`ServerConfig::queue_capacity`]
-//!   until answered. A frame that would exceed the bound is rejected with
-//!   a typed [`WireError::Overloaded`] response — backpressure, not
-//!   buffering — and the connection stays usable;
+//!   until answered, and each build one unit until it finishes. A frame
+//!   that would exceed the bound is rejected with a typed
+//!   [`WireError::Overloaded`] response — backpressure, not buffering —
+//!   and the connection stays usable;
 //! * **graceful shutdown** ([`ServerHandle::shutdown`], or a wire
 //!   [`Request::Shutdown`]) stops accepting, stops reading, lets every
-//!   in-flight request finish and flush its response, then joins the
-//!   accept thread, every reactor, and any outstanding compile threads.
+//!   in-flight build finish and flush its response, then joins the accept
+//!   thread and every reactor.
 //!
 //! Protocol-level failures (corrupt frame, oversized length prefix,
 //! version skew) are answered with a typed [`Response::Error`] frame where
@@ -56,7 +70,7 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use crate::reactor::{Event, Reactor, Waker};
-use trl_engine::{Artifact, Engine, EngineError, Query, QueryOutcome};
+use trl_engine::{Artifact, Engine, EngineError, Query};
 use trl_obs::{TraceContext, TraceSpanData};
 
 /// Tunables for a [`Server`]. The defaults suit tests and small
@@ -78,8 +92,9 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Ceiling on an inbound frame's payload length.
     pub max_frame_len: u32,
-    /// Reactor (event-loop) threads the connections are sharded across.
-    /// Zero means "pick from available parallelism".
+    /// Reactor (event-loop) threads the connections are sharded across;
+    /// each also answers its own connections' queries. Zero means one per
+    /// available hardware thread.
     pub reactors: usize,
     /// When set, any request whose handling time exceeds this threshold
     /// is logged to stderr as one JSON line with its span breakdown.
@@ -106,13 +121,14 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The reactor count after resolving `0` to a hardware-derived
-    /// default (capped: reactors are I/O multiplexers, not compute).
+    /// The reactor count after resolving `0` to one reactor per hardware
+    /// thread: reactors answer queries on their own threads, so they are
+    /// the query compute, not only I/O multiplexers.
     fn effective_reactors(&self) -> usize {
         if self.reactors > 0 {
             return self.reactors;
         }
-        std::thread::available_parallelism().map_or(1, |p| p.get().min(4))
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     }
 }
 
@@ -175,25 +191,19 @@ impl Gate {
     }
 }
 
-/// One encoded response frame headed back to a connection.
-///
-/// `seq` is `Some` for pre-version-3 request kinds, which the server
-/// answers strictly in arrival order (the sequence number is the
-/// request's arrival index on its connection); `None` for pipelined
-/// responses, which are written the moment they complete.
-type ResponseFrame = (Option<u64>, Vec<u8>);
-
-/// A completed piece of offloaded work (an executor batch or a compile),
-/// routed back to the owning reactor through its inbox.
+/// A finished build, routed back to the owning reactor through its inbox.
 struct Completion {
     /// The connection's registration token; stale tokens (the connection
     /// died first) are dropped.
     token: u64,
-    frames: Vec<ResponseFrame>,
+    /// The build request's arrival index on its connection.
+    seq: u64,
+    /// The encoded response frame.
+    bytes: Vec<u8>,
 }
 
 /// What other threads hand a reactor: fresh connections from the accept
-/// thread, completions from executor workers and compile threads.
+/// thread, finished builds from executor workers.
 #[derive(Default)]
 struct Inbox {
     conns: Vec<TcpStream>,
@@ -237,8 +247,6 @@ struct Shared {
     /// Queries admitted into the engine and not yet answered.
     admitted: AtomicUsize,
     reactors: Vec<Arc<ReactorShared>>,
-    /// Reactor threads plus any in-flight compile threads.
-    threads: Mutex<Vec<JoinHandle<()>>>,
     served: AtomicU64,
     overloaded: AtomicU64,
     connections: AtomicU64,
@@ -289,14 +297,6 @@ impl Shared {
     fn release_admitted(&self, n: usize) {
         self.admitted.fetch_sub(n, Ordering::AcqRel);
     }
-
-    /// Tracks a spawned thread (reactor or offloaded compile), reaping
-    /// finished handles so a long-lived server's list stays bounded.
-    fn track_thread(&self, handle: JoinHandle<()>) {
-        let mut threads = self.threads.lock().unwrap_or_else(|p| p.into_inner());
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
-    }
 }
 
 /// A running server. Bind with [`Server::bind`]; the returned
@@ -309,6 +309,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
+    reactor_threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -346,18 +347,19 @@ impl Server {
             conn_gate: Gate::new(),
             admitted: AtomicUsize::new(0),
             reactors,
-            threads: Mutex::new(Vec::new()),
             served: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             active: AtomicU64::new(0),
         });
+        let mut reactor_threads = Vec::with_capacity(num_reactors);
         for idx in 0..num_reactors {
             let reactor_shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("trl-server-reactor-{idx}"))
-                .spawn(move || reactor_loop(idx, &reactor_shared))?;
-            shared.track_thread(handle);
+            reactor_threads.push(
+                std::thread::Builder::new()
+                    .name(format!("trl-server-reactor-{idx}"))
+                    .spawn(move || reactor_loop(idx, &reactor_shared))?,
+            );
         }
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
@@ -367,6 +369,7 @@ impl Server {
             addr,
             shared,
             accept_thread: Some(accept_thread),
+            reactor_threads,
         })
     }
 }
@@ -417,14 +420,9 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let threads = std::mem::take(
-            &mut *self
-                .shared
-                .threads
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()),
-        );
-        for t in threads {
+        // A reactor exits only once every connection it owns has drained,
+        // in-flight builds included.
+        for t in self.reactor_threads.drain(..) {
             let _ = t.join();
         }
         self.counters()
@@ -516,8 +514,8 @@ struct Conn {
     /// Version stamped on the most recent request frame; responses echo
     /// it so a version-2 client never sees a version-3 header.
     version: u16,
-    /// Offloaded work items (executor batches, compiles) not yet
-    /// delivered back as completions.
+    /// Builds running on the executor's workers, not yet delivered back
+    /// as completions.
     in_flight: usize,
     /// Arrival index handed to the next ordered (pre-v3) request.
     next_seq: u64,
@@ -535,14 +533,20 @@ struct Conn {
     partial_since: Option<Instant>,
     /// When the current write backlog started stalling.
     blocked_since: Option<Instant>,
-    /// When the readiness drain that produced the frame currently being
-    /// dispatched began — the closest observable proxy for "the request's
-    /// bytes arrived", and the start instant of a traced request's root
-    /// span (so the root duration tracks client-observed latency).
+    /// When the current readiness drain began — the closest observable
+    /// proxy for "the request's bytes arrived", and the start instant of a
+    /// traced request's root span (so the root duration tracks
+    /// client-observed latency).
     drain_start: Instant,
 }
 
 impl Conn {
+    /// Hands out the next ordered (pre-v3) arrival index.
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
     /// Stages an ordered response, releasing any held successors that
     /// become eligible.
     fn enqueue_ordered(&mut self, seq: u64, bytes: Vec<u8>) {
@@ -613,13 +617,33 @@ impl Slab {
     }
 }
 
-/// Pipelined frames from one readiness drain, grouped per registry key so
-/// the executor sees one submission per (connection, key) instead of one
-/// per frame.
-struct PipelineGroup {
+/// Query frames from one readiness drain, staged to be answered as one
+/// executor batch at the end of the drain: pipelined frames coalesce per
+/// registry key, every other query frame is a group of its own.
+struct Group {
+    key: u64,
     artifact: Artifact,
-    /// `(request id, that frame's queries)` in arrival order.
-    segments: Vec<(u64, Vec<Query>)>,
+    /// Every staged frame's queries, in arrival order.
+    queries: Vec<Query>,
+    reply: Reply,
+    /// The protocol version the group's responses carry.
+    version: u16,
+    /// When the group's first frame was decoded; the wait from here to
+    /// the group's turn is its `engine.queue_wait` span.
+    decoded: Instant,
+}
+
+/// How a staged group's answers go back on the wire.
+enum Reply {
+    /// Pipelined frames, answered out of order: `(request id, query
+    /// count)` per coalesced frame, in arrival order.
+    Pipelined(Vec<(u64, usize)>),
+    /// A pre-version-3 `Query` (`single`) or `Batch` frame, answered at
+    /// its arrival index `seq`.
+    Ordered { seq: u64, single: bool },
+    /// A `Trace` frame, answered at `seq` with the server's span tree
+    /// rooted under the client's span.
+    Traced { seq: u64, client: TraceContext },
 }
 
 fn reactor_loop(idx: usize, shared: &Arc<Shared>) {
@@ -662,27 +686,19 @@ fn reactor_loop(idx: usize, shared: &Arc<Shared>) {
                 &mut scratch,
             );
         }
-        for completion in completions {
-            let Some(conn) = slab.get_mut(completion.token) else {
-                continue; // connection died before its work finished
+        for Completion { token, seq, bytes } in completions {
+            let Some(conn) = slab.get_mut(token) else {
+                continue; // connection died before its build finished
             };
             conn.in_flight -= 1;
-            shared
-                .served
-                .fetch_add(completion.frames.len() as u64, Ordering::Relaxed);
-            for (seq, bytes) in completion.frames {
-                match seq {
-                    Some(seq) => conn.enqueue_ordered(seq, bytes),
-                    None => conn.outbuf.extend_from_slice(&bytes),
-                }
-            }
+            deliver(conn, shared, Some(seq), bytes);
             flush(conn);
-            let slot = (completion.token & 0xffff_ffff) as usize;
+            let slot = (token & 0xffff_ffff) as usize;
             close_if_drained(&mut slab, slot, &reactor, shared, conn_gauge);
         }
 
         // 2. Shutdown turns every connection into drain mode: stop
-        // reading, finish in-flight work, flush, close. The sweep runs
+        // reading, finish in-flight builds, flush, close. The sweep runs
         // every iteration while draining so connections that raced the
         // flag (or finished their last completion) are reaped.
         if shared.shutdown.load(Ordering::Acquire) {
@@ -705,7 +721,7 @@ fn reactor_loop(idx: usize, shared: &Arc<Shared>) {
 
         // 3. Park. With no deadlines pending the wait is indefinite —
         // idle connections cost zero wakeups; the waker interrupts for
-        // new connections, completions, and shutdown.
+        // new connections, finished builds, and shutdown.
         let has_deadlines = slab
             .slots
             .iter()
@@ -897,9 +913,9 @@ fn read_drain(
 }
 
 /// Peels complete frames off the read buffer, dispatches each, and
-/// submits the drain's coalesced pipelined groups to the executor.
+/// answers the drain's staged query groups.
 fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorShared>) {
-    let mut groups: Vec<(u64, PipelineGroup)> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
     while !conn.read_closed && !conn.broken {
         match scan_frame(&conn.inbuf[conn.inpos..], shared.config.max_frame_len) {
             Ok(FrameScan::Incomplete { .. }) => break,
@@ -939,16 +955,15 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorSh
     } else {
         Some(Instant::now())
     };
-    for (_key, group) in groups {
-        submit_pipeline_group(conn, group, shared, rshared);
+    for group in groups {
+        answer(conn, group, shared);
     }
     flush(conn);
 }
 
 /// Typed rejection, then drain-and-close: framing cannot resync.
 fn protocol_reject(conn: &mut Conn, message: &str) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
+    let seq = conn.take_seq();
     let resp = Response::Error(WireError::Invalid(message.to_string()));
     conn.enqueue_ordered(seq, encode_response(&resp, conn.version));
     conn.read_closed = true;
@@ -963,13 +978,13 @@ fn encode_response(resp: &Response, version: u16) -> Vec<u8> {
 }
 
 /// Handles one decoded request. Inline kinds (ping, stats, shutdown,
-/// rejections) answer immediately; compiles offload to a thread; queries
-/// go to the executor — pre-v3 kinds individually and in order, pipelined
-/// batches out-of-order and coalesced per key via `groups`.
+/// rejections) answer immediately; builds go to the executor's workers;
+/// query frames are staged into `groups` and answered at the end of the
+/// drain.
 fn dispatch(
     conn: &mut Conn,
     request: Request,
-    groups: &mut Vec<(u64, PipelineGroup)>,
+    groups: &mut Vec<Group>,
     shared: &Arc<Shared>,
     rshared: &Arc<ReactorShared>,
 ) {
@@ -997,57 +1012,65 @@ fn dispatch(
             conn.read_closed = true;
             shared.begin_shutdown();
         }
-        Request::Compile(cnf) => {
-            trl_obs::counter!("server.requests.compile").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
-                }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_compile(conn.token, seq, conn.version, cnf, shared, rshared);
-                }
-            }
-        }
         Request::Query { key, query } => {
             trl_obs::counter!("server.requests.query").inc();
-            submit_ordered(conn, key, vec![query], true, shared, rshared);
+            let seq = conn.take_seq();
+            let reply = Reply::Ordered { seq, single: true };
+            stage(conn, key, vec![query], reply, groups, shared);
         }
         Request::Batch { key, queries } => {
             trl_obs::counter!("server.requests.batch").inc();
-            submit_ordered(conn, key, queries, false, shared, rshared);
+            let seq = conn.take_seq();
+            let reply = Reply::Ordered { seq, single: false };
+            stage(conn, key, queries, reply, groups, shared);
         }
         Request::PipelinedBatch { id, key, queries } => {
             trl_obs::counter!("server.requests.pipeline").inc();
             trl_obs::histogram!("server.pipeline.batch_size").record_us(queries.len() as u64);
-            stage_pipelined(conn, id, key, queries, groups, shared);
+            if queries.is_empty() {
+                let resp = Response::PipelinedBatch {
+                    id,
+                    result: Ok(Vec::new()),
+                };
+                deliver(conn, shared, None, encode_response(&resp, conn.version));
+                return;
+            }
+            let reply = Reply::Pipelined(vec![(id, queries.len())]);
+            stage(conn, key, queries, reply, groups, shared);
         }
+        Request::Trace { ctx, key, query } => {
+            trl_obs::counter!("server.requests.trace").inc();
+            let seq = conn.take_seq();
+            let reply = Reply::Traced { seq, client: ctx };
+            stage(conn, key, vec![query], reply, groups, shared);
+        }
+        Request::Compile(cnf) => {
+            trl_obs::counter!("server.requests.compile").inc();
+            start_build(conn, "compile", shared, rshared, move |e| {
+                let (key, circuit) = e.compile(&cnf);
+                Response::Compiled {
+                    key,
+                    num_vars: circuit.num_vars() as u32,
+                    nodes: circuit.raw().node_count() as u32,
+                    edges: circuit.raw().edge_count() as u32,
+                }
+            });
+        }
+        // Learning progress is wire-visible through the stats frame: the
+        // engine bumps `engine.learn.*` counters as the job runs.
         Request::LearnPsdd { cnf, alpha, data } => {
             trl_obs::counter!("server.requests.learn").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
+            start_build(conn, "learn", shared, rshared, move |e| {
+                match e.learn_psdd(&cnf, &data, alpha) {
+                    Ok((key, psdd)) => Response::Learned {
+                        key,
+                        num_vars: psdd.num_vars() as u32,
+                        nodes: psdd.node_count() as u32,
+                        log_likelihood: psdd.train_log_likelihood(),
+                    },
+                    Err(err) => Response::Error(engine_error_to_wire(err)),
                 }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_learn(
-                        conn.token,
-                        seq,
-                        conn.version,
-                        cnf,
-                        alpha,
-                        data,
-                        shared,
-                        rshared,
-                    );
-                }
-            }
+            });
         }
         Request::CompileSpace {
             num_nodes,
@@ -1056,70 +1079,52 @@ fn dispatch(
             t,
         } => {
             trl_obs::counter!("server.requests.space").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
+            start_build(conn, "space", shared, rshared, move |e| {
+                match e.compile_space(num_nodes as usize, &edges, s, t) {
+                    Ok((key, space)) => Response::SpaceCompiled {
+                        key,
+                        num_edge_vars: space.num_edge_vars() as u32,
+                        nodes: space.node_count() as u32,
+                        paths: space.path_count(),
+                    },
+                    Err(err) => Response::Error(engine_error_to_wire(err)),
                 }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_space(
-                        conn.token,
-                        seq,
-                        conn.version,
-                        num_nodes,
-                        edges,
-                        s,
-                        t,
-                        shared,
-                        rshared,
-                    );
-                }
-            }
+            });
         }
         Request::CompileClassifier(cnf) => {
             trl_obs::counter!("server.requests.classifier").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
+            start_build(conn, "classifier", shared, rshared, move |e| {
+                let (key, clf) = e.compile_classifier(&cnf);
+                Response::ClassifierCompiled {
+                    key,
+                    num_vars: clf.num_vars() as u32,
+                    nodes: clf.node_count() as u32,
                 }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_classifier(conn.token, seq, conn.version, cnf, shared, rshared);
-                }
-            }
+            });
         }
-        Request::Trace { ctx, key, query } => {
-            trl_obs::counter!("server.requests.trace").inc();
-            submit_traced(conn, ctx, key, query, shared, rshared);
-        }
+        // Sifting and vtree search can take the schedule's whole time
+        // budget; in-flight queries keep serving from the original circuit
+        // throughout.
         Request::Optimize { key } => {
             trl_obs::counter!("server.requests.optimize").inc();
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
             // Reject an unknown key on the reactor thread: no admission
-            // slot or build thread for a request that cannot do work.
+            // slot or worker for a request that cannot do work.
             if shared.engine.get(key).is_none() {
-                let bytes =
-                    encode_response(&Response::Error(WireError::UnknownKey(key)), conn.version);
-                enqueue_seq(conn, shared, seq, bytes);
+                respond_inline(conn, shared, &Response::Error(WireError::UnknownKey(key)));
                 return;
             }
-            match shared.try_admit(1) {
-                Err(e) => {
-                    let bytes = encode_response(&Response::Error(e), conn.version);
-                    enqueue_seq(conn, shared, seq, bytes);
+            start_build(conn, "optimize", shared, rshared, move |e| {
+                match e.optimize(key) {
+                    Ok(r) => Response::Optimized {
+                        key: r.key,
+                        nodes_before: r.nodes_before as u32,
+                        nodes_after: r.nodes_after as u32,
+                        swapped: r.swapped,
+                        wall_us: r.wall_us,
+                    },
+                    Err(err) => Response::Error(engine_error_to_wire(err)),
                 }
-                Ok(()) => {
-                    conn.in_flight += 1;
-                    spawn_optimize(conn.token, seq, conn.version, key, shared, rshared);
-                }
-            }
+            });
         }
     }
 }
@@ -1127,77 +1132,100 @@ fn dispatch(
 /// Stages an inline (order-preserving) response produced on the reactor
 /// thread itself.
 fn respond_inline(conn: &mut Conn, shared: &Arc<Shared>, resp: &Response) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
+    let seq = conn.take_seq();
     let bytes = encode_response(resp, conn.version);
-    enqueue_seq(conn, shared, seq, bytes);
+    deliver(conn, shared, Some(seq), bytes);
 }
 
-fn enqueue_seq(conn: &mut Conn, shared: &Arc<Shared>, seq: u64, bytes: Vec<u8>) {
+/// Stages one encoded response frame: at its arrival index `seq` for an
+/// ordered (pre-v3) request, straight into the write buffer for a
+/// pipelined one.
+fn deliver(conn: &mut Conn, shared: &Shared, seq: Option<u64>, bytes: Vec<u8>) {
     shared.served.fetch_add(1, Ordering::Relaxed);
-    conn.enqueue_ordered(seq, bytes);
+    match seq {
+        Some(seq) => conn.enqueue_ordered(seq, bytes),
+        None => conn.outbuf.extend_from_slice(&bytes),
+    }
 }
 
-/// Stages an out-of-order pipelined response.
-fn enqueue_pipelined(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    id: u64,
-    result: Result<Vec<trl_engine::QueryAnswer>, WireError>,
-) {
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    let resp = Response::PipelinedBatch { id, result };
-    let bytes = encode_response(&resp, conn.version);
-    conn.outbuf.extend_from_slice(&bytes);
+/// Answers every frame of `reply` with the typed error `e`.
+fn reply_error(conn: &mut Conn, shared: &Shared, reply: &Reply, version: u16, e: WireError) {
+    match reply {
+        Reply::Pipelined(frames) => {
+            for &(id, _) in frames {
+                let resp = Response::PipelinedBatch {
+                    id,
+                    result: Err(e.clone()),
+                };
+                deliver(conn, shared, None, encode_response(&resp, version));
+            }
+        }
+        Reply::Ordered { seq, .. } | Reply::Traced { seq, .. } => {
+            let bytes = encode_response(&Response::Error(e), version);
+            deliver(conn, shared, Some(*seq), bytes);
+        }
+    }
 }
 
-/// Validates, admits, and stages one pipelined frame into this drain's
-/// coalesced groups; failures answer immediately without touching the
-/// rest of the drain.
-fn stage_pipelined(
+/// Admits, validates and stages one query frame into this drain's
+/// groups: a pipelined frame joins an earlier pipelined frame's group for
+/// the same key, any other frame starts a group of its own. A failure
+/// answers the frame at once without touching the rest of the drain.
+fn stage(
     conn: &mut Conn,
-    id: u64,
     key: u64,
     queries: Vec<Query>,
-    groups: &mut Vec<(u64, PipelineGroup)>,
-    shared: &Arc<Shared>,
+    reply: Reply,
+    groups: &mut Vec<Group>,
+    shared: &Shared,
 ) {
-    if queries.is_empty() {
-        enqueue_pipelined(conn, shared, id, Ok(Vec::new()));
+    let version = conn.version;
+    let n = queries.len();
+    if let Err(e) = shared.try_admit(n) {
+        reply_error(conn, shared, &reply, version, e);
         return;
     }
-    if let Err(e) = shared.try_admit(queries.len()) {
-        enqueue_pipelined(conn, shared, id, Err(e));
-        return;
-    }
-    let artifact = match groups.iter().find(|(k, _)| *k == key) {
-        Some((_, g)) => g.artifact.clone(),
+    let joins = match reply {
+        Reply::Pipelined(_) => groups
+            .iter()
+            .position(|g| g.key == key && matches!(g.reply, Reply::Pipelined(_))),
+        _ => None,
+    };
+    let artifact = match joins.map(|i| groups[i].artifact.clone()) {
+        Some(a) => a,
         None => match shared.engine.get(key) {
             Some(a) => a,
             None => {
-                shared.release_admitted(queries.len());
-                enqueue_pipelined(conn, shared, id, Err(WireError::UnknownKey(key)));
+                shared.release_admitted(n);
+                reply_error(conn, shared, &reply, version, WireError::UnknownKey(key));
                 return;
             }
         },
     };
     // Per-frame validation up front (kind match and universe cover), so
-    // one malformed frame cannot poison the coalesced submission its
+    // one malformed frame cannot poison the coalesced batch its
     // neighbors ride in.
     if let Err(e) = queries.iter().try_for_each(|q| artifact.validate(q)) {
-        shared.release_admitted(queries.len());
-        enqueue_pipelined(conn, shared, id, Err(engine_error_to_wire(e)));
+        shared.release_admitted(n);
+        reply_error(conn, shared, &reply, version, engine_error_to_wire(e));
         return;
     }
-    match groups.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, g)) => g.segments.push((id, queries)),
-        None => groups.push((
+    match (joins, reply) {
+        (Some(i), Reply::Pipelined(frame)) => {
+            let group = &mut groups[i];
+            group.queries.extend(queries);
+            if let Reply::Pipelined(frames) = &mut group.reply {
+                frames.extend(frame);
+            }
+        }
+        (_, reply) => groups.push(Group {
             key,
-            PipelineGroup {
-                artifact,
-                segments: vec![(id, queries)],
-            },
-        )),
+            artifact,
+            queries,
+            reply,
+            version,
+            decoded: Instant::now(),
+        }),
     }
 }
 
@@ -1208,298 +1236,130 @@ fn engine_error_to_wire(e: EngineError) -> WireError {
     }
 }
 
-/// Submits one coalesced pipelined group: every staged frame's queries as
-/// a single executor batch, split back per frame on completion.
-fn submit_pipeline_group(
-    conn: &mut Conn,
-    group: PipelineGroup,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    let token = conn.token;
-    let version = conn.version;
-    let lens: Vec<(u64, usize)> = group
-        .segments
-        .iter()
-        .map(|(id, q)| (*id, q.len()))
-        .collect();
-    let ids: Vec<u64> = lens.iter().map(|(id, _)| *id).collect();
-    let total: usize = lens.iter().map(|(_, n)| n).sum();
-    let queries: Vec<Query> = group.segments.into_iter().flat_map(|(_, q)| q).collect();
-    let cb_shared = Arc::clone(shared);
-    let cb_rshared = Arc::clone(rshared);
-    let submitted = Instant::now();
-    let slow_query = shared.config.slow_query;
-    let drain_start = conn.drain_start;
-    let ctx = trl_obs::maybe_sample();
-    if let Some(ctx) = ctx {
-        trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
-    }
-    let result = shared.engine.submit_artifact_batch_traced(
-        &group.artifact,
+/// Answers one staged group on this reactor thread — its queries as one
+/// executor batch ([`Engine::run_artifact_batch`]) — and stages the
+/// response frames, split back per frame.
+///
+/// A sampled (or, for a `Trace` frame, forced) request records
+/// `reactor.drain` (drain start → frame decoded), `engine.queue_wait`
+/// (decoded → the group's turn), the executor's `executor.batch` and
+/// `kernel.sweep.*` spans (the context is installed around the batch),
+/// and `server.write` under one `server.request` root.
+fn answer(conn: &mut Conn, group: Group, shared: &Shared) {
+    let Group {
+        artifact,
         queries,
-        ctx,
-        move |outcomes| {
-            cb_shared.release_admitted(total);
-            let handle_time = submitted.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            let mut frames = Vec::with_capacity(lens.len());
-            let mut outcomes = outcomes.into_iter();
-            for &(id, len) in &lens {
-                let answers: Vec<_> = outcomes.by_ref().take(len).map(|o| o.answer).collect();
-                trl_obs::histogram!("server.service_us").record(handle_time);
-                trl_obs::histogram!("server.request_us").record(handle_time);
-                let resp = Response::PipelinedBatch {
-                    id,
-                    result: Ok(answers),
-                };
-                frames.push((None, encode_response(&resp, version)));
-            }
-            if let Some(ctx) = ctx {
-                trl_obs::record_root_span(
-                    ctx,
-                    0,
-                    "server.request",
-                    drain_start,
-                    drain_start.elapsed(),
-                );
-            }
-            if let Some(threshold) = slow_query {
-                if handle_time > threshold {
-                    let spans = ctx.map_or_else(Vec::new, |c| trl_obs::collect_trace(c.trace_id));
-                    log_slow_query("pipeline", handle_time, &spans);
-                }
-            }
-            cb_rshared.push_completion(Completion { token, frames });
-        },
-    );
-    match result {
-        Ok(()) => conn.in_flight += 1,
-        Err(e) => {
-            // Should be unreachable (frames were pre-validated), but a
-            // defensive rejection keeps every staged frame answered.
-            shared.release_admitted(total);
-            let wire = engine_error_to_wire(e);
-            for id in ids {
-                enqueue_pipelined(conn, shared, id, Err(wire.clone()));
-            }
-        }
-    }
-}
-
-/// Submits a pre-v3 `Query`/`Batch` request: one executor submission, one
-/// ordered response.
-fn submit_ordered(
-    conn: &mut Conn,
-    key: u64,
-    queries: Vec<Query>,
-    single: bool,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
+        reply,
+        version,
+        decoded,
+        ..
+    } = group;
     let n = queries.len();
-    let reject = |conn: &mut Conn, e: WireError| {
-        let bytes = encode_response(&Response::Error(e), conn.version);
-        enqueue_seq(conn, shared, seq, bytes);
+    // A trace frame adopts the client's trace id with a fresh root span
+    // for the server's subtree, and keeps recording forced until its tree
+    // is collected below, whatever the sampling rate.
+    let (ctx, _forced) = match &reply {
+        Reply::Traced { client, .. } => (
+            Some(TraceContext::adopt(client.trace_id)),
+            Some(trl_obs::force_tracing()),
+        ),
+        _ => (trl_obs::maybe_sample(), None),
     };
-    if n > 0 {
-        if let Err(e) = shared.try_admit(n) {
-            reject(conn, e);
-            return;
-        }
-    }
-    let artifact = match shared.engine.get(key) {
-        Some(a) => a,
-        None => {
-            if n > 0 {
-                shared.release_admitted(n);
-            }
-            reject(conn, WireError::UnknownKey(key));
-            return;
-        }
-    };
-    let token = conn.token;
-    let version = conn.version;
-    let cb_shared = Arc::clone(shared);
-    let cb_rshared = Arc::clone(rshared);
-    let submitted = Instant::now();
-    let slow_query = shared.config.slow_query;
     let drain_start = conn.drain_start;
-    let ctx = trl_obs::maybe_sample();
     if let Some(ctx) = ctx {
-        trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
+        let turn = Instant::now();
+        let drained = decoded.duration_since(drain_start);
+        trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drained);
+        let waited = turn.duration_since(decoded);
+        trl_obs::record_span_under(ctx, "engine.queue_wait", decoded, waited);
     }
-    let result = shared.engine.submit_artifact_batch_traced(
-        &artifact,
-        queries,
-        ctx,
-        move |outcomes: Vec<QueryOutcome>| {
-            if n > 0 {
-                cb_shared.release_admitted(n);
+    let answered =
+        trl_obs::with_current_trace(ctx, || shared.engine.run_artifact_batch(&artifact, queries));
+    shared.release_admitted(n);
+    let outcomes = match answered {
+        Ok(outcomes) => outcomes,
+        // Unreachable in practice (every frame was validated when staged),
+        // but a typed rejection keeps every staged frame answered.
+        Err(e) => return reply_error(conn, shared, &reply, version, engine_error_to_wire(e)),
+    };
+    let handle_time = decoded.elapsed();
+    trl_obs::record_span("server.handle", handle_time);
+    let kind = match reply {
+        Reply::Pipelined(_) => "pipeline",
+        Reply::Ordered { single: false, .. } => "batch",
+        Reply::Ordered { single: true, .. } => "query",
+        Reply::Traced { .. } => "trace",
+    };
+    let mut answers = outcomes.into_iter().map(|o| o.answer);
+    let mut responses: Vec<Response> = match &reply {
+        Reply::Pipelined(frames) => frames
+            .iter()
+            .map(|&(id, len)| Response::PipelinedBatch {
+                id,
+                result: Ok(answers.by_ref().take(len).collect()),
+            })
+            .collect(),
+        Reply::Ordered { single: false, .. } => vec![Response::Batch(answers.collect())],
+        // A traced response cannot contain the cost of its own final
+        // encode, so it first encodes the plain answer frame — what an
+        // untraced request would write — as its `server.write` span.
+        Reply::Ordered { single: true, .. } | Reply::Traced { .. } => vec![match answers.next() {
+            Some(a) => Response::Answer(a),
+            None => Response::Error(WireError::Engine("empty batch result".into())),
+        }],
+    };
+    let write_start = Instant::now();
+    let mut frames: Vec<Vec<u8>> = responses
+        .iter()
+        .map(|r| encode_response(r, version))
+        .collect();
+    if let Some(ctx) = ctx {
+        trl_obs::record_span_under(ctx, "server.write", write_start, write_start.elapsed());
+        let parent = match &reply {
+            Reply::Traced { client, .. } => client.span_id,
+            _ => 0,
+        };
+        let request_time = drain_start.elapsed();
+        trl_obs::record_root_span(ctx, parent, "server.request", drain_start, request_time);
+    }
+    let slow = shared.config.slow_query.is_some_and(|t| handle_time > t);
+    let spans = match ctx {
+        Some(ctx) if slow || matches!(reply, Reply::Traced { .. }) => {
+            trl_obs::collect_trace(ctx.trace_id)
+        }
+        _ => Vec::new(),
+    };
+    if slow {
+        log_slow_query(kind, handle_time, &spans);
+    }
+    for _ in &frames {
+        trl_obs::histogram!("server.service_us").record(handle_time);
+        trl_obs::histogram!("server.request_us").record(handle_time);
+    }
+    match reply {
+        Reply::Pipelined(_) => {
+            for bytes in frames {
+                deliver(conn, shared, None, bytes);
             }
-            let handle_time = submitted.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            trl_obs::histogram!("server.service_us").record(handle_time);
-            trl_obs::histogram!("server.request_us").record(handle_time);
-            let mut answers = outcomes.into_iter().map(|o| o.answer);
-            let resp = if single {
-                match answers.next() {
-                    Some(a) => Response::Answer(a),
-                    // A single query always yields one outcome; guard
-                    // anyway rather than panic on a worker thread.
-                    None => Response::Error(WireError::Engine("empty batch result".into())),
-                }
-            } else {
-                Response::Batch(answers.collect())
+        }
+        Reply::Ordered { seq, .. } => deliver(conn, shared, Some(seq), frames.remove(0)),
+        Reply::Traced { seq, .. } => {
+            let resp = match responses.remove(0) {
+                Response::Answer(answer) => Response::Traced { answer, spans },
+                error => error,
             };
-            let bytes = match ctx {
-                Some(ctx) => {
-                    let wstart = Instant::now();
-                    let bytes = encode_response(&resp, version);
-                    trl_obs::record_span_under(ctx, "server.write", wstart, wstart.elapsed());
-                    trl_obs::record_root_span(
-                        ctx,
-                        0,
-                        "server.request",
-                        drain_start,
-                        drain_start.elapsed(),
-                    );
-                    bytes
-                }
-                None => encode_response(&resp, version),
-            };
-            if let Some(threshold) = slow_query {
-                if handle_time > threshold {
-                    let spans = ctx.map_or_else(Vec::new, |c| trl_obs::collect_trace(c.trace_id));
-                    log_slow_query(if single { "query" } else { "batch" }, handle_time, &spans);
-                }
-            }
-            cb_rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), bytes)],
-            });
-        },
-    );
-    match result {
-        Ok(()) => conn.in_flight += 1,
-        Err(e) => {
-            if n > 0 {
-                shared.release_admitted(n);
-            }
-            reject(conn, engine_error_to_wire(e));
+            deliver(conn, shared, Some(seq), encode_response(&resp, version));
         }
     }
 }
 
-/// Submits a [`Request::Trace`] query: a force-sampled single query whose
-/// answer comes back with the server-side span tree attached. The answer
-/// travels the exact same executor path as [`Request::Query`], so it is
-/// byte-identical to the untraced one; only the response framing differs.
-fn submit_traced(
+/// Runs an artifact build (compile, learn, space, classifier, optimize)
+/// as a task on the engine's worker pool: a build can take arbitrarily
+/// long and must not stall the reactor's event loop. `build` runs on the
+/// worker and returns the ordered response, which travels back through
+/// the reactor's inbox.
+fn start_build<F>(
     conn: &mut Conn,
-    client_ctx: TraceContext,
-    key: u64,
-    query: Query,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    let reject = |conn: &mut Conn, e: WireError| {
-        let bytes = encode_response(&Response::Error(e), conn.version);
-        enqueue_seq(conn, shared, seq, bytes);
-    };
-    if let Err(e) = shared.try_admit(1) {
-        reject(conn, e);
-        return;
-    }
-    let artifact = match shared.engine.get(key) {
-        Some(a) => a,
-        None => {
-            shared.release_admitted(1);
-            reject(conn, WireError::UnknownKey(key));
-            return;
-        }
-    };
-    // Recording stays forced for this request's whole lifetime regardless
-    // of the sampling rate: the guard rides in the completion closure and
-    // drops after collection.
-    let forced = trl_obs::force_tracing();
-    // Adopt the client's trace id with a fresh root span for the server's
-    // subtree; the client's span id becomes that root's parent, so the
-    // client can splice the subtree under its own request span.
-    let ctx = TraceContext::adopt(client_ctx.trace_id);
-    let drain_start = conn.drain_start;
-    trl_obs::record_span_under(ctx, "reactor.drain", drain_start, drain_start.elapsed());
-    let token = conn.token;
-    let version = conn.version;
-    let cb_shared = Arc::clone(shared);
-    let cb_rshared = Arc::clone(rshared);
-    let submitted = Instant::now();
-    let slow_query = shared.config.slow_query;
-    let result = shared.engine.submit_artifact_batch_traced(
-        &artifact,
-        vec![query],
-        Some(ctx),
-        move |outcomes: Vec<QueryOutcome>| {
-            cb_shared.release_admitted(1);
-            let handle_time = submitted.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            trl_obs::histogram!("server.service_us").record(handle_time);
-            trl_obs::histogram!("server.request_us").record(handle_time);
-            let resp = match outcomes.into_iter().map(|o| o.answer).next() {
-                Some(answer) => {
-                    // The traced response cannot contain the cost of its
-                    // own final encode, so probe-encode the plain answer
-                    // frame — what an untraced request would write — and
-                    // record that as the tree's response-write span.
-                    let wstart = Instant::now();
-                    let probe = encode_response(&Response::Answer(answer.clone()), version);
-                    trl_obs::record_span_under(ctx, "server.write", wstart, wstart.elapsed());
-                    drop(probe);
-                    trl_obs::record_root_span(
-                        ctx,
-                        client_ctx.span_id,
-                        "server.request",
-                        drain_start,
-                        drain_start.elapsed(),
-                    );
-                    let spans = trl_obs::collect_trace(ctx.trace_id);
-                    if let Some(threshold) = slow_query {
-                        if handle_time > threshold {
-                            log_slow_query("trace", handle_time, &spans);
-                        }
-                    }
-                    Response::Traced { answer, spans }
-                }
-                None => Response::Error(WireError::Engine("empty batch result".into())),
-            };
-            drop(forced);
-            cb_rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), encode_response(&resp, version))],
-            });
-        },
-    );
-    match result {
-        Ok(()) => conn.in_flight += 1,
-        Err(e) => {
-            shared.release_admitted(1);
-            reject(conn, engine_error_to_wire(e));
-        }
-    }
-}
-
-/// Offloads an artifact build (compile, learn, space) to its own thread:
-/// construction can take arbitrarily long and must not stall the
-/// reactor's event loop. `build` runs on the spawned thread and returns
-/// the ordered response for `seq`.
-fn spawn_build<F>(
-    token: u64,
-    seq: u64,
-    version: u16,
     kind: &'static str,
     shared: &Arc<Shared>,
     rshared: &Arc<ReactorShared>,
@@ -1507,195 +1367,41 @@ fn spawn_build<F>(
 ) where
     F: FnOnce(&Engine) -> Response + Send + 'static,
 {
-    let cb_shared = Arc::clone(shared);
-    let cb_rshared = Arc::clone(rshared);
+    let seq = conn.take_seq();
+    if let Err(e) = shared.try_admit(1) {
+        let bytes = encode_response(&Response::Error(e), conn.version);
+        deliver(conn, shared, Some(seq), bytes);
+        return;
+    }
+    conn.in_flight += 1;
+    let (token, version) = (conn.token, conn.version);
+    let task_shared = Arc::clone(shared);
+    let task_rshared = Arc::clone(rshared);
     let slow_query = shared.config.slow_query;
     let ctx = trl_obs::maybe_sample();
-    let spawned = std::thread::Builder::new()
-        .name(format!("trl-server-{kind}"))
-        .spawn(move || {
-            let started = Instant::now();
-            // Installing the sampled context means registry hit/compile
-            // and minimize-pass spans inside `build` land in the tree.
-            let resp = trl_obs::with_current_trace(ctx, || build(&cb_shared.engine));
-            cb_shared.release_admitted(1);
-            let handle_time = started.elapsed();
-            trl_obs::record_span("server.handle", handle_time);
-            trl_obs::histogram!("server.service_us").record(handle_time);
-            trl_obs::histogram!("server.request_us").record(handle_time);
-            if let Some(ctx) = ctx {
-                trl_obs::record_root_span(ctx, 0, "server.request", started, handle_time);
-            }
-            if let Some(threshold) = slow_query {
-                if handle_time > threshold {
-                    let spans = ctx.map_or_else(Vec::new, |c| trl_obs::collect_trace(c.trace_id));
-                    log_slow_query(kind, handle_time, &spans);
-                }
-            }
-            cb_rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), encode_response(&resp, version))],
-            });
+    shared.engine.executor().execute(move || {
+        let started = Instant::now();
+        // Installing the sampled context means registry hit/compile and
+        // minimize-pass spans inside `build` land in the tree.
+        let resp = trl_obs::with_current_trace(ctx, || build(&task_shared.engine));
+        task_shared.release_admitted(1);
+        let handle_time = started.elapsed();
+        trl_obs::record_span("server.handle", handle_time);
+        trl_obs::histogram!("server.service_us").record(handle_time);
+        trl_obs::histogram!("server.request_us").record(handle_time);
+        if let Some(ctx) = ctx {
+            trl_obs::record_root_span(ctx, 0, "server.request", started, handle_time);
+        }
+        if slow_query.is_some_and(|t| handle_time > t) {
+            let spans = ctx.map_or_else(Vec::new, |c| trl_obs::collect_trace(c.trace_id));
+            log_slow_query(kind, handle_time, &spans);
+        }
+        task_rshared.push_completion(Completion {
+            token,
+            seq,
+            bytes: encode_response(&resp, version),
         });
-    match spawned {
-        Ok(handle) => shared.track_thread(handle),
-        Err(_) => {
-            // Could not spawn a thread (resource exhaustion): the request
-            // still gets an answer, just a typed failure.
-            shared.release_admitted(1);
-            let resp = Response::Error(WireError::Engine(format!(
-                "server could not spawn a {kind} thread"
-            )));
-            rshared.push_completion(Completion {
-                token,
-                frames: vec![(Some(seq), encode_response(&resp, version))],
-            });
-        }
-    }
-}
-
-/// Offloads a circuit compile to its own thread.
-fn spawn_compile(
-    token: u64,
-    seq: u64,
-    version: u16,
-    cnf: trl_prop::Cnf,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(token, seq, version, "compile", shared, rshared, move |e| {
-        let (key, circuit) = e.compile(&cnf);
-        Response::Compiled {
-            key,
-            num_vars: circuit.num_vars() as u32,
-            nodes: circuit.raw().node_count() as u32,
-            edges: circuit.raw().edge_count() as u32,
-        }
     });
-}
-
-/// Offloads a PSDD learning job to its own thread. Progress is
-/// wire-visible through the stats frame: the engine bumps
-/// `engine.learn.jobs` / `engine.learn.examples` counters and the
-/// `engine.learn.train_us` histogram as the job runs.
-#[allow(clippy::too_many_arguments)]
-fn spawn_learn(
-    token: u64,
-    seq: u64,
-    version: u16,
-    cnf: trl_prop::Cnf,
-    alpha: f64,
-    data: Vec<(trl_core::Assignment, f64)>,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "learn",
-        shared,
-        rshared,
-        move |e| match e.learn_psdd(&cnf, &data, alpha) {
-            Ok((key, psdd)) => Response::Learned {
-                key,
-                num_vars: psdd.num_vars() as u32,
-                nodes: psdd.node_count() as u32,
-                log_likelihood: psdd.train_log_likelihood(),
-            },
-            Err(err) => Response::Error(engine_error_to_wire(err)),
-        },
-    );
-}
-
-/// Offloads a structured-space compile to its own thread.
-#[allow(clippy::too_many_arguments)]
-fn spawn_space(
-    token: u64,
-    seq: u64,
-    version: u16,
-    num_nodes: u32,
-    edges: Vec<(u32, u32)>,
-    s: u32,
-    t: u32,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "space",
-        shared,
-        rshared,
-        move |e| match e.compile_space(num_nodes as usize, &edges, s, t) {
-            Ok((key, space)) => Response::SpaceCompiled {
-                key,
-                num_edge_vars: space.num_edge_vars() as u32,
-                nodes: space.node_count() as u32,
-                paths: space.path_count(),
-            },
-            Err(err) => Response::Error(engine_error_to_wire(err)),
-        },
-    );
-}
-
-/// Offloads a classifier compile to its own thread.
-fn spawn_classifier(
-    token: u64,
-    seq: u64,
-    version: u16,
-    cnf: trl_prop::Cnf,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "classifier",
-        shared,
-        rshared,
-        move |e| {
-            let (key, clf) = e.compile_classifier(&cnf);
-            Response::ClassifierCompiled {
-                key,
-                num_vars: clf.num_vars() as u32,
-                nodes: clf.node_count() as u32,
-            }
-        },
-    );
-}
-
-/// Offloads a registry minimization pass to its own thread: sifting and
-/// vtree search can take the schedule's whole time budget, and in-flight
-/// queries keep serving from the original circuit throughout.
-fn spawn_optimize(
-    token: u64,
-    seq: u64,
-    version: u16,
-    key: u64,
-    shared: &Arc<Shared>,
-    rshared: &Arc<ReactorShared>,
-) {
-    spawn_build(
-        token,
-        seq,
-        version,
-        "optimize",
-        shared,
-        rshared,
-        move |e| match e.optimize(key) {
-            Ok(r) => Response::Optimized {
-                key: r.key,
-                nodes_before: r.nodes_before as u32,
-                nodes_after: r.nodes_after as u32,
-                swapped: r.swapped,
-                wall_us: r.wall_us,
-            },
-            Err(err) => Response::Error(engine_error_to_wire(err)),
-        },
-    );
 }
 
 /// One JSON line on stderr describing a request that blew the

@@ -230,15 +230,17 @@ TRACE (answer like `query`, then print the request's span tree):
                      JSON (chrome://tracing, Perfetto)
 
 SERVE (TCP frontend; `client query` answers are bit-identical to `query`):
-  --workers N        engine worker threads (default: all available cores)
+  --workers N        engine worker threads, which run compile, learn and
+                     optimize requests (default: all available cores)
   --budget NODES     registry node-retention budget (default 2^24)
   --max-conns N      concurrent connection limit (default 64); excess
                      connections wait in the accept queue, none are dropped
   --queue N          submission-queue capacity (default 1024); a full queue
                      rejects requests with a typed `overloaded` error
   --timeout-secs S   per-frame read/write stall deadline (default 30)
-  --reactors N       event-loop threads connections are sharded across
-                     (default: derived from available cores, capped at 4)
+  --reactors N       event-loop threads connections are sharded across;
+                     each answers its connections' queries itself
+                     (default: one per available core)
   --layer-parallel   opt in to layered intra-query parallelism for large
                      circuits (default off: lane-batched sweeps only)
   --slow-ms MS       log requests slower than MS to stderr as JSON lines
