@@ -16,12 +16,17 @@
 #                        # stations + parent links, Chrome export parses,
 #                        # traced answers diffed against untraced),
 #                        # benchmark build (perfbench/ compiled against the
-#                        # current crates, its contract tests run)
+#                        # current crates, its contract tests run), and
+#                        # fails if any committed BENCH_*.json changed
 #   ci/check.sh --fix    # apply clippy suggestions and rustfmt in place
 #
 # The same commands run in CI; keep them byte-for-byte in sync.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Only a full bench run writes a BENCH_*.json; the smoke legs below must
+# leave every committed record as it was when the run started.
+bench_records="$(sha256sum BENCH_*.json)"
 
 if [[ "${1:-}" == "--fix" ]]; then
     cargo clippy --workspace --all-targets --fix --allow-dirty --allow-staged -- -D warnings
@@ -202,7 +207,7 @@ done
 # through --server; after stripping the latency suffix the two outputs
 # must be byte-identical (floats travel as IEEE-754 bit patterns). Then
 # the per-kind roles load generator must pass its own bit-identity
-# criteria and write BENCH_roles.json.
+# criteria (a smoke run writes no BENCH_roles.json).
 cargo build --release --quiet -p trl-bench --bin bench_roles
 printf 'p cnf 4 3\n1 2 0\n-2 3 0\n-1 4 0\n' > "$net_dir/roles.cnf"
 printf '1 -2 3 4 * 2\n-1 2 3 -4\n1 2 3 4 * 0.5\n-1 2 3 4\n' > "$net_dir/roles.data"
@@ -394,5 +399,11 @@ dropped="$(prom_value trl_trace_spans_dropped "$net_dir/trace.prom")"
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
+
+if [[ "$(sha256sum BENCH_*.json)" != "$bench_records" ]]; then
+    echo "bench-records: a BENCH_*.json changed during the run:" >&2
+    diff <(echo "$bench_records") <(sha256sum BENCH_*.json) >&2 || true
+    exit 1
+fi
 
 echo "ci/check.sh: OK"

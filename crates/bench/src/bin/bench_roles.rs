@@ -2,7 +2,7 @@
 //! every role-2/role-3 query kind over the `trl-server` wire, written to
 //! `BENCH_roles.json` at the repository root. Run with `cargo run
 //! --release -p trl-bench --bin bench_roles`; pass `--smoke` for the
-//! fast CI leg (shorter streams, same JSON shape).
+//! fast CI leg (shorter streams, same criteria, no JSON written).
 //!
 //! One server hosts all three artifact kinds at once — a PSDD learned
 //! from weighted complete data, an s–t simple-path structured space, and
@@ -223,10 +223,12 @@ fn main() {
         results.len() == 7 && results.iter().all(|r| r.queries > 0),
     );
 
-    let json = to_json(smoke, stream, &results, mismatches == 0);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_roles.json");
-    std::fs::write(path, json).expect("write BENCH_roles.json");
-    println!("\nwrote {path}");
+    if !smoke {
+        let json = to_json(smoke, stream, &results, mismatches == 0);
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_roles.json");
+        std::fs::write(path, json).expect("write BENCH_roles.json");
+        println!("\nwrote {path}");
+    }
     std::process::exit(if ok { 0 } else { 1 });
 }
 

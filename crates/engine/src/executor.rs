@@ -251,15 +251,18 @@ impl Query {
         }
     }
 
-    /// The kernel bucket this query joins, if it shares lane-batched tape
-    /// sweeps with others: 0 for the sum-product kinds (counts, WMC and
-    /// marginals share one sweep), 1 for MPE (max-product). SAT and role
-    /// queries are answered one by one.
+    /// The kernel bucket this query joins, if it rides in a circuit's
+    /// kernel job: 0 for the sum-product kinds (counts, WMC and marginals
+    /// share one sweep) and SAT (read from the per-circuit constant in the
+    /// same job, without a lane), 1 for MPE (max-product). Role queries
+    /// are answered one by one.
     fn kernel_bucket(&self) -> Option<usize> {
         match self {
-            Query::ModelCount | Query::ModelCountUnder(_) | Query::Wmc(_) | Query::Marginals(_) => {
-                Some(0)
-            }
+            Query::Sat
+            | Query::ModelCount
+            | Query::ModelCountUnder(_)
+            | Query::Wmc(_)
+            | Query::Marginals(_) => Some(0),
             Query::MaxWeight(_) => Some(1),
             _ => None,
         }
@@ -738,12 +741,14 @@ impl Executor {
     /// Validates a batch and splits it into jobs. Every query must be
     /// addressed to the artifact's kind ([`Artifact::validate`]). Circuit
     /// queries are grouped into two buckets — sum-product (counts, WMC,
-    /// marginals, in any mix) and MPE — and each group is split into at
-    /// most `split` lane-aligned chunks, one per thread that will answer
-    /// them — or kept whole when the active [`ParallelPolicy`] says the
-    /// circuit is wide enough, where the sum-product forward sweep runs
-    /// layer-parallel. SAT and every role-2/3 query become a job of their
-    /// own.
+    /// marginals, in any mix, plus SAT) and MPE — and each group is split
+    /// into at most `split` lane-aligned chunks, one per thread that will
+    /// answer them — or kept whole when the active [`ParallelPolicy`] says
+    /// the circuit is wide enough, where the sum-product forward sweep
+    /// runs layer-parallel. SAT takes no lane: it rides in whichever chunk
+    /// is open when it comes up and does not count toward that chunk's
+    /// lanes, and a SAT-only group is one job that never builds the tape.
+    /// Every role-2/3 query becomes a job of its own.
     fn plan(&self, artifact: &Artifact, queries: Vec<Query>, split: usize) -> Result<Plan> {
         for q in &queries {
             artifact.validate(q)?;
@@ -791,20 +796,27 @@ impl Executor {
                 push(indices, group, trl_nnf::SweepPool::global().size());
                 continue;
             }
-            // Split the group across threads in lane-aligned chunks, so
-            // every chunk fills whole value planes.
-            let per_worker = group.len().div_ceil(split);
+            // Split the group's lanes across threads in lane-aligned
+            // chunks, so every chunk fills whole value planes.
+            let takes_lane = |q: &Query| !matches!(q, Query::Sat);
+            let per_worker = group
+                .iter()
+                .filter(|q| takes_lane(q))
+                .count()
+                .div_ceil(split);
             let chunk = per_worker.max(LANES).div_ceil(LANES) * LANES;
-            let mut indices = indices.into_iter();
-            let mut group = group.into_iter();
-            loop {
-                let ix: Vec<usize> = indices.by_ref().take(chunk).collect();
-                if ix.is_empty() {
-                    break;
+            let (mut ix, mut qs, mut filled) = (Vec::new(), Vec::new(), 0);
+            for (index, query) in indices.into_iter().zip(group) {
+                let lane = takes_lane(&query);
+                if lane && filled == chunk {
+                    push(std::mem::take(&mut ix), std::mem::take(&mut qs), 1);
+                    filled = 0;
                 }
-                let qs: Vec<Query> = group.by_ref().take(ix.len()).collect();
-                push(ix, qs, 1);
+                filled += lane as usize;
+                ix.push(index);
+                qs.push(query);
             }
+            push(ix, qs, 1);
         }
         for (index, query) in singles {
             push(vec![index], vec![query], 1);
@@ -963,17 +975,60 @@ mod tests {
         queries.extend(vec![Query::Wmc(LitWeights::unit(4)); 20]);
         queries.extend(vec![Query::MaxWeight(LitWeights::unit(4)); 20]);
         queries.extend(vec![Query::Sat; 3]);
-        let jobs = |split| {
-            let plan = ex.plan(&circuit(&prepared()), queries.clone(), split);
-            plan.unwrap().jobs.len()
+        let jobs = |queries: &[Query], split| -> Vec<usize> {
+            let plan = ex.plan(&circuit(&prepared()), queries.to_vec(), split);
+            plan.unwrap().jobs.iter().map(|j| j.queries.len()).collect()
         };
-        // Inline: counts and WMC share the sum-product job, MPE has its
-        // own, plus one per SAT query.
-        assert_eq!(jobs(1), 2 + 3);
-        // Pool: the 40-query sum-product group splits into lane-aligned
-        // chunks of 16 (40 / 4 workers, rounded up to whole lane groups),
-        // the 20-query MPE group into chunks of 8.
-        assert_eq!(jobs(ex.num_workers()), 3 + 3 + 3);
+        // Inline: counts, WMC and SAT share the sum-product job, MPE has
+        // its own.
+        assert_eq!(jobs(&queries, 1), [43, 20]);
+        // Pool: the 40 sum-product lanes split into lane-aligned chunks
+        // of 16 (40 / 4 workers, rounded up to whole lane groups), the
+        // 20-query MPE group into chunks of 8. The SAT queries come last
+        // and ride in the open chunk without taking its lanes.
+        assert_eq!(jobs(&queries, ex.num_workers()), [16, 16, 8 + 3, 8, 8, 4]);
+        // SAT in front rides in the first chunk; a SAT-only batch is one
+        // job.
+        let sat_first: Vec<Query> = queries[60..]
+            .iter()
+            .chain(&queries[..40])
+            .cloned()
+            .collect();
+        assert_eq!(jobs(&sat_first, ex.num_workers()), [3 + 16, 16, 8]);
+        assert_eq!(jobs(&queries[60..], ex.num_workers()), [3]);
+        assert_eq!(jobs(&queries[60..], 1), [3]);
+    }
+
+    #[test]
+    fn sat_rides_in_the_kernel_job_and_never_builds_the_tape() {
+        let p = prepared();
+        let ex = Executor::new(2);
+        let sat_true = |outcomes: Vec<QueryOutcome>| {
+            outcomes.iter().all(|o| o.answer == QueryAnswer::Sat(true))
+        };
+        assert!(sat_true(ex.run(&circuit(&p), vec![Query::Sat; 3]).unwrap()));
+        assert!(sat_true(run_on_pool(
+            &ex,
+            &circuit(&p),
+            vec![Query::Sat; 3]
+        )));
+        assert!(
+            !p.smoothing_materialized(),
+            "SAT alone never builds the tape"
+        );
+        let mixed = vec![Query::Sat, Query::ModelCount, Query::Sat];
+        let expect = [
+            QueryAnswer::Sat(true),
+            QueryAnswer::ModelCount(p.raw().model_count()),
+            QueryAnswer::Sat(true),
+        ];
+        for outcomes in [
+            ex.run(&circuit(&p), mixed.clone()).unwrap(),
+            run_on_pool(&ex, &circuit(&p), mixed),
+        ] {
+            let got: Vec<QueryAnswer> = outcomes.into_iter().map(|o| o.answer).collect();
+            assert_eq!(got, expect);
+        }
     }
 
     #[test]

@@ -32,12 +32,15 @@
 //!   `u128` lane sweep instead (counted as `kernel.u128_sweeps`).
 //!   [`EvalTape::max_weight_batch`] runs the same forward loop as a
 //!   max-product instance for MPE.
-//! * **Explicit SIMD** — the per-node inner loops run on the widest
+//! * **Explicit SIMD** — the per-node inner loops of the forward sweeps
+//!   and of the backward derivative pass run on the widest
 //!   [`LaneBackend`] the CPU supports — one AVX-512 register or two AVX2
 //!   registers per plane on `x86_64`, four NEON registers on `aarch64` —
 //!   with the plain `[f64; 8]` scalar-lane path always compiled as the
 //!   bit-identical fallback (and the only path when the `simd` cargo
-//!   feature is off).
+//!   feature is off). The derivative pass replaces the scalar pass's
+//!   per-lane `d == 0` skip with a lane mask and a select, so skipped
+//!   lanes keep their bits.
 //! * **Layer scheduling on a persistent pool** — nodes are stored grouped
 //!   by dependency depth (children always in strictly earlier layers), so
 //!   each layer is a contiguous block that
@@ -109,6 +112,10 @@ fn sweep_span_name(backend: LaneBackend) -> &'static str {
         LaneBackend::Neon => "kernel.sweep.neon",
     }
 }
+
+/// And-gate inputs whose prefix products the derivative pass keeps in a
+/// stack buffer; a wider gate takes a heap buffer.
+const PREFIX_STACK: usize = 32;
 
 /// The widest variable universe whose count lanes stay in `f64`: every
 /// integer up to `2^53` is exact in `f64`, and no node of a smooth d-DNNF
@@ -221,22 +228,36 @@ struct PlaneBuf {
     len: usize,
 }
 
+/// A thread's reusable plane buffer: taken out of its cell for a sweep and
+/// put back afterwards.
+type ThreadPlane = std::thread::LocalKey<std::cell::Cell<PlaneBuf>>;
+
 thread_local! {
-    /// Each thread's plane buffer, kept between sweeps.
+    /// Each thread's forward value planes, kept between sweeps.
     static THREAD_PLANE: std::cell::Cell<PlaneBuf> = const {
+        std::cell::Cell::new(PlaneBuf { buf: Vec::new(), off: 0, len: 0 })
+    };
+    /// Each thread's derivative planes for the marginals pass, kept
+    /// between sweeps.
+    static THREAD_DERIVATIVES: std::cell::Cell<PlaneBuf> = const {
         std::cell::Cell::new(PlaneBuf { buf: Vec::new(), off: 0, len: 0 })
     };
 }
 
 impl PlaneBuf {
-    /// Runs `f` on this thread's plane buffer, sized to `len` planes. The
+    /// Runs `f` on this thread's buffer `key`, sized to `len` planes. The
     /// buffer is reused from sweep to sweep and only grows; its contents
-    /// are never cleared, because every sweep stores each slot before it
-    /// reads that slot (children sit below their parents on the tape).
-    fn with_thread_plane<R>(len: usize, f: impl FnOnce(&mut PlaneBuf) -> R) -> R {
+    /// are never cleared here. A forward sweep stores each slot before it
+    /// reads that slot (children sit below their parents on the tape); the
+    /// derivative pass zeroes its planes itself, once per lane group.
+    fn with_thread_plane<R>(
+        key: &'static ThreadPlane,
+        len: usize,
+        f: impl FnOnce(&mut PlaneBuf) -> R,
+    ) -> R {
         // Taken out, not borrowed: a nested sweep on this thread (none
         // exists today) would get a fresh buffer instead of a panic.
-        let mut plane = THREAD_PLANE.with(std::cell::Cell::take);
+        let mut plane = key.with(std::cell::Cell::take);
         let need = len * LANES + LANES - 1;
         if plane.buf.len() < need {
             plane.buf = vec![0.0f64; need];
@@ -244,12 +265,16 @@ impl PlaneBuf {
         }
         plane.len = len;
         let out = f(&mut plane);
-        THREAD_PLANE.with(|cell| cell.set(plane));
+        key.with(|cell| cell.set(plane));
         out
     }
 
     fn as_mut_ptr(&mut self) -> *mut [f64; LANES] {
         unsafe { self.buf.as_mut_ptr().add(self.off) as *mut [f64; LANES] }
+    }
+
+    fn as_ptr(&self) -> *const [f64; LANES] {
+        self.planes().as_ptr()
     }
 
     fn planes(&self) -> &[[f64; LANES]] {
@@ -739,7 +764,7 @@ impl EvalTape {
         let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
         record_sweeps(batch.len());
         let leaves: Vec<Leaves> = batch.iter().map(SumProductLane::leaves).collect();
-        PlaneBuf::with_thread_plane(self.len(), |plane| {
+        PlaneBuf::with_thread_plane(&THREAD_PLANE, self.len(), |plane| {
             self.sum_product_on(batch, &leaves, pool, plane)
         })
     }
@@ -753,8 +778,6 @@ impl EvalTape {
         plane: &mut PlaneBuf,
     ) -> Vec<SumProductAnswer> {
         let mut out = Vec::with_capacity(batch.len());
-        let mut der = Vec::new();
-        let mut prefix = Vec::new();
         for (group, leaves) in batch.chunks(LANES).zip(leaves.chunks(LANES)) {
             match pool {
                 Some((pool, participants)) => {
@@ -765,11 +788,14 @@ impl EvalTape {
             let wants: [bool; LANES] = std::array::from_fn(|lane| {
                 matches!(group.get(lane), Some(SumProductLane::Marginals(_)))
             });
-            let mut marginals = Vec::new();
-            if wants.contains(&true) {
-                self.derivative_lanes(plane.planes(), wants, &mut der, &mut prefix);
-                marginals = self.lit_marginals(group, &der);
-            }
+            let marginals = if wants.contains(&true) {
+                PlaneBuf::with_thread_plane(&THREAD_DERIVATIVES, self.len(), |der| {
+                    self.derivative_lanes(plane, wants, der);
+                    self.lit_marginals(group, der.planes())
+                })
+            } else {
+                Vec::new()
+            };
             let root = plane.planes()[self.root as usize];
             let mut marginals = marginals.into_iter();
             for (lane, q) in group.iter().enumerate() {
@@ -954,7 +980,7 @@ impl EvalTape {
         let mut out = Vec::with_capacity(weights.len());
         let mut stack = Vec::new();
         let leaves: Vec<Leaves> = weights.iter().map(|w| Leaves::Weights(w)).collect();
-        PlaneBuf::with_thread_plane(self.len(), |plane| {
+        PlaneBuf::with_thread_plane(&THREAD_PLANE, self.len(), |plane| {
             for group in leaves.chunks(LANES) {
                 self.forward_lanes::<lanes::MaxProduct>(group, plane);
                 let planes = plane.planes();
@@ -1086,63 +1112,136 @@ impl EvalTape {
         marginals
     }
 
-    /// The downward derivative sweep of the lanes flagged in `wants`; the
-    /// other lanes' derivatives stay 0 throughout. The accumulation into a
-    /// child's derivative is order-sensitive, so the sweep replays the
-    /// reverse of the original arena order.
-    fn derivative_lanes(
+    /// The downward derivative sweep of the lanes flagged in `wants` into
+    /// `der`, one plane per tape slot, dispatched to the active backend
+    /// like the forward sweep. `der` is zeroed first; the other lanes'
+    /// derivatives stay 0 throughout.
+    fn derivative_lanes(&self, plane: &PlaneBuf, wants: [bool; LANES], der: &mut PlaneBuf) {
+        assert!(plane.len == self.len() && der.len == self.len());
+        let (plane, der) = (plane.as_ptr(), der.as_mut_ptr());
+        // SAFETY: both buffers hold one plane per tape slot (checked
+        // above), `der` is exclusively borrowed, and the backend is one
+        // `set_lane_backend` accepted as supported.
+        unsafe {
+            match self.backend {
+                LaneBackend::Scalar => self.derivative_with::<lanes::ScalarOps>(plane, wants, der),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                LaneBackend::Avx2 => self.derivative_avx2(plane, wants, der),
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                LaneBackend::Avx512 => self.derivative_avx512(plane, wants, der),
+                #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+                LaneBackend::Neon => self.derivative_with::<lanes::NeonOps>(plane, wants, der),
+            }
+        }
+    }
+
+    /// The backend-generic derivative loop. The accumulation into a
+    /// child's derivative is order-sensitive, so it replays the reverse of
+    /// the original arena order. Per node, one lane mask `d != 0` stands
+    /// in for the scalar pass's `if d == 0.0 { continue }`: every child
+    /// update is computed in all lanes and selected into the derivative
+    /// only where the mask is set, so a live lane runs exactly the scalar
+    /// pass's IEEE-754 operations in its order, a skipped lane keeps its
+    /// bits, and a node whose mask is empty is skipped whole.
+    ///
+    /// # Safety
+    ///
+    /// `plane` must hold the finished forward sweep and `der` be writable,
+    /// both one plane per tape slot; `O`'s target feature must be
+    /// available on the executing CPU.
+    #[inline(always)]
+    unsafe fn derivative_with<O: lanes::LaneOps>(
         &self,
-        plane: &[[f64; LANES]],
+        plane: *const [f64; LANES],
         wants: [bool; LANES],
-        der: &mut Vec<[f64; LANES]>,
-        prefix: &mut Vec<[f64; LANES]>,
+        der: *mut [f64; LANES],
     ) {
-        der.clear();
-        der.resize(self.len(), [0.0; LANES]);
-        der[self.root as usize] = wants.map(|w| if w { 1.0 } else { 0.0 });
-        for &t in self.arena_order.iter().rev() {
-            let i = t as usize;
-            let d = der[i];
-            if d.iter().all(|&x| x == 0.0) {
+        std::ptr::write_bytes(der, 0, self.len());
+        *der.add(self.root as usize) = wants.map(|w| if w { 1.0 } else { 0.0 });
+        let ops = self.ops.as_ptr();
+        let edge_start = self.edge_start.as_ptr();
+        let edges = self.edges.as_ptr();
+        let at = |p: *const [f64; LANES], slot: u32| p.add(slot as usize) as *const f64;
+        // Prefix products of one and-gate's inputs: on the stack up to
+        // `PREFIX_STACK` inputs, on the heap past that.
+        let mut stack = [std::mem::MaybeUninit::<[f64; LANES]>::uninit(); PREFIX_STACK];
+        let mut heap: Vec<[f64; LANES]> = Vec::new();
+        for &i in self.arena_order.iter().rev() {
+            let d = O::load(at(der, i));
+            let live = O::nonzero(d);
+            if !O::any(live) {
                 continue;
             }
-            match self.ops[i] {
+            let e = *edge_start.add(i as usize) as usize;
+            let k = *edge_start.add(i as usize + 1) as usize - e;
+            let children = edges.add(e);
+            match *ops.add(i as usize) {
                 Op::Or => {
-                    for &ch in self.children(i) {
-                        for lane in 0..LANES {
-                            if d[lane] != 0.0 {
-                                der[ch as usize][lane] += d[lane];
-                            }
-                        }
+                    for c in 0..k {
+                        let out = at(der, *children.add(c)) as *mut f64;
+                        let old = O::load(out);
+                        O::store(out, O::select(live, O::add(old, d), old));
                     }
                 }
                 Op::And => {
                     // ∂(∏ v_i)/∂v_j via prefix and suffix products, exactly
-                    // as the scalar pass: d * prefix[i] * suffix, in order.
-                    let children = self.children(i);
-                    let k = children.len();
-                    prefix.clear();
-                    prefix.resize(k + 1, [1.0; LANES]);
-                    for (c, &ch) in children.iter().enumerate() {
-                        let v = plane[ch as usize];
-                        for lane in 0..LANES {
-                            prefix[c + 1][lane] = prefix[c][lane] * v[lane];
-                        }
+                    // as the scalar pass: d * prefix[j] * suffix, in order.
+                    let prefix = if k <= PREFIX_STACK {
+                        stack.as_mut_ptr() as *mut [f64; LANES]
+                    } else {
+                        heap.resize(k, [0.0; LANES]);
+                        heap.as_mut_ptr()
+                    };
+                    let mut acc = O::splat(1.0);
+                    for c in 0..k {
+                        O::store(prefix.add(c) as *mut f64, acc);
+                        acc = O::mul(acc, O::load(at(plane, *children.add(c))));
                     }
-                    let mut suffix = [1.0f64; LANES];
+                    let mut suffix = O::splat(1.0);
                     for c in (0..k).rev() {
-                        let ch = children[c] as usize;
-                        for lane in 0..LANES {
-                            if d[lane] != 0.0 {
-                                der[ch][lane] += d[lane] * prefix[c][lane] * suffix[lane];
-                            }
-                            suffix[lane] *= plane[ch][lane];
-                        }
+                        let ch = *children.add(c);
+                        let out = at(der, ch) as *mut f64;
+                        let old = O::load(out);
+                        let term = O::mul(O::mul(d, O::load(at(prefix, c as u32))), suffix);
+                        O::store(out, O::select(live, O::add(old, term), old));
+                        suffix = O::mul(suffix, O::load(at(plane, ch)));
                     }
                 }
                 _ => {}
             }
         }
+    }
+
+    /// [`EvalTape::derivative_with`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// As [`EvalTape::derivative_with`], for AVX2.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn derivative_avx2(
+        &self,
+        plane: *const [f64; LANES],
+        wants: [bool; LANES],
+        der: *mut [f64; LANES],
+    ) {
+        self.derivative_with::<lanes::Avx2Ops>(plane, wants, der)
+    }
+
+    /// [`EvalTape::derivative_with`] compiled with AVX-512F enabled.
+    ///
+    /// # Safety
+    ///
+    /// As [`EvalTape::derivative_with`], for AVX-512F.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn derivative_avx512(
+        &self,
+        plane: *const [f64; LANES],
+        wants: [bool; LANES],
+        der: *mut [f64; LANES],
+    ) {
+        self.derivative_with::<lanes::Avx512Ops>(plane, wants, der)
     }
 
     // ------------------------------------------------------------------
@@ -1271,6 +1370,25 @@ mod lanes {
         /// # Safety
         /// As [`LaneOps::splat`].
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V;
+
+        /// A per-lane predicate over one plane.
+        type Mask: Copy;
+        /// The lanes where `v != 0.0` as a scalar `!=` reads it: set for
+        /// every non-zero lane and every NaN lane, clear for `±0.0`.
+        ///
+        /// # Safety
+        /// As [`LaneOps::splat`].
+        unsafe fn nonzero(v: Self::V) -> Self::Mask;
+        /// Whether any lane of `m` is set.
+        ///
+        /// # Safety
+        /// As [`LaneOps::splat`].
+        unsafe fn any(m: Self::Mask) -> bool;
+        /// `a` in the lanes `m` sets, `b` in the others, bit for bit.
+        ///
+        /// # Safety
+        /// As [`LaneOps::splat`].
+        unsafe fn select(m: Self::Mask, a: Self::V, b: Self::V) -> Self::V;
 
         /// Lane-wise `f(a, b)`, written per lane so that every backend runs
         /// exactly the scalar operation's semantics; the compiler keeps
@@ -1406,6 +1524,23 @@ mod lanes {
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
             std::array::from_fn(|i| a[i] + b[i])
         }
+
+        type Mask = [bool; LANES];
+
+        #[inline(always)]
+        unsafe fn nonzero(v: Self::V) -> Self::Mask {
+            v.map(|x| x != 0.0)
+        }
+
+        #[inline(always)]
+        unsafe fn any(m: Self::Mask) -> bool {
+            m.contains(&true)
+        }
+
+        #[inline(always)]
+        unsafe fn select(m: Self::Mask, a: Self::V, b: Self::V) -> Self::V {
+            std::array::from_fn(|i| if m[i] { a[i] } else { b[i] })
+        }
     }
 
     /// Two 256-bit registers per plane.
@@ -1446,6 +1581,31 @@ mod lanes {
             use core::arch::x86_64::_mm256_add_pd;
             [_mm256_add_pd(a[0], b[0]), _mm256_add_pd(a[1], b[1])]
         }
+
+        /// All-ones lanes where set, as `vcmppd` writes them.
+        type Mask = Self::V;
+
+        #[inline(always)]
+        unsafe fn nonzero(v: Self::V) -> Self::Mask {
+            use core::arch::x86_64::{_mm256_cmp_pd, _mm256_setzero_pd, _CMP_NEQ_UQ};
+            let zero = _mm256_setzero_pd();
+            v.map(|r| _mm256_cmp_pd::<_CMP_NEQ_UQ>(r, zero))
+        }
+
+        #[inline(always)]
+        unsafe fn any(m: Self::Mask) -> bool {
+            use core::arch::x86_64::{_mm256_movemask_pd, _mm256_or_pd};
+            _mm256_movemask_pd(_mm256_or_pd(m[0], m[1])) != 0
+        }
+
+        #[inline(always)]
+        unsafe fn select(m: Self::Mask, a: Self::V, b: Self::V) -> Self::V {
+            use core::arch::x86_64::_mm256_blendv_pd;
+            [
+                _mm256_blendv_pd(b[0], a[0], m[0]),
+                _mm256_blendv_pd(b[1], a[1], m[1]),
+            ]
+        }
     }
 
     /// One 512-bit register per plane: an and-gate's per-child update is
@@ -1480,6 +1640,24 @@ mod lanes {
         #[inline(always)]
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
             core::arch::x86_64::_mm512_add_pd(a, b)
+        }
+
+        type Mask = core::arch::x86_64::__mmask8;
+
+        #[inline(always)]
+        unsafe fn nonzero(v: Self::V) -> Self::Mask {
+            use core::arch::x86_64::{_mm512_cmp_pd_mask, _mm512_setzero_pd, _CMP_NEQ_UQ};
+            _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(v, _mm512_setzero_pd())
+        }
+
+        #[inline(always)]
+        unsafe fn any(m: Self::Mask) -> bool {
+            m != 0
+        }
+
+        #[inline(always)]
+        unsafe fn select(m: Self::Mask, a: Self::V, b: Self::V) -> Self::V {
+            core::arch::x86_64::_mm512_mask_blend_pd(m, b, a)
         }
     }
 
@@ -1521,6 +1699,31 @@ mod lanes {
         unsafe fn add(a: Self::V, b: Self::V) -> Self::V {
             use core::arch::aarch64::vaddq_f64;
             std::array::from_fn(|i| vaddq_f64(a[i], b[i]))
+        }
+
+        // The mask goes through the stack arrays, as `zip` does: the
+        // compiler keeps the round trip in registers.
+        type Mask = [bool; LANES];
+
+        #[inline(always)]
+        unsafe fn nonzero(v: Self::V) -> Self::Mask {
+            let mut x = [0.0f64; LANES];
+            Self::store(x.as_mut_ptr(), v);
+            x.map(|x| x != 0.0)
+        }
+
+        #[inline(always)]
+        unsafe fn any(m: Self::Mask) -> bool {
+            m.contains(&true)
+        }
+
+        #[inline(always)]
+        unsafe fn select(m: Self::Mask, a: Self::V, b: Self::V) -> Self::V {
+            let (mut x, mut y) = ([0.0f64; LANES], [0.0f64; LANES]);
+            Self::store(x.as_mut_ptr(), a);
+            Self::store(y.as_mut_ptr(), b);
+            let z: [f64; LANES] = std::array::from_fn(|i| if m[i] { x[i] } else { y[i] });
+            Self::load(z.as_ptr())
         }
     }
 }

@@ -12,7 +12,8 @@
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
 use trl_nnf::{
-    smooth, Circuit, EvalTape, LaneBackend, LitWeights, SumProductAnswer, SumProductLane, LANES,
+    smooth, Circuit, CircuitBuilder, EvalTape, LaneBackend, LitWeights, NnfId, NnfNode,
+    SumProductAnswer, SumProductLane, LANES,
 };
 
 /// Per-variable weights skewed away from 1 so products differ per lane and
@@ -403,6 +404,99 @@ fn mixed_sum_product_groups_bit_match_scalar_oracles_on_every_backend() {
     }
 }
 
+/// Inputs of each and-gate of [`wide_and_circuit`]: wider than the
+/// derivative pass keeps prefix products for on the stack (32 inputs).
+const WIDE: usize = 45;
+
+/// `(x0 ∧ c1 ∧ … ∧ c44) ∨ (¬x0 ∧ c'1 ∧ … ∧ c'44)` over 45 variables:
+/// every third input a literal, of opposite signs in the two branches,
+/// the rest `(x ∨ ¬x)` gadgets. Smooth, deterministic and decomposable,
+/// with two and-gates of [`WIDE`] inputs.
+fn wide_and_circuit() -> Circuit {
+    let mut b = CircuitBuilder::new(WIDE);
+    let branches: Vec<NnfId> = [true, false]
+        .into_iter()
+        .map(|sign| {
+            let inputs: Vec<NnfId> = (0..WIDE as u32)
+                .map(|v| {
+                    if v % 3 == 0 {
+                        b.lit(Var(v).literal(sign == v.is_multiple_of(2)))
+                    } else {
+                        let (pos, neg) = (b.lit(Var(v).positive()), b.lit(Var(v).negative()));
+                        b.or_raw([pos, neg])
+                    }
+                })
+                .collect();
+            b.and_raw(inputs)
+        })
+        .collect();
+    let root = b.or_raw(branches);
+    b.finish(root)
+}
+
+/// And-gates wider than the derivative pass's stack prefix buffer take
+/// its heap buffer: marginals lanes over two 45-input and-gates answer
+/// bit for bit as the scalar oracle on every backend, sequentially and
+/// layer-parallel, for groups of 1, 3, 8 and 13 lanes with marginals in
+/// only some of them.
+#[test]
+fn and_gates_wider_than_the_stack_prefix_buffer_bit_match_on_every_backend() {
+    let circuit = wide_and_circuit();
+    let widths: Vec<usize> = circuit
+        .ids()
+        .filter_map(|id| match circuit.node(id) {
+            NnfNode::And(xs) => Some(xs.len()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(widths, [WIDE, WIDE]);
+    let smoothed = smooth(&circuit);
+    let weights: Vec<LitWeights> = (0..13)
+        .map(|k| edge_weights(WIDE, 7 * k as u64, k))
+        .collect();
+    let lanes: Vec<SumProductLane> = (0..13)
+        .map(|k| match k % 3 {
+            0 => SumProductLane::Marginals(&weights[k]),
+            1 => SumProductLane::Wmc(&weights[k]),
+            _ => SumProductLane::Count,
+        })
+        .collect();
+    let expect: Vec<Vec<u128>> = lanes
+        .iter()
+        .map(|lane| {
+            sum_product_bits(&match *lane {
+                SumProductLane::Marginals(w) => {
+                    let (wmc, marginals) = smoothed.wmc_marginals_presmoothed(w);
+                    SumProductAnswer::Marginals { wmc, marginals }
+                }
+                SumProductLane::Wmc(w) => SumProductAnswer::Wmc(smoothed.wmc_presmoothed(w)),
+                _ => SumProductAnswer::Count(smoothed.model_count_presmoothed()),
+            })
+        })
+        .collect();
+    for backend in LaneBackend::all_supported() {
+        let mut tape = EvalTape::new(&smoothed);
+        tape.set_lane_backend(backend);
+        for group in [1, 3, 8, 13] {
+            for (schedule, got) in [
+                ("lanes", tape.sum_product_batch(&lanes[..group])),
+                (
+                    "layered",
+                    tape.sum_product_batch_layered(&lanes[..group], 3),
+                ),
+            ] {
+                let got: Vec<Vec<u128>> = got.iter().map(sum_product_bits).collect();
+                assert_eq!(
+                    got,
+                    expect[..group],
+                    "{} {schedule} group of {group}",
+                    backend.name()
+                );
+            }
+        }
+    }
+}
+
 /// Every answer of one mixed sum-product batch and one MPE batch over
 /// `tape`, as comparable bits.
 fn sweep_bits(tape: &EvalTape, n: usize, seed: u64) -> (Vec<Vec<u128>>, Vec<MpeBits>) {
@@ -435,11 +529,16 @@ fn sweep_bits(tape: &EvalTape, n: usize, seed: u64) -> (Vec<Vec<u128>>, Vec<MpeB
     )
 }
 
-/// Each thread keeps one plane buffer from sweep to sweep and never
-/// clears it. Sweeping a large tape, then a small one, then the large one
-/// again on one thread must answer — sum-product lanes with marginals,
-/// and MPE lanes — bit for bit as sweeps on fresh threads, whose buffers
-/// start empty, on every backend.
+/// Each thread keeps one forward plane buffer and one derivative plane
+/// buffer from sweep to sweep. The forward planes are never cleared; the
+/// derivative planes are zeroed once per lane group. Sweeping a large
+/// tape, then a small one, then the large one again, then the wide-gate
+/// tape, whose marginals need the derivative pass's heap prefix buffer,
+/// on one thread must answer — sum-product lanes with marginals, and MPE
+/// lanes — bit for bit as sweeps on fresh threads, whose buffers start
+/// empty, on every backend. Every step's batch holds marginals lanes, so
+/// each small-tape step runs its derivative pass over planes the larger
+/// tape's pass left non-zero.
 #[test]
 fn reused_plane_buffers_answer_like_fresh_ones_on_every_backend() {
     let mut rng = SplitMix64::new(0x91a2e);
@@ -447,11 +546,14 @@ fn reused_plane_buffers_answer_like_fresh_ones_on_every_backend() {
     let (large_n, small_n) = (28, 6);
     let large = smooth(&compiler.compile(&trl_prop::gen::random_cnf(&mut rng, large_n, 40, 6)));
     let small = smooth(&compiler.compile(&trl_prop::gen::random_cnf(&mut rng, small_n, 8, 3)));
+    let wide = smooth(&wide_and_circuit());
     for backend in LaneBackend::all_supported() {
         let mut large_tape = EvalTape::new(&large);
         let mut small_tape = EvalTape::new(&small);
+        let mut wide_tape = EvalTape::new(&wide);
         large_tape.set_lane_backend(backend);
         small_tape.set_lane_backend(backend);
+        wide_tape.set_lane_backend(backend);
         assert!(
             large_tape.len() > 8 * small_tape.len(),
             "tapes too alike: {} vs {}",
@@ -459,11 +561,13 @@ fn reused_plane_buffers_answer_like_fresh_ones_on_every_backend() {
             small_tape.len()
         );
         // Different inputs per step, so a slot read before it is written
-        // would see another sweep's value.
+        // (or a derivative not cleared) would see another sweep's value.
         let steps = [
             (&large_tape, large_n, 1),
             (&small_tape, small_n, 2),
             (&large_tape, large_n, 3),
+            (&wide_tape, WIDE, 4),
+            (&small_tape, small_n, 5),
         ];
         let fresh: Vec<_> = steps
             .iter()
