@@ -224,7 +224,7 @@ fn main() {
     );
 
     if !smoke {
-        let json = to_json(smoke, stream, &results, mismatches == 0);
+        let json = to_json(stream, &results, mismatches == 0);
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_roles.json");
         std::fs::write(path, json).expect("write BENCH_roles.json");
         println!("\nwrote {path}");
@@ -297,11 +297,10 @@ fn random_instance(rng: &mut Rng, n: usize) -> Assignment {
 
 /// Renders the `BENCH_roles.json` document: one row per role query kind
 /// with throughput and nearest-rank latency percentiles.
-fn to_json(smoke: bool, stream: usize, results: &[KindResult], identical: bool) -> String {
+fn to_json(stream: usize, results: &[KindResult], identical: bool) -> String {
     use std::fmt::Write;
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"bench_roles\",\n");
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
     let _ = writeln!(out, "  \"queries_per_kind\": {stream},");
     let _ = writeln!(out, "  \"identical\": {identical},");
     out.push_str("  \"kinds\": [\n");

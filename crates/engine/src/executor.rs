@@ -331,7 +331,9 @@ impl QueryAnswer {
 /// One answered query: the answer plus its service latency. For a query
 /// answered as part of a kernel group, the latency is the group's sweep
 /// time — the wall time that query actually waited on its answering
-/// thread.
+/// thread. That holds for SAT too: a SAT query rides in its circuit's
+/// sum-product job, so its latency is that job's sweep time, not the
+/// constant read that answers it.
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
     /// The computed answer.
@@ -484,7 +486,9 @@ fn kind_counter(kind: usize) -> &'static trl_obs::Counter {
     })[kind]
 }
 
-/// The `engine.latency.<kind>_us` histogram for a kind row.
+/// The `engine.latency.<kind>_us` histogram for a kind row: each query's
+/// [`QueryOutcome::latency`], so `engine.latency.sat_us` records the
+/// service time of the sum-product job a SAT query rode in.
 fn kind_histogram(kind: usize) -> &'static trl_obs::Histogram {
     static HANDLES: OnceLock<[&'static trl_obs::Histogram; QUERY_KINDS.len()]> = OnceLock::new();
     HANDLES.get_or_init(|| {

@@ -113,9 +113,11 @@ fn sweep_span_name(backend: LaneBackend) -> &'static str {
     }
 }
 
-/// And-gate inputs whose prefix products the derivative pass keeps in a
-/// stack buffer; a wider gate takes a heap buffer.
-const PREFIX_STACK: usize = 32;
+/// The largest derivative buffer, in planes (1 MiB), a thread keeps for
+/// the next batch. A larger one is freed once its batch is answered, so a
+/// thread that once answered marginals on a big tape does not hold that
+/// tape's derivative planes for the life of the process.
+const KEPT_DERIVATIVE_PLANES: usize = 1 << 14;
 
 /// The widest variable universe whose count lanes stay in `f64`: every
 /// integer up to `2^53` is exact in `f64`, and no node of a smooth d-DNNF
@@ -237,8 +239,9 @@ thread_local! {
     static THREAD_PLANE: std::cell::Cell<PlaneBuf> = const {
         std::cell::Cell::new(PlaneBuf { buf: Vec::new(), off: 0, len: 0 })
     };
-    /// Each thread's derivative planes for the marginals pass, kept
-    /// between sweeps.
+    /// Each thread's derivative planes for the marginals pass, followed by
+    /// the prefix-product scratch of the tape's widest and-gate, kept
+    /// between sweeps up to [`KEPT_DERIVATIVE_PLANES`].
     static THREAD_DERIVATIVES: std::cell::Cell<PlaneBuf> = const {
         std::cell::Cell::new(PlaneBuf { buf: Vec::new(), off: 0, len: 0 })
     };
@@ -246,13 +249,15 @@ thread_local! {
 
 impl PlaneBuf {
     /// Runs `f` on this thread's buffer `key`, sized to `len` planes. The
-    /// buffer is reused from sweep to sweep and only grows; its contents
-    /// are never cleared here. A forward sweep stores each slot before it
-    /// reads that slot (children sit below their parents on the tape); the
-    /// derivative pass zeroes its planes itself, once per lane group.
+    /// buffer is reused from sweep to sweep and only grows, up to `keep`
+    /// planes: a larger one is freed after `f`. Its contents are never
+    /// cleared here. A forward sweep stores each slot before it reads that
+    /// slot (children sit below their parents on the tape); the derivative
+    /// pass zeroes its planes itself, once per lane group.
     fn with_thread_plane<R>(
         key: &'static ThreadPlane,
         len: usize,
+        keep: usize,
         f: impl FnOnce(&mut PlaneBuf) -> R,
     ) -> R {
         // Taken out, not borrowed: a nested sweep on this thread (none
@@ -265,7 +270,9 @@ impl PlaneBuf {
         }
         plane.len = len;
         let out = f(&mut plane);
-        key.with(|cell| cell.set(plane));
+        if len <= keep {
+            key.with(|cell| cell.set(plane));
+        }
         out
     }
 
@@ -321,6 +328,9 @@ pub struct EvalTape {
     /// Tape indices listed in original arena order — the replay schedule
     /// for the order-sensitive derivative pass of the marginal kernel.
     arena_order: Vec<u32>,
+    /// Inputs of the widest and-gate: the prefix-product planes the
+    /// derivative pass needs past the tape's own.
+    widest_and: usize,
     /// The root's tape slot (always the last slot: the root is an ancestor
     /// of every reachable node, so it alone occupies the top layer).
     root: u32,
@@ -436,6 +446,7 @@ impl EvalTape {
         let mut lits = vec![Var(0).positive(); count];
         let mut edge_start = vec![0u32; count + 1];
         let mut edges = Vec::with_capacity(circuit.edge_count());
+        let mut widest_and = 0;
         for (t, &i) in order.iter().enumerate() {
             edge_start[t] = edges.len() as u32;
             ops[t] = match circuit.node(NnfId(i)) {
@@ -447,6 +458,7 @@ impl EvalTape {
                 }
                 NnfNode::And(xs) => {
                     edges.extend(xs.iter().map(|x| slot[x.index()]));
+                    widest_and = widest_and.max(xs.len());
                     Op::And
                 }
                 NnfNode::Or(xs) => {
@@ -468,6 +480,7 @@ impl EvalTape {
             edges,
             layer_start,
             arena_order,
+            widest_and,
             root: (count - 1) as u32,
             backend: LaneBackend::detect(),
         }
@@ -764,18 +777,33 @@ impl EvalTape {
         let _sweep = trl_obs::trace_span(sweep_span_name(self.backend));
         record_sweeps(batch.len());
         let leaves: Vec<Leaves> = batch.iter().map(SumProductLane::leaves).collect();
-        PlaneBuf::with_thread_plane(&THREAD_PLANE, self.len(), |plane| {
-            self.sum_product_on(batch, &leaves, pool, plane)
+        PlaneBuf::with_thread_plane(&THREAD_PLANE, self.len(), usize::MAX, |plane| {
+            if !batch
+                .iter()
+                .any(|q| matches!(q, SumProductLane::Marginals(_)))
+            {
+                return self.sum_product_on(batch, &leaves, pool, plane, None);
+            }
+            let planes = self.len() + self.widest_and;
+            PlaneBuf::with_thread_plane(
+                &THREAD_DERIVATIVES,
+                planes,
+                KEPT_DERIVATIVE_PLANES,
+                |der| self.sum_product_on(batch, &leaves, pool, plane, Some(der)),
+            )
         })
     }
 
-    /// [`EvalTape::sum_product`]'s lane-group loop over one plane buffer.
+    /// [`EvalTape::sum_product`]'s lane-group loop over one plane buffer,
+    /// with the derivative buffer `der` when the batch holds a marginals
+    /// lane.
     fn sum_product_on(
         &self,
         batch: &[SumProductLane<'_>],
         leaves: &[Leaves<'_>],
         pool: Option<(&SweepPool, usize)>,
         plane: &mut PlaneBuf,
+        mut der: Option<&mut PlaneBuf>,
     ) -> Vec<SumProductAnswer> {
         let mut out = Vec::with_capacity(batch.len());
         for (group, leaves) in batch.chunks(LANES).zip(leaves.chunks(LANES)) {
@@ -788,13 +816,12 @@ impl EvalTape {
             let wants: [bool; LANES] = std::array::from_fn(|lane| {
                 matches!(group.get(lane), Some(SumProductLane::Marginals(_)))
             });
-            let marginals = if wants.contains(&true) {
-                PlaneBuf::with_thread_plane(&THREAD_DERIVATIVES, self.len(), |der| {
+            let marginals = match der.as_deref_mut() {
+                Some(der) if wants.contains(&true) => {
                     self.derivative_lanes(plane, wants, der);
-                    self.lit_marginals(group, der.planes())
-                })
-            } else {
-                Vec::new()
+                    self.lit_marginals(group, &der.planes()[..self.len()])
+                }
+                _ => Vec::new(),
             };
             let root = plane.planes()[self.root as usize];
             let mut marginals = marginals.into_iter();
@@ -980,7 +1007,7 @@ impl EvalTape {
         let mut out = Vec::with_capacity(weights.len());
         let mut stack = Vec::new();
         let leaves: Vec<Leaves> = weights.iter().map(|w| Leaves::Weights(w)).collect();
-        PlaneBuf::with_thread_plane(&THREAD_PLANE, self.len(), |plane| {
+        PlaneBuf::with_thread_plane(&THREAD_PLANE, self.len(), usize::MAX, |plane| {
             for group in leaves.chunks(LANES) {
                 self.forward_lanes::<lanes::MaxProduct>(group, plane);
                 let planes = plane.planes();
@@ -1113,15 +1140,17 @@ impl EvalTape {
     }
 
     /// The downward derivative sweep of the lanes flagged in `wants` into
-    /// `der`, one plane per tape slot, dispatched to the active backend
-    /// like the forward sweep. `der` is zeroed first; the other lanes'
-    /// derivatives stay 0 throughout.
+    /// `der`'s first plane per tape slot, dispatched to the active backend
+    /// like the forward sweep; the planes past those hold the widest
+    /// and-gate's prefix products. The tape's planes are zeroed first;
+    /// the other lanes' derivatives stay 0 throughout.
     fn derivative_lanes(&self, plane: &PlaneBuf, wants: [bool; LANES], der: &mut PlaneBuf) {
-        assert!(plane.len == self.len() && der.len == self.len());
+        assert!(plane.len == self.len() && der.len == self.len() + self.widest_and);
         let (plane, der) = (plane.as_ptr(), der.as_mut_ptr());
-        // SAFETY: both buffers hold one plane per tape slot (checked
-        // above), `der` is exclusively borrowed, and the backend is one
-        // `set_lane_backend` accepted as supported.
+        // SAFETY: `plane` holds one plane per tape slot and `der` one per
+        // slot plus the widest and-gate's inputs (checked above), `der` is
+        // exclusively borrowed, and the backend is one `set_lane_backend`
+        // accepted as supported.
         unsafe {
             match self.backend {
                 LaneBackend::Scalar => self.derivative_with::<lanes::ScalarOps>(plane, wants, der),
@@ -1146,8 +1175,9 @@ impl EvalTape {
     ///
     /// # Safety
     ///
-    /// `plane` must hold the finished forward sweep and `der` be writable,
-    /// both one plane per tape slot; `O`'s target feature must be
+    /// `plane` must hold the finished forward sweep, one plane per tape
+    /// slot, and `der` be writable for one plane per slot plus one per
+    /// input of the widest and-gate; `O`'s target feature must be
     /// available on the executing CPU.
     #[inline(always)]
     unsafe fn derivative_with<O: lanes::LaneOps>(
@@ -1162,10 +1192,8 @@ impl EvalTape {
         let edge_start = self.edge_start.as_ptr();
         let edges = self.edges.as_ptr();
         let at = |p: *const [f64; LANES], slot: u32| p.add(slot as usize) as *const f64;
-        // Prefix products of one and-gate's inputs: on the stack up to
-        // `PREFIX_STACK` inputs, on the heap past that.
-        let mut stack = [std::mem::MaybeUninit::<[f64; LANES]>::uninit(); PREFIX_STACK];
-        let mut heap: Vec<[f64; LANES]> = Vec::new();
+        // Prefix products of one and-gate's inputs, past the tape's planes.
+        let prefix = der.add(self.len());
         for &i in self.arena_order.iter().rev() {
             let d = O::load(at(der, i));
             let live = O::nonzero(d);
@@ -1186,12 +1214,6 @@ impl EvalTape {
                 Op::And => {
                     // ∂(∏ v_i)/∂v_j via prefix and suffix products, exactly
                     // as the scalar pass: d * prefix[j] * suffix, in order.
-                    let prefix = if k <= PREFIX_STACK {
-                        stack.as_mut_ptr() as *mut [f64; LANES]
-                    } else {
-                        heap.resize(k, [0.0; LANES]);
-                        heap.as_mut_ptr()
-                    };
                     let mut acc = O::splat(1.0);
                     for c in 0..k {
                         O::store(prefix.add(c) as *mut f64, acc);

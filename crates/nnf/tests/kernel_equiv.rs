@@ -404,8 +404,9 @@ fn mixed_sum_product_groups_bit_match_scalar_oracles_on_every_backend() {
     }
 }
 
-/// Inputs of each and-gate of [`wide_and_circuit`]: wider than the
-/// derivative pass keeps prefix products for on the stack (32 inputs).
+/// Inputs of each and-gate of [`wide_and_circuit`]: far wider than the
+/// and-gates of a compiled 3-CNF, so the derivative pass's prefix-product
+/// scratch is sized by this tape alone.
 const WIDE: usize = 45;
 
 /// `(x0 ∧ c1 ∧ … ∧ c44) ∨ (¬x0 ∧ c'1 ∧ … ∧ c'44)` over 45 variables:
@@ -434,13 +435,13 @@ fn wide_and_circuit() -> Circuit {
     b.finish(root)
 }
 
-/// And-gates wider than the derivative pass's stack prefix buffer take
-/// its heap buffer: marginals lanes over two 45-input and-gates answer
+/// Wide and-gates fill the derivative pass's prefix-product scratch past
+/// the tape's planes: marginals lanes over two 45-input and-gates answer
 /// bit for bit as the scalar oracle on every backend, sequentially and
 /// layer-parallel, for groups of 1, 3, 8 and 13 lanes with marginals in
 /// only some of them.
 #[test]
-fn and_gates_wider_than_the_stack_prefix_buffer_bit_match_on_every_backend() {
+fn wide_and_gates_bit_match_on_every_backend() {
     let circuit = wide_and_circuit();
     let widths: Vec<usize> = circuit
         .ids()
@@ -533,8 +534,8 @@ fn sweep_bits(tape: &EvalTape, n: usize, seed: u64) -> (Vec<Vec<u128>>, Vec<MpeB
 /// buffer from sweep to sweep. The forward planes are never cleared; the
 /// derivative planes are zeroed once per lane group. Sweeping a large
 /// tape, then a small one, then the large one again, then the wide-gate
-/// tape, whose marginals need the derivative pass's heap prefix buffer,
-/// on one thread must answer — sum-product lanes with marginals, and MPE
+/// tape, whose prefix-product scratch past the tape's planes is far wider
+/// than the others', on one thread must answer — sum-product lanes with marginals, and MPE
 /// lanes — bit for bit as sweeps on fresh threads, whose buffers start
 /// empty, on every backend. Every step's batch holds marginals lanes, so
 /// each small-tape step runs its derivative pass over planes the larger
