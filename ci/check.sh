@@ -14,7 +14,8 @@
 #                        # registry, answers diffed + bench_minimize --smoke),
 #                        # trace smoke (forced trace over the wire: span tree
 #                        # stations + parent links, Chrome export parses,
-#                        # traced answers diffed against untraced),
+#                        # traced answers diffed against untraced, and a
+#                        # local trace diffed against `query`),
 #                        # benchmark build (perfbench/ compiled against the
 #                        # current crates, its contract tests run), and
 #                        # fails if any committed BENCH_*.json changed
@@ -399,6 +400,27 @@ dropped="$(prom_value trl_trace_spans_dropped "$net_dir/trace.prom")"
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
+
+# Local trace: without --server, `trace` answers on its own thread under
+# a forced trace context. The answer line must match `query` on the
+# compiled artifact, and the tree must be the trace.request root with
+# the executor batch under it and a kernel sweep under that.
+target/release/three-roles trace "$net_dir/smoke.cnf" "${trace_flags[@]}" \
+    > "$net_dir/trace-local.out"
+target/release/three-roles query "$net_dir/smoke.trlc" "${trace_flags[@]}" \
+    | sed 's/ *([0-9.]* us)$//' > "$net_dir/query-local.stripped"
+head -n 1 "$net_dir/trace-local.out" | sed 's/ *([0-9.]* us)$//' \
+    > "$net_dir/trace-local.stripped"
+if ! diff "$net_dir/query-local.stripped" "$net_dir/trace-local.stripped"; then
+    echo "trace-smoke: local traced answer differs from query" >&2
+    exit 1
+fi
+grep -q '^trace\.request ' "$net_dir/trace-local.out" \
+    || { echo "trace-smoke: no trace.request root span locally" >&2; exit 1; }
+grep -q '^  executor\.batch ' "$net_dir/trace-local.out" \
+    || { echo "trace-smoke: executor.batch not under the local root" >&2; exit 1; }
+grep -Eq '^ {4}kernel\.sweep\.[a-z0-9]+ ' "$net_dir/trace-local.out" \
+    || { echo "trace-smoke: no kernel sweep under the local executor batch" >&2; exit 1; }
 
 if [[ "$(sha256sum BENCH_*.json)" != "$bench_records" ]]; then
     echo "bench-records: a BENCH_*.json changed during the run:" >&2

@@ -19,19 +19,15 @@
 //! * [`rng`] — a tiny deterministic SplitMix64 stream so randomized tests
 //!   and workload generators need no external dependency (the workspace
 //!   builds air-gapped).
-//! * [`semiring`] — the evaluation semirings that make one circuit traversal
-//!   serve many queries: counting, weighted counting, and max-product (MPE).
 
 pub mod bitset;
 pub mod error;
 pub mod hash;
 pub mod lit;
 pub mod rng;
-pub mod semiring;
 
 pub use bitset::VarSet;
 pub use error::{Error, Result};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use lit::{Assignment, Cube, Lit, PartialAssignment, Var};
 pub use rng::SplitMix64;
-pub use semiring::{MaxProd, Real, Semiring};

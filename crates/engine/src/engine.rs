@@ -6,7 +6,7 @@
 //! and hand to every connection thread: compile-or-fetch through a shared
 //! registry, answer through a shared executor, and report one coherent
 //! [`StatsSnapshot`] (registry hit/miss/eviction counters, retained-node
-//! budget pressure, executor backlog) for operational visibility — the
+//! budget pressure, per-kind queries served) for operational visibility — the
 //! `stats` wire request and `three-roles client stats` read exactly this.
 
 use std::sync::{Arc, Mutex};
@@ -25,13 +25,13 @@ use trl_spaces::{Graph, PreparedSpace};
 use trl_xai::PreparedClassifier;
 
 /// One coherent view of a serving engine's counters, taken atomically with
-/// respect to the registry (the executor backlog is an instantaneous gauge).
+/// respect to the registry.
 ///
 /// The first six fields are the legacy (wire version 1) surface and keep
 /// their exact encoding order; everything after `queue_depth` is the
-/// extended surface added with the observability layer. The
-/// `connections_*` fields are zero unless a serving frontend overlays
-/// them (the engine itself has no connections).
+/// extended surface added with the observability layer. `queue_depth` and
+/// the `connections_*` fields are zero unless a serving frontend overlays
+/// them (the engine itself has no admission queue and no connections).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Registry hit/miss/eviction counters since engine creation.
@@ -44,8 +44,10 @@ pub struct StatsSnapshot {
     pub max_retained_nodes: usize,
     /// Executor worker threads.
     pub workers: usize,
-    /// Executor pool jobs submitted and not yet answered (blocking batches
-    /// answer on their caller and never count here).
+    /// Queries admitted by a serving frontend and not yet answered — the
+    /// backlog a typed `overloaded` error reports. The engine itself has
+    /// no queue (every batch is answered on its caller), so it reports 0
+    /// and a serving frontend overlays its admission count.
     pub queue_depth: usize,
     /// Milliseconds since the engine was created.
     pub uptime_ms: u64,
@@ -99,8 +101,7 @@ pub struct Engine {
 impl Engine {
     /// An engine with the given retained-node budget and worker count;
     /// `None` workers defaults to one per hardware thread
-    /// ([`Executor::with_default_workers`]). The workers serve
-    /// asynchronous submissions (the `submit_*` methods) and the network
+    /// ([`Executor::with_default_workers`]). The workers run the network
     /// server's artifact builds ([`Executor::execute`]); callers of
     /// [`Engine::run_batch`] and [`Engine::run_artifact_batch`] — the
     /// server's reactors among them — bring their own threads and are
@@ -343,26 +344,6 @@ impl Engine {
             .run(&Artifact::Circuit(Arc::clone(circuit)), queries)
     }
 
-    /// Validates and submits a batch to the worker pool without blocking;
-    /// the completion callback fires on a worker thread once every query
-    /// is answered ([`Executor::submit`]).
-    pub fn submit_batch<F>(
-        &self,
-        circuit: &Arc<PreparedCircuit>,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.executor.submit(
-            &Artifact::Circuit(Arc::clone(circuit)),
-            queries,
-            None,
-            on_done,
-        )
-    }
-
     /// Validates and answers a batch against any typed artifact on the
     /// calling thread ([`Executor::run`]).
     pub fn run_artifact_batch(
@@ -373,27 +354,13 @@ impl Engine {
         self.executor.run(artifact, queries)
     }
 
-    /// Validates and submits a batch against any typed artifact to the
-    /// worker pool without blocking ([`Executor::submit`]).
-    pub fn submit_artifact_batch<F>(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        self.executor.submit(artifact, queries, None, on_done)
-    }
-
     /// The shared executor (for callers that manage circuits themselves).
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
 
-    /// One coherent stats snapshot. The `connections_*` fields are left
-    /// zero for a serving frontend to overlay; `metrics` is the
+    /// One coherent stats snapshot. `queue_depth` and the `connections_*`
+    /// fields are left zero for a serving frontend to overlay; `metrics` is the
     /// process-global dump, so it also reflects activity outside this
     /// engine (a second engine in the same process shares it).
     pub fn stats(&self) -> StatsSnapshot {
@@ -405,7 +372,7 @@ impl Engine {
             retained_nodes: registry.retained_nodes(),
             max_retained_nodes: registry.max_retained_nodes(),
             workers: self.executor.num_workers(),
-            queue_depth: self.executor.queue_depth(),
+            queue_depth: 0,
             uptime_ms: self.start.elapsed().as_millis() as u64,
             requests_served: QUERY_KINDS
                 .iter()
@@ -630,5 +597,12 @@ mod tests {
         assert_eq!(snapshot.max_retained_nodes, 12345);
         assert_eq!(snapshot.queue_depth, 0);
         assert_eq!(snapshot.artifacts, 0);
+        // In-process there is no admission queue, before or after a batch;
+        // a serving frontend overlays its own backlog.
+        let (_, circuit) = engine.compile(&cnf());
+        engine.run_batch(&circuit, vec![Query::ModelCount]).unwrap();
+        let snapshot = engine.stats();
+        assert_eq!(snapshot.queue_depth, 0);
+        assert_eq!(snapshot.artifacts, 1);
     }
 }

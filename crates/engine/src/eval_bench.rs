@@ -51,13 +51,13 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use crate::serve_bench::LatencySummary;
 use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
 use trl_nnf::{
     smooth, Circuit, EvalTape, LaneBackend, LitWeights, SumProductAnswer, SumProductLane,
     SweepPool, LANES,
 };
+use trl_obs::LatencySummary;
 use trl_prop::gen::random_cnf;
 
 /// Measurements for one evaluation variant.

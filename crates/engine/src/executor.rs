@@ -1,6 +1,6 @@
 //! The batched query executor: plans a batch into grouped jobs and answers
-//! each job through the evaluation kernels, on the calling thread or on a
-//! fixed worker pool.
+//! each job through the evaluation kernels on the calling thread, and runs
+//! long tasks on a fixed worker pool.
 //!
 //! Artifacts are shared as `Arc`s, so a job touching one clones a pointer,
 //! not a circuit. A job is not one query: planning puts a circuit's
@@ -9,28 +9,21 @@
 //! ([`trl_nnf::EvalTape::sum_product_batch`]) whatever their mix, and MPE,
 //! which shares one max-product sweep — instead of one arena walk per
 //! query. When the [`ParallelPolicy`] says a circuit is wide enough, a
-//! whole bucket instead becomes one job that fans each tape layer across
-//! the persistent [`trl_nnf::SweepPool`]. Each answered query
-//! reports its service latency, so `bench-serve` can record tail
-//! behaviour, not just throughput.
+//! bucket's sweep instead fans each tape layer across the persistent
+//! [`trl_nnf::SweepPool`]. Each answered query reports its service
+//! latency.
 //!
-//! Two entry points share the plan and the one function that answers a
-//! job; only the thread differs:
+//! Queries have one entry point, [`Executor::run`], which blocks and
+//! answers every job on the calling thread. A caller brings its own
+//! thread — one that would otherwise sleep on a channel while a worker ran
+//! the same code — so a batch pays no channel send and no worker wake-up,
+//! and one issued from inside a pool task cannot wait on the very worker
+//! that is running it. The network server's reactors answer every query
+//! frame this way.
 //!
-//! - [`Executor::run`] blocks and answers every job on the calling thread.
-//!   A caller brings its own thread — one that would otherwise sleep on a
-//!   channel while a worker ran the same code — so a blocking batch pays
-//!   no channel send, no worker wake-up and no completion channel, and one
-//!   issued from inside a completion callback cannot wait on the very
-//!   worker that is running it. The network server's reactors answer
-//!   every query frame this way.
-//! - [`Executor::submit`] returns at once: its jobs go to the worker pool,
-//!   and a completion callback fires from the worker that answers the last
-//!   one — for in-process callers that must not block.
-//!
-//! The same workers also run arbitrary tasks ([`Executor::execute`]): the
-//! network server's artifact builds (compile, learn, optimize), which can
-//! take arbitrarily long and so must not run on a reactor.
+//! The worker pool runs tasks only ([`Executor::execute`]): the network
+//! server's artifact builds (compile, learn, optimize), which can take
+//! arbitrarily long and so must not run on a reactor.
 //!
 //! The pool is deliberately dependency-free (std threads + `mpsc`): the
 //! workspace builds air-gapped.
@@ -44,8 +37,7 @@ use std::time::{Duration, Instant};
 use crate::artifact::{Artifact, ArtifactKind};
 use crate::error::{EngineError, Result};
 use trl_core::{Assignment, Cube, PartialAssignment, Var};
-use trl_nnf::{LitWeights, LANES};
-use trl_obs::TraceContext;
+use trl_nnf::LitWeights;
 
 /// The node count [`ParallelPolicy::Layered`] switches at — the default
 /// policy of [`Executor::with_default_workers`]. Validated by
@@ -72,7 +64,7 @@ pub const DEFAULT_LAYERED_MIN_NODES: usize = 1 << 16;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ParallelPolicy {
     /// Lane-batched kernels only; groups are never fanned within a
-    /// layer (on the pool they are chunked across workers). The default.
+    /// layer. The default.
     #[default]
     LaneOnly,
     /// Groups against circuits with at least `min_nodes` raw arena nodes
@@ -342,9 +334,6 @@ pub struct QueryOutcome {
     pub latency: Duration,
 }
 
-/// The completion callback of an asynchronously submitted batch.
-type Completion = Box<dyn FnOnce(Vec<QueryOutcome>) + Send + 'static>;
-
 /// One planned unit of work: a circuit's sum-product or MPE query group,
 /// or one ungroupable query, answered by a single `run_job` call.
 struct Job {
@@ -356,9 +345,7 @@ struct Job {
     layer_threads: usize,
 }
 
-/// A validated batch split into jobs. Both entry points plan a batch with
-/// the same function; [`Executor::run`] answers the jobs on the calling
-/// thread and [`Executor::submit`] hands them to the pool.
+/// A validated batch split into jobs.
 struct Plan {
     jobs: Vec<Job>,
     /// Kind index per submission index, for per-kind stat attribution.
@@ -367,10 +354,9 @@ struct Plan {
     layered: bool,
 }
 
-/// Answers one job: the one function behind both entry points, run on a
-/// pool worker for [`Executor::submit`] and on the caller for
-/// [`Executor::run`]. Yields `(submission index, outcome)` pairs; every
-/// query in the job shares the job's service time as its latency.
+/// Answers one job on the calling thread. Yields `(submission index,
+/// outcome)` pairs; every query in the job shares the job's service time
+/// as its latency.
 fn run_job(job: &Job) -> impl Iterator<Item = (usize, QueryOutcome)> + '_ {
     let start = Instant::now();
     let answers = {
@@ -391,91 +377,8 @@ fn run_job(job: &Job) -> impl Iterator<Item = (usize, QueryOutcome)> + '_ {
     )
 }
 
-/// What the pool's channel carries: a planned query job or a task.
-enum Work {
-    Job(Queued),
-    Task(Box<dyn FnOnce() + Send + 'static>),
-}
-
-/// A job in the pool's channel, with what the answering worker needs
-/// beyond the job itself.
-struct Queued {
-    job: Job,
-    /// When the job entered the channel — queue wait is measured from here
-    /// to the moment a worker picks the job up.
-    submitted: Instant,
-    /// The sampled trace context of the request this job belongs to, if
-    /// any: the worker records its queue wait and installs the context
-    /// around the answering sweep so kernel spans attach to the tree.
-    ctx: Option<TraceContext>,
-    pending: Arc<Pending>,
-}
-
-/// Shared state of one submitted batch: the jobs it was split into all
-/// hold an `Arc` to it, and whichever worker finishes the last job
-/// attributes the batch's stats and runs the completion callback.
-struct Pending {
-    /// Outcome slot per submission index.
-    slots: Mutex<Vec<Option<QueryOutcome>>>,
-    /// Jobs not yet answered; the worker that decrements this to zero
-    /// finalizes the batch.
-    jobs_left: AtomicUsize,
-    kinds: Vec<usize>,
-    layered: bool,
-    on_done: Mutex<Option<Completion>>,
-    /// The owning executor's served-by-kind table (shared so completion
-    /// can attribute from a worker thread).
-    stats: Arc<ExecutorStats>,
-}
-
-impl Pending {
-    /// Called once every job is answered: attributes stats and fires the
-    /// completion callback.
-    fn finalize(&self) {
-        let outcomes = {
-            let mut slots = self.slots.lock().expect("batch slots lock");
-            self.stats.finish(&self.kinds, self.layered, &mut slots)
-        };
-        if let Some(done) = self.on_done.lock().expect("completion lock").take() {
-            done(outcomes);
-        }
-    }
-}
-
-/// Served-by-kind counters, shared between the executor handle and
-/// in-flight batch completions.
-struct ExecutorStats {
-    served_by_kind: [AtomicU64; QUERY_KINDS.len()],
-}
-
-impl ExecutorStats {
-    /// Drains a fully answered batch's outcome slots and attributes its
-    /// stats: engine-scoped per-kind totals plus the process-global
-    /// request counters and latency histograms — a few relaxed atomics
-    /// per query, once per batch on either path.
-    fn finish(
-        &self,
-        kinds: &[usize],
-        layered: bool,
-        slots: &mut [Option<QueryOutcome>],
-    ) -> Vec<QueryOutcome> {
-        let outcomes: Vec<QueryOutcome> = slots
-            .iter_mut()
-            .map(|s| s.take().expect("every index answered exactly once"))
-            .collect();
-        trl_obs::counter!("engine.batches").inc();
-        trl_obs::counter!("engine.requests").add(outcomes.len() as u64);
-        if layered {
-            trl_obs::counter!("engine.layered_dispatches").inc();
-        }
-        for (&kind, outcome) in kinds.iter().zip(&outcomes) {
-            self.served_by_kind[kind].fetch_add(1, Ordering::Relaxed);
-            kind_counter(kind).inc();
-            kind_histogram(kind).record(outcome.latency);
-        }
-        outcomes
-    }
-}
+/// What the pool's channel carries.
+type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// The `engine.requests.<kind>` counter for a [`Query::kind_index`] row,
 /// resolved once per kind for the process.
@@ -498,21 +401,18 @@ fn kind_histogram(kind: usize) -> &'static trl_obs::Histogram {
     })[kind]
 }
 
-/// Answers query batches against shared immutable artifacts: on the
-/// calling thread ([`Executor::run`]) or on a fixed pool of worker threads
-/// ([`Executor::submit`]), which also runs plain tasks
-/// ([`Executor::execute`]). Dropping the executor shuts the workers down.
+/// Answers query batches against shared immutable artifacts on the
+/// calling thread ([`Executor::run`]) and runs tasks on a fixed pool of
+/// worker threads ([`Executor::execute`]). Dropping the executor shuts the
+/// workers down.
 pub struct Executor {
-    tx: Option<Sender<Work>>,
+    tx: Option<Sender<Task>>,
     workers: Vec<JoinHandle<()>>,
-    /// Pool jobs submitted but not yet answered, across all callers — the
-    /// pool's instantaneous backlog, surfaced as a serving stat.
-    in_flight: Arc<AtomicUsize>,
     /// Queries answered since construction, one row per
     /// [`QUERY_KINDS`] entry — the per-kind `requests_served` table of
     /// this executor's stats snapshot (engine-scoped, unlike the
     /// process-global `engine.requests.*` counters).
-    stats: Arc<ExecutorStats>,
+    served_by_kind: [AtomicU64; QUERY_KINDS.len()],
     /// The [`ParallelPolicy`] encoded as a minimum node count: `0` means
     /// lane-only (layered sweeps never dispatch), anything else is
     /// `Layered { min_nodes }`. Atomic so serving frontends can flip the
@@ -522,19 +422,17 @@ pub struct Executor {
 
 impl Executor {
     /// Spawns a pool of `workers` threads (at least one) for
-    /// [`Executor::submit`]; [`Executor::run`] answers on its caller.
+    /// [`Executor::execute`]; [`Executor::run`] answers on its caller.
     pub fn new(workers: usize) -> Self {
         let workers = workers.max(1);
-        let (tx, rx) = channel::<Work>();
+        let (tx, rx) = channel::<Task>();
         let rx = Arc::new(Mutex::new(rx));
-        let in_flight = Arc::new(AtomicUsize::new(0));
         let handles = (0..workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
-                let in_flight = Arc::clone(&in_flight);
                 std::thread::Builder::new()
                     .name(format!("trl-engine-worker-{i}"))
-                    .spawn(move || Self::worker_loop(&rx, &in_flight))
+                    .spawn(move || Self::worker_loop(&rx))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -551,10 +449,7 @@ impl Executor {
         Executor {
             tx: Some(tx),
             workers: handles,
-            in_flight,
-            stats: Arc::new(ExecutorStats {
-                served_by_kind: [const { AtomicU64::new(0) }; QUERY_KINDS.len()],
-            }),
+            served_by_kind: [const { AtomicU64::new(0) }; QUERY_KINDS.len()],
             layered_min_nodes: AtomicUsize::new(0),
         }
     }
@@ -575,46 +470,19 @@ impl Executor {
         ex
     }
 
-    fn worker_loop(rx: &Mutex<Receiver<Work>>, in_flight: &AtomicUsize) {
+    fn worker_loop(rx: &Mutex<Receiver<Task>>) {
         loop {
-            // Hold the lock only to receive, never while answering.
-            let work = match rx.lock() {
+            // Hold the lock only to receive, never while running a task.
+            let task = match rx.lock() {
                 Ok(guard) => guard.recv(),
                 Err(_) => return, // a sibling panicked; shut down
             };
-            let Queued {
-                job,
-                submitted,
-                ctx,
-                pending,
-            } = match work {
-                Ok(Work::Job(queued)) => queued,
-                Ok(Work::Task(task)) => {
-                    // A panicking task must not take the worker with it:
-                    // the pool would shrink for every later caller.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                    continue;
-                }
-                Err(_) => return, // executor dropped: no more jobs
+            let Ok(task) = task else {
+                return; // executor dropped: no more tasks
             };
-            let queue_wait = submitted.elapsed();
-            trl_obs::histogram!("engine.queue_wait_us").record(queue_wait);
-            if let Some(ctx) = ctx {
-                trl_obs::record_span_under(ctx, "engine.queue_wait", submitted, queue_wait);
-            }
-            let answered = trl_obs::with_current_trace(ctx, || run_job(&job));
-            {
-                let mut slots = pending.slots.lock().expect("batch slots lock");
-                for (index, outcome) in answered {
-                    slots[index] = Some(outcome);
-                }
-            }
-            in_flight.fetch_sub(1, Ordering::Relaxed);
-            // The last job standing finalizes: stat attribution plus the
-            // batch's completion callback, both on this worker thread.
-            if pending.jobs_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                pending.finalize();
-            }
+            // A panicking task must not take the worker with it: the pool
+            // would shrink for every later caller.
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
         }
     }
 
@@ -623,22 +491,14 @@ impl Executor {
         self.workers.len()
     }
 
-    /// Pool jobs submitted and not yet answered — an instantaneous backlog
-    /// gauge for serving stats, not a synchronization primitive. Batches
-    /// answered by [`Executor::run`] never enter it.
-    pub fn queue_depth(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
     /// Queries answered since construction, one row per [`QUERY_KINDS`]
     /// entry.
     pub fn served_by_kind(&self) -> [u64; QUERY_KINDS.len()] {
-        std::array::from_fn(|i| self.stats.served_by_kind[i].load(Ordering::Relaxed))
+        std::array::from_fn(|i| self.served_by_kind[i].load(Ordering::Relaxed))
     }
 
     /// Sets how groups parallelize (see [`ParallelPolicy`]). Takes effect
-    /// for batches submitted after the call; safe through a shared
-    /// reference.
+    /// for batches run after the call; safe through a shared reference.
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         let encoded = match policy {
             ParallelPolicy::LaneOnly => 0,
@@ -662,98 +522,57 @@ impl Executor {
     /// outcomes in submission order. No query runs unless the whole batch
     /// is valid.
     ///
-    /// The batch is planned as [`Executor::submit`] plans it, except that
-    /// a bucket is never split across workers: one job per bucket (the
-    /// sum-product group and the MPE group) plus one per ungroupable query.
-    /// Every job runs through the same function a pool worker runs; only
-    /// the thread differs. Groups past the [`ParallelPolicy`] threshold
-    /// still fan their tape layers across the persistent sweep pool, but
-    /// the jobs of a batch run one after another here instead of side by
-    /// side on the pool.
+    /// The batch is planned into one job per kernel bucket (the
+    /// sum-product group and the MPE group) plus one per ungroupable
+    /// query, and the jobs run one after another here. Groups past the
+    /// [`ParallelPolicy`] threshold still fan their tape layers across the
+    /// persistent sweep pool.
+    ///
+    /// Stats are attributed once per batch: engine-scoped per-kind totals
+    /// plus the process-global request counters and latency histograms —
+    /// a few relaxed atomics per query.
     pub fn run(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Vec<QueryOutcome>> {
-        let plan = self.plan(artifact, queries, 1)?;
+        let plan = self.plan(artifact, queries)?;
         let mut slots: Vec<Option<QueryOutcome>> = (0..plan.kinds.len()).map(|_| None).collect();
         for job in &plan.jobs {
             for (index, outcome) in run_job(job) {
                 slots[index] = Some(outcome);
             }
         }
-        Ok(self.stats.finish(&plan.kinds, plan.layered, &mut slots))
+        let outcomes: Vec<QueryOutcome> = slots
+            .into_iter()
+            .map(|s| s.expect("every index answered exactly once"))
+            .collect();
+        trl_obs::counter!("engine.batches").inc();
+        trl_obs::counter!("engine.requests").add(outcomes.len() as u64);
+        if plan.layered {
+            trl_obs::counter!("engine.layered_dispatches").inc();
+        }
+        for (&kind, outcome) in plan.kinds.iter().zip(&outcomes) {
+            self.served_by_kind[kind].fetch_add(1, Ordering::Relaxed);
+            kind_counter(kind).inc();
+            kind_histogram(kind).record(outcome.latency);
+        }
+        Ok(outcomes)
     }
 
-    /// Validates and submits a batch to the worker pool without blocking:
-    /// `on_done` fires on a worker thread (or inline, for an empty batch)
-    /// once every query is answered, receiving outcomes in submission
-    /// order. An invalid batch returns its error and never fires
-    /// `on_done`.
-    ///
-    /// A sampled `ctx` makes every job record its queue wait as a child
-    /// span and installs the context on the answering worker, so
-    /// kernel-level spans (sweeps, layer barriers) land in the request's
-    /// tree.
-    pub fn submit<F>(
-        &self,
-        artifact: &Artifact,
-        queries: Vec<Query>,
-        ctx: Option<TraceContext>,
-        on_done: F,
-    ) -> Result<()>
-    where
-        F: FnOnce(Vec<QueryOutcome>) + Send + 'static,
-    {
-        let Plan {
-            jobs,
-            kinds,
-            layered,
-        } = self.plan(artifact, queries, self.num_workers())?;
-        let pending = Arc::new(Pending {
-            slots: Mutex::new((0..kinds.len()).map(|_| None).collect()),
-            jobs_left: AtomicUsize::new(jobs.len()),
-            kinds,
-            layered,
-            on_done: Mutex::new(Some(Box::new(on_done))),
-            stats: Arc::clone(&self.stats),
-        });
-        if jobs.is_empty() {
-            pending.finalize();
-            return Ok(());
-        }
-        let tx = self.tx.as_ref().expect("executor is live until dropped");
-        self.in_flight.fetch_add(jobs.len(), Ordering::Relaxed);
-        for job in jobs {
-            let queued = Queued {
-                job,
-                submitted: Instant::now(),
-                ctx,
-                pending: Arc::clone(&pending),
-            };
-            tx.send(Work::Job(queued)).expect("worker pool alive");
-        }
-        Ok(())
-    }
-
-    /// Runs `task` on a pool worker and returns at once. Tasks and
-    /// [`Executor::submit`] jobs share one queue, in submission order; a
-    /// task does not count in [`Executor::queue_depth`]. A task that
-    /// panics is dropped and the worker carries on.
+    /// Runs `task` on a pool worker and returns at once. Tasks run in
+    /// submission order; a task that panics is dropped and the worker
+    /// carries on.
     pub fn execute(&self, task: impl FnOnce() + Send + 'static) {
         let tx = self.tx.as_ref().expect("executor is live until dropped");
-        tx.send(Work::Task(Box::new(task)))
-            .expect("worker pool alive");
+        tx.send(Box::new(task)).expect("worker pool alive");
     }
 
     /// Validates a batch and splits it into jobs. Every query must be
     /// addressed to the artifact's kind ([`Artifact::validate`]). Circuit
     /// queries are grouped into two buckets — sum-product (counts, WMC,
-    /// marginals, in any mix, plus SAT) and MPE — and each group is split
-    /// into at most `split` lane-aligned chunks, one per thread that will
-    /// answer them — or kept whole when the active [`ParallelPolicy`] says
-    /// the circuit is wide enough, where the sum-product forward sweep
-    /// runs layer-parallel. SAT takes no lane: it rides in whichever chunk
-    /// is open when it comes up and does not count toward that chunk's
-    /// lanes, and a SAT-only group is one job that never builds the tape.
+    /// marginals, in any mix, plus SAT) and MPE — and each non-empty bucket
+    /// is one job, whose forward sweep runs layer-parallel when the active
+    /// [`ParallelPolicy`] says the circuit is wide enough. SAT takes no
+    /// lane, and a SAT-only bucket is a job that never builds the tape.
     /// Every role-2/3 query becomes a job of its own.
-    fn plan(&self, artifact: &Artifact, queries: Vec<Query>, split: usize) -> Result<Plan> {
+    fn plan(&self, artifact: &Artifact, queries: Vec<Query>) -> Result<Plan> {
         for q in &queries {
             artifact.validate(q)?;
         }
@@ -780,51 +599,29 @@ impl Executor {
             }
             _ => false,
         };
-        let mut jobs = Vec::new();
-        let mut push = |indices: Vec<usize>, queries: Vec<Query>, layer_threads: usize| {
-            jobs.push(Job {
-                artifact: artifact.clone(),
-                indices,
-                queries,
-                layer_threads,
-            });
+        // A layered group fans each tape layer across the persistent sweep
+        // pool's full width (the kernel clamps to what the pool has).
+        let layer_threads = if layered {
+            trl_nnf::SweepPool::global().size()
+        } else {
+            1
         };
-        for (indices, group) in buckets {
-            if group.is_empty() {
-                continue;
-            }
-            if layered {
-                // One job, whole group: each tape layer fans across the
-                // persistent sweep pool's full width (the kernel clamps to
-                // what the pool actually has).
-                push(indices, group, trl_nnf::SweepPool::global().size());
-                continue;
-            }
-            // Split the group's lanes across threads in lane-aligned
-            // chunks, so every chunk fills whole value planes.
-            let takes_lane = |q: &Query| !matches!(q, Query::Sat);
-            let per_worker = group
-                .iter()
-                .filter(|q| takes_lane(q))
-                .count()
-                .div_ceil(split);
-            let chunk = per_worker.max(LANES).div_ceil(LANES) * LANES;
-            let (mut ix, mut qs, mut filled) = (Vec::new(), Vec::new(), 0);
-            for (index, query) in indices.into_iter().zip(group) {
-                let lane = takes_lane(&query);
-                if lane && filled == chunk {
-                    push(std::mem::take(&mut ix), std::mem::take(&mut qs), 1);
-                    filled = 0;
-                }
-                filled += lane as usize;
-                ix.push(index);
-                qs.push(query);
-            }
-            push(ix, qs, 1);
-        }
-        for (index, query) in singles {
-            push(vec![index], vec![query], 1);
-        }
+        let job = |indices, queries, layer_threads| Job {
+            artifact: artifact.clone(),
+            indices,
+            queries,
+            layer_threads,
+        };
+        let jobs = buckets
+            .into_iter()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(indices, group)| job(indices, group, layer_threads))
+            .chain(
+                singles
+                    .into_iter()
+                    .map(|(index, query)| job(vec![index], vec![query], 1)),
+            )
+            .collect();
         Ok(Plan {
             jobs,
             kinds,
@@ -837,9 +634,10 @@ impl Drop for Executor {
     fn drop(&mut self) {
         // Closing the channel ends every worker's recv loop.
         self.tx.take();
-        // The executor can be dropped *from one of its own workers*: an
-        // async completion callback may hold the last strong reference to
-        // whatever owns the executor and release it as the closure drops.
+        // The executor can be dropped *from one of its own workers*: a task
+        // passed to `execute` may hold the last strong reference to
+        // whatever owns the executor (the network server's build tasks
+        // capture its shared state) and release it as the closure drops.
         // Joining that thread would be a self-join (EDEADLK); detach it —
         // the closed channel already guarantees it exits on its own.
         let me = std::thread::current().id();
@@ -871,16 +669,6 @@ mod tests {
         Artifact::Circuit(Arc::clone(p))
     }
 
-    /// Submits to the pool and waits for the completion callback.
-    fn run_on_pool(ex: &Executor, art: &Artifact, queries: Vec<Query>) -> Vec<QueryOutcome> {
-        let (tx, rx) = channel();
-        ex.submit(art, queries, None, move |o| {
-            let _ = tx.send(o);
-        })
-        .unwrap();
-        rx.recv().unwrap()
-    }
-
     #[test]
     fn batch_answers_in_submission_order() {
         let p = prepared();
@@ -893,16 +681,13 @@ mod tests {
             queries.push(Query::Sat);
             queries.push(Query::Wmc(LitWeights::unit(4)));
         }
-        let inline = ex.run(&circuit(&p), queries.clone()).unwrap();
-        let pooled = run_on_pool(&ex, &circuit(&p), queries);
-        for outcomes in [inline, pooled] {
-            assert_eq!(outcomes.len(), 51);
-            for chunk in outcomes.chunks(3) {
-                assert_eq!(chunk[0].answer.model_count(), Some(expected_count));
-                assert_eq!(chunk[1].answer, QueryAnswer::Sat(true));
-                assert_eq!(chunk[2].answer.wmc(), Some(expected_count as f64));
-                assert!(chunk.iter().all(|o| o.latency > Duration::ZERO));
-            }
+        let outcomes = ex.run(&circuit(&p), queries).unwrap();
+        assert_eq!(outcomes.len(), 51);
+        for chunk in outcomes.chunks(3) {
+            assert_eq!(chunk[0].answer.model_count(), Some(expected_count));
+            assert_eq!(chunk[1].answer, QueryAnswer::Sat(true));
+            assert_eq!(chunk[2].answer.wmc(), Some(expected_count as f64));
+            assert!(chunk.iter().all(|o| o.latency > Duration::ZERO));
         }
     }
 
@@ -927,12 +712,9 @@ mod tests {
             }
         }
         let ex = Executor::new(2);
-        let inline = ex.run(&circuit(&p), queries.clone()).unwrap();
-        let pooled = run_on_pool(&ex, &circuit(&p), queries.clone());
-        for outcomes in [inline, pooled] {
-            for (q, o) in queries.iter().zip(&outcomes) {
-                assert_eq!(o.answer, p.answer(q), "kind={}", q.kind());
-            }
+        let outcomes = ex.run(&circuit(&p), queries.clone()).unwrap();
+        for (q, o) in queries.iter().zip(&outcomes) {
+            assert_eq!(o.answer, p.answer(q), "kind={}", q.kind());
         }
     }
 
@@ -961,61 +743,43 @@ mod tests {
     }
 
     #[test]
-    fn many_batches_reuse_the_pool() {
-        let p = prepared();
-        let ex = Executor::new(2);
-        for _ in 0..10 {
-            let outcomes = run_on_pool(&ex, &circuit(&p), vec![Query::ModelCount; 8]);
-            assert!(outcomes
-                .iter()
-                .all(|o| o.answer.model_count() == Some(p.raw().model_count())));
-        }
-    }
-
-    #[test]
-    fn only_the_pool_splits_a_kind_group() {
+    fn plan_makes_one_job_per_non_empty_bucket() {
         let ex = Executor::new(4);
         let mut queries = vec![Query::ModelCount; 20];
         queries.extend(vec![Query::Wmc(LitWeights::unit(4)); 20]);
         queries.extend(vec![Query::MaxWeight(LitWeights::unit(4)); 20]);
         queries.extend(vec![Query::Sat; 3]);
-        let jobs = |queries: &[Query], split| -> Vec<usize> {
-            let plan = ex.plan(&circuit(&prepared()), queries.to_vec(), split);
+        let jobs = |queries: Vec<Query>| -> Vec<usize> {
+            let plan = ex.plan(&circuit(&prepared()), queries);
             plan.unwrap().jobs.iter().map(|j| j.queries.len()).collect()
         };
-        // Inline: counts, WMC and SAT share the sum-product job, MPE has
-        // its own.
-        assert_eq!(jobs(&queries, 1), [43, 20]);
-        // Pool: the 40 sum-product lanes split into lane-aligned chunks
-        // of 16 (40 / 4 workers, rounded up to whole lane groups), the
-        // 20-query MPE group into chunks of 8. The SAT queries come last
-        // and ride in the open chunk without taking its lanes.
-        assert_eq!(jobs(&queries, ex.num_workers()), [16, 16, 8 + 3, 8, 8, 4]);
-        // SAT in front rides in the first chunk; a SAT-only batch is one
-        // job.
+        // Counts, WMC and SAT share the sum-product job, however many
+        // lane groups it fills; MPE has its own.
+        assert_eq!(jobs(queries.clone()), [43, 20]);
+        // SAT in front rides in the same job.
         let sat_first: Vec<Query> = queries[60..]
             .iter()
             .chain(&queries[..40])
             .cloned()
             .collect();
-        assert_eq!(jobs(&sat_first, ex.num_workers()), [3 + 16, 16, 8]);
-        assert_eq!(jobs(&queries[60..], ex.num_workers()), [3]);
-        assert_eq!(jobs(&queries[60..], 1), [3]);
+        assert_eq!(jobs(sat_first), [43]);
+        // SAT last, behind MPE, still joins the sum-product job.
+        let sat_last: Vec<Query> = queries[40..].to_vec();
+        assert_eq!(jobs(sat_last), [3, 20]);
+        // A SAT-only batch is one job; an empty batch none.
+        assert_eq!(jobs(queries[60..].to_vec()), [3]);
+        assert_eq!(jobs(Vec::new()), [0usize; 0]);
+        // A layered policy keeps the partition.
+        ex.set_parallel_policy(ParallelPolicy::Layered { min_nodes: 1 });
+        assert_eq!(jobs(queries), [43, 20]);
     }
 
     #[test]
     fn sat_rides_in_the_kernel_job_and_never_builds_the_tape() {
         let p = prepared();
         let ex = Executor::new(2);
-        let sat_true = |outcomes: Vec<QueryOutcome>| {
-            outcomes.iter().all(|o| o.answer == QueryAnswer::Sat(true))
-        };
-        assert!(sat_true(ex.run(&circuit(&p), vec![Query::Sat; 3]).unwrap()));
-        assert!(sat_true(run_on_pool(
-            &ex,
-            &circuit(&p),
-            vec![Query::Sat; 3]
-        )));
+        let outcomes = ex.run(&circuit(&p), vec![Query::Sat; 3]).unwrap();
+        assert!(outcomes.iter().all(|o| o.answer == QueryAnswer::Sat(true)));
         assert!(
             !p.smoothing_materialized(),
             "SAT alone never builds the tape"
@@ -1026,21 +790,20 @@ mod tests {
             QueryAnswer::ModelCount(p.raw().model_count()),
             QueryAnswer::Sat(true),
         ];
-        for outcomes in [
-            ex.run(&circuit(&p), mixed.clone()).unwrap(),
-            run_on_pool(&ex, &circuit(&p), mixed),
-        ] {
-            let got: Vec<QueryAnswer> = outcomes.into_iter().map(|o| o.answer).collect();
-            assert_eq!(got, expect);
-        }
+        let outcomes = ex.run(&circuit(&p), mixed).unwrap();
+        let got: Vec<QueryAnswer> = outcomes.into_iter().map(|o| o.answer).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]
     fn zero_worker_request_still_gets_one() {
         let ex = Executor::new(0);
         assert_eq!(ex.num_workers(), 1);
-        let outcomes = run_on_pool(&ex, &circuit(&prepared()), vec![Query::Sat]);
-        assert_eq!(outcomes[0].answer, QueryAnswer::Sat(true));
+        let (tx, rx) = channel();
+        ex.execute(move || {
+            let _ = tx.send(std::thread::current().name().map(str::to_string));
+        });
+        assert_eq!(rx.recv().unwrap().as_deref(), Some("trl-engine-worker-0"));
     }
 
     #[test]
@@ -1080,69 +843,13 @@ mod tests {
         // min_nodes: 1 forces the layered sweep even on this tiny circuit.
         ex.set_parallel_policy(ParallelPolicy::Layered { min_nodes: 1 });
         let layered = ex.run(&circuit(&p), vec![Query::ModelCount; 20]).unwrap();
-        let layered_pool = run_on_pool(&ex, &circuit(&p), vec![Query::ModelCount; 20]);
-        for ((a, b), c) in lane.iter().zip(&layered).zip(&layered_pool) {
+        for (a, b) in lane.iter().zip(&layered) {
             assert_eq!(a.answer, b.answer);
-            assert_eq!(a.answer, c.answer);
         }
     }
 
     #[test]
-    fn submit_completes_asynchronously_in_submission_order() {
-        let p = prepared();
-        let ex = Executor::new(2);
-        let expected: Vec<_> = [
-            Query::ModelCount,
-            Query::Sat,
-            Query::Wmc(LitWeights::unit(4)),
-        ]
-        .iter()
-        .map(|q| p.answer(q))
-        .collect();
-        let (tx, rx) = std::sync::mpsc::channel();
-        for _ in 0..8 {
-            let tx = tx.clone();
-            ex.submit(
-                &circuit(&p),
-                vec![
-                    Query::ModelCount,
-                    Query::Sat,
-                    Query::Wmc(LitWeights::unit(4)),
-                ],
-                None,
-                move |outcomes| {
-                    let _ = tx.send(outcomes);
-                },
-            )
-            .unwrap();
-        }
-        drop(tx);
-        let mut seen = 0;
-        while let Ok(outcomes) = rx.recv() {
-            assert_eq!(outcomes.len(), 3);
-            for (o, e) in outcomes.iter().zip(&expected) {
-                assert_eq!(&o.answer, e);
-            }
-            seen += 1;
-        }
-        assert_eq!(seen, 8);
-    }
-
-    #[test]
-    fn submit_empty_fires_inline() {
-        let ex = Executor::new(1);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let flag = Arc::clone(&fired);
-        ex.submit(&circuit(&prepared()), Vec::new(), None, move |outcomes| {
-            assert!(outcomes.is_empty());
-            flag.fetch_add(1, Ordering::SeqCst);
-        })
-        .unwrap();
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn role_2_and_3_artifacts_answer_through_the_pool() {
+    fn role_2_and_3_artifacts_answer_on_the_caller() {
         use trl_core::Var;
         let cnf = Cnf::parse_dimacs("p cnf 3 2\n-1 2 0\n-2 3 0\n").unwrap();
         let data = vec![
@@ -1252,49 +959,53 @@ mod tests {
         let ran: Vec<_> = rx.iter().collect();
         let worker = Some("trl-engine-worker-0".to_string());
         assert_eq!(ran, (0..4).map(|i| (i, worker.clone())).collect::<Vec<_>>());
-        assert_eq!(ex.queue_depth(), 0, "tasks never count as query jobs");
     }
 
     #[test]
-    fn submit_rejects_invalid_without_firing() {
-        let ex = Executor::new(1);
-        let result = ex.submit(
-            &circuit(&prepared()),
-            vec![Query::Wmc(LitWeights::unit(2))],
-            None,
-            move |_| panic!("completion must not fire for a rejected batch"),
-        );
-        assert!(matches!(result, Err(EngineError::Structure(_))));
-    }
-
-    #[test]
-    fn blocking_batch_inside_a_completion_callback_returns() {
-        // A completion callback runs on a pool worker — on a one-worker
-        // executor, the only one. A blocking batch issued from there that
-        // queued its jobs behind that worker would wait on itself forever;
-        // answered on the caller's thread, it returns.
+    fn run_inside_an_execute_task_returns() {
+        // A task runs on a pool worker — on a one-worker executor, the
+        // only one. A batch answered on the caller's thread needs no
+        // worker, so issuing one from there returns.
         let p = prepared();
         let ex = Arc::new(Executor::new(1));
         let (tx, rx) = channel();
         let inner = Arc::clone(&ex);
         let art = circuit(&p);
-        let submitter = std::thread::spawn(move || {
-            let outer = art.clone();
-            ex.submit(&outer, vec![Query::Sat], None, move |_| {
-                let _ = tx.send(inner.run(&art, vec![Query::ModelCount; 3]));
-            })
-            .unwrap();
+        ex.execute(move || {
+            let _ = tx.send(inner.run(&art, vec![Query::ModelCount; 3]));
         });
         // This thread is the watchdog: a regression parks the worker for
         // good, and the test fails here instead of hanging.
         let outcomes = rx
             .recv_timeout(Duration::from_secs(60))
-            .expect("a blocking batch inside a completion callback never returned")
+            .expect("a batch run inside a pool task never returned")
             .unwrap();
-        submitter.join().unwrap();
         assert_eq!(outcomes.len(), 3);
         for o in outcomes {
             assert_eq!(o.answer.model_count(), Some(p.raw().model_count()));
         }
+    }
+
+    #[test]
+    fn dropping_the_last_executor_on_its_own_worker_returns() {
+        // The task holds the last `Arc<Executor>` and drops it on the
+        // worker, so `Drop` runs on a thread it would otherwise join.
+        let ex = Arc::new(Executor::new(1));
+        let last = Arc::clone(&ex);
+        let (go_tx, go_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        ex.execute(move || {
+            go_rx.recv().expect("the test thread lets the task go");
+            drop(last);
+            let _ = done_tx.send(std::thread::current().name().map(str::to_string));
+        });
+        drop(ex);
+        go_tx.send(()).unwrap();
+        // The watchdog: a self-join would hang or panic the drop, and the
+        // task would never report back.
+        let dropped_on = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("dropping the executor on its own worker never returned");
+        assert_eq!(dropped_on.as_deref(), Some("trl-engine-worker-0"));
     }
 }

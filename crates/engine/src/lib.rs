@@ -22,17 +22,15 @@
 //!   "compiled circuit" to the paper's other two roles — learned PSDDs
 //!   (role 2), compiled structured spaces (role 2), and compiled
 //!   classifiers (role 3) — each with kind-salted fingerprints;
-//! * [`executor`] — groups compatible [`Query`] values per circuit and
-//!   answers each group with one lane-batched kernel sweep, on the calling
-//!   thread for blocking batches or on a fixed worker pool (std threads +
-//!   channels) for asynchronous ones, reporting per-query latency;
+//! * [`executor`] — answers batches on the caller; runs builds on a worker
+//!   pool. A batch's compatible [`Query`] values are grouped per circuit
+//!   and each group is answered with one lane-batched kernel sweep,
+//!   reporting per-query latency;
 //! * [`engine`] — [`Engine`]: the registry and executor bundled behind one
 //!   `Arc`-shareable handle with a [`StatsSnapshot`] counter surface — what
 //!   a serving frontend (`trl-server`) holds;
-//! * [`serve_bench`] — the serving benchmark behind `three-roles
-//!   bench-serve` and the `bench_serve` binary (`BENCH_engine.json`),
-//!   plus the kernel-comparison benchmark behind `bench_eval`
-//!   (`BENCH_eval.json`).
+//! * [`eval_bench`] — the kernel-comparison benchmark behind `three-roles
+//!   bench-eval` and the `bench_eval` binary (`BENCH_eval.json`).
 //!
 //! ```
 //! use trl_engine::{Artifact, Executor, PreparedCircuit, Query, Registry};
@@ -60,7 +58,6 @@ pub mod eval_bench;
 pub mod executor;
 pub mod prepared;
 pub mod registry;
-pub mod serve_bench;
 pub mod text;
 pub mod validate;
 
@@ -80,7 +77,6 @@ pub use executor::{
 };
 pub use prepared::PreparedCircuit;
 pub use registry::{fingerprint, Registry, RegistryStats};
-pub use serve_bench::{serving_benchmark, LatencySummary, ServeConfigReport, ServeReport};
 pub use text::{
     load_nnf, load_vtree, read_nnf, read_vtree, save_nnf, save_vtree, write_nnf, write_vtree,
 };

@@ -1,7 +1,6 @@
 //! The workspace's one nearest-rank latency summary, shared by the
-//! serving/eval/net benches and by histogram snapshot rendering (moved
-//! here from `trl_engine::serve_bench` so the benches and the metrics
-//! layer stop keeping parallel copies).
+//! eval/net/roles benches and by histogram snapshot rendering, so the
+//! benches and the metrics layer keep no parallel copies.
 
 use crate::metrics::HistogramSnapshot;
 

@@ -997,9 +997,11 @@ fn dispatch(
         Request::Stats => {
             trl_obs::counter!("server.requests.stats").inc();
             let started = Instant::now();
-            // The engine fills everything it can see; the connection
-            // counters are the server's to overlay.
+            // The engine fills everything it can see; the backlog (queries
+            // admitted and not yet answered, as `overloaded` reports it)
+            // and the connection counters are the server's to overlay.
             let mut snapshot = shared.engine.stats();
+            snapshot.queue_depth = shared.admitted.load(Ordering::Relaxed);
             snapshot.connections_accepted = shared.connections.load(Ordering::Relaxed);
             snapshot.connections_active = shared.active.load(Ordering::Relaxed);
             let resp = Response::Stats(snapshot);

@@ -435,6 +435,46 @@ fn traced_query_returns_identical_answer_and_span_tree() {
     handle.shutdown();
 }
 
+/// `queue_depth` in a stats snapshot is the server's backlog: queries
+/// admitted and not yet answered. A query frame and a stats frame sent in
+/// one write land in one reactor drain, which stages the query and
+/// answers it only after the stats frame; a stats frame on its own sees
+/// nothing in flight.
+#[test]
+fn stats_report_the_admitted_backlog() {
+    use std::io::Write;
+    use trl_server::protocol::{read_response, write_request, Request, Response};
+
+    let engine = Arc::new(Engine::new(1 << 22, Some(1)));
+    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let key = Client::connect(handle.addr())
+        .unwrap()
+        .compile(&acceptance_cnf())
+        .unwrap()
+        .key;
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut depths = Vec::new();
+    for query_frames in [0, 1, 3] {
+        let mut bytes = Vec::new();
+        for _ in 0..query_frames {
+            let query = Query::ModelCount;
+            write_request(&mut bytes, &Request::Query { key, query }).unwrap();
+        }
+        write_request(&mut bytes, &Request::Stats).unwrap();
+        stream.write_all(&bytes).unwrap();
+        for _ in 0..=query_frames {
+            let limit = trl_server::protocol::DEFAULT_MAX_FRAME_LEN;
+            match read_response(&mut stream, limit).unwrap() {
+                Response::Answer(answer) => assert!(answer.model_count().unwrap() > 0),
+                Response::Stats(s) => depths.push(s.queue_depth),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+    }
+    assert_eq!(depths, [0, 1, 3]);
+    handle.shutdown();
+}
+
 /// Stats over the wire reflect engine activity.
 #[test]
 fn stats_snapshot_over_the_wire() {

@@ -3,8 +3,8 @@
 //! A small CNF is compiled to a Decision-DNNF, persisted to disk in both
 //! artifact formats, reloaded with full d-DNNF re-validation, registered in
 //! the LRU artifact registry, and then queried in batches through the
-//! multi-worker executor — model count, WMC, marginals, and MPE, each with
-//! its service latency.
+//! executor — model count, WMC, marginals, and MPE, each with its service
+//! latency.
 //!
 //! Run with `cargo run --release --example serve_queries`.
 
@@ -75,8 +75,8 @@ fn main() {
     w.set(Var(5).positive(), 0.2);
     w.set(Var(5).negative(), 0.8);
 
-    // One batch, four query kinds, answered on a two-worker pool.
-    let executor = Executor::new(2);
+    // One batch, four query kinds, answered on this thread.
+    let executor = Executor::new(1);
     let batch = vec![
         Query::ModelCount,
         Query::Wmc(w.clone()),

@@ -23,7 +23,6 @@
 //! three-roles client <addr> compile <cnf>
 //! three-roles client <addr> query <cnf> [query flags as above]
 //! three-roles metrics <addr> [--prom]
-//! three-roles bench-serve <cnf> [-o PATH] [--queries N] [--seed S] [--workers N]
 //! three-roles bench-eval <cnf> [-o PATH] [--queries N] [--seed S]
 //! ```
 //!
@@ -42,10 +41,8 @@
 //! stats surface — uptime, connections, and a per-query-kind latency
 //! table (p50/p95/p99) — and `--watch` refreshes it each second;
 //! `metrics` dumps every process-global metric as a table or, with
-//! `--prom`, in Prometheus text exposition for scraping. `bench-serve`
-//! runs the serving benchmark and writes `BENCH_engine.json`;
-//! `bench-eval` runs the kernel-variant benchmark and writes
-//! `BENCH_eval.json`.
+//! `--prom`, in Prometheus text exposition for scraping. `bench-eval`
+//! runs the kernel-variant benchmark and writes `BENCH_eval.json`.
 //!
 //! `learn`, `space`, and `explain` are the other two roles of the paper
 //! behind the same compile-once/query-many engine: `learn` fits a PSDD to
@@ -59,9 +56,10 @@
 //!
 //! `trace` is the forensic lens on all of this: it answers queries exactly
 //! like `query` / `client query` — byte-identical answer lines — then
-//! prints the request's span tree (reactor drain, queue wait, executor
-//! batch, kernel sweep with the lane backend chosen, response write).
-//! Locally it force-samples the in-process flight recorder; with
+//! prints the request's span tree (executor batch and kernel sweep with
+//! the lane backend chosen; over the wire also reactor drain, queue wait
+//! and response write). Locally it force-samples the in-process flight
+//! recorder and answers on its own thread, as a server reactor does; with
 //! `--server` it sends a version-6 trace frame whose context the server
 //! adopts, so the tree is the server's own view of the request.
 //! `--chrome PATH` additionally exports the last traced query as Chrome
@@ -75,8 +73,8 @@ use three_roles::core::{Assignment, PartialAssignment};
 use three_roles::core::{Lit, Var};
 use three_roles::engine::StatsSnapshot;
 use three_roles::engine::{
-    eval_benchmark, load_binary, load_nnf, save_binary, save_nnf, save_vtree, serving_benchmark,
-    Engine, Executor, ParallelPolicy, Query, QueryAnswer, Validation, DEFAULT_LAYERED_MIN_NODES,
+    eval_benchmark, load_binary, load_nnf, save_binary, save_nnf, save_vtree, Engine, Executor,
+    ParallelPolicy, Query, QueryAnswer, Validation, DEFAULT_LAYERED_MIN_NODES,
 };
 use three_roles::nnf::{Circuit, LitWeights};
 use three_roles::obs::{LatencySummary, StderrJsonExporter};
@@ -101,7 +99,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "metrics" => cmd_metrics(rest),
-        "bench-serve" => cmd_bench_serve(rest),
         "bench-eval" => cmd_bench_eval(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
@@ -144,7 +141,6 @@ USAGE:
   three-roles client <addr> compile <cnf>
   three-roles client <addr> query <cnf> [query flags as above]
   three-roles metrics <addr> [--prom]
-  three-roles bench-serve <cnf> [-o PATH] [--queries N] [--seed S] [--workers N]
   three-roles bench-eval <cnf> [-o PATH] [--queries N] [--seed S]
 
 COMPILE:
@@ -262,12 +258,6 @@ CLIENT (speaks the trl-server wire protocol to a running `serve`):
 
 METRICS (dump a serving process's metric registry):
   --prom             Prometheus text exposition instead of a table
-
-BENCH-SERVE:
-  -o PATH            where to write the JSON report (default BENCH_engine.json)
-  --queries N        queries per configuration (default 256)
-  --seed S           query-stream seed (default 0x5eed)
-  --workers N        max worker-thread count (default: all available cores)
 
 BENCH-EVAL:
   -o PATH            where to write the JSON report (default BENCH_eval.json)
@@ -1068,15 +1058,10 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 let kind = query.kind();
                 let ctx = three_roles::obs::TraceContext::generate(true);
                 let start = Instant::now();
-                let (tx, rx) = std::sync::mpsc::channel();
-                executor
-                    .submit(&artifact, vec![query], Some(ctx), move |o| {
-                        let _ = tx.send(o);
-                    })
-                    .map_err(|e| e.to_string())?;
-                let outcomes = rx
-                    .recv()
-                    .map_err(|_| "executor dropped the batch".to_string())?;
+                let outcomes = three_roles::obs::with_current_trace(Some(ctx), || {
+                    executor.run(&artifact, vec![query])
+                })
+                .map_err(|e| e.to_string())?;
                 three_roles::obs::record_root_span(ctx, 0, "trace.request", start, start.elapsed());
                 let outcome = outcomes
                     .into_iter()
@@ -1360,44 +1345,6 @@ fn expect_no_more(args: Vec<String>, action: &str) -> Result<(), String> {
             "client {action} takes no further arguments, got {args:?}"
         ))
     }
-}
-
-fn cmd_bench_serve(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let out = take_value(&mut args, "-o")?.unwrap_or_else(|| "BENCH_engine.json".into());
-    let queries = match take_value(&mut args, "--queries")? {
-        Some(n) => parse_num(&n, "query count")?,
-        None => 256usize,
-    };
-    let seed = match take_value(&mut args, "--seed")? {
-        Some(s) => parse_num(&s, "seed")?,
-        None => 0x5eedu64,
-    };
-    let workers = take_value(&mut args, "--workers")?
-        .map(|n| parse_num(&n, "worker count"))
-        .transpose()?;
-    let input = take_positional(args, "input CNF path")?;
-
-    let cnf = read_cnf(&input)?;
-    let circuit = DecisionDnnfCompiler::default().compile(&cnf);
-    let max_workers = workers
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |p| p.get()))
-        .max(2);
-    let report = serving_benchmark(
-        &input,
-        &circuit,
-        &[1, max_workers],
-        &[1, 32, 256],
-        queries,
-        seed,
-    );
-    std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "bench-serve {input}: baseline {:.0} qps; best batched multi-worker speedup {:.2}x; report -> {out}",
-        report.baseline_qps,
-        report.best_batched_multiworker_speedup()
-    );
-    Ok(())
 }
 
 fn cmd_bench_eval(args: &[String]) -> Result<(), String> {

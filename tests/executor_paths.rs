@@ -1,23 +1,17 @@
-//! The executor's two paths answer alike.
+//! The executor's one entry point answers like the artifact itself.
 //!
-//! A blocking batch ([`Engine::run_batch`], [`Engine::run_artifact_batch`])
-//! is answered on the caller's thread; an asynchronous one
-//! ([`Engine::submit_batch`], [`Engine::submit_artifact_batch`]) on the
-//! worker pool. Both plan the batch the same way and answer every job with
-//! the same function, so on every artifact kind they must return the same
-//! answers bit for bit, and advance `engine.batches`, `engine.requests` and
-//! every per-kind `engine.requests.*` counter by the same amounts.
-//!
-//! They differ in one thing only: inline batches never enter the pool, so
-//! they never count in `queue_depth` (`in_flight`) and record no
-//! `engine.queue_wait_us` sample, while every pool job records one.
-//! `queue_depth` is back to 0 once either path has answered.
+//! A batch ([`Engine::run_batch`], [`Engine::run_artifact_batch`]) is
+//! planned into grouped jobs and answered on the caller's thread. On every
+//! artifact kind each answer must equal, bit for bit, what the artifact
+//! answers for that query alone ([`Artifact::answer`]), and a run must
+//! advance `engine.batches` by one per batch, `engine.requests` by one per
+//! query, and every per-kind `engine.requests.*` counter by the number of
+//! queries of that kind.
 //!
 //! The counters are process-global, so the tests in this file take one
 //! lock and never run side by side.
 
 use std::iter::once;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use three_roles::core::{Assignment, Lit, PartialAssignment, SplitMix64, Var};
@@ -111,7 +105,7 @@ fn bits(answer: &QueryAnswer) -> String {
     }
 }
 
-/// The global counters both paths must advance alike.
+/// The global counters a run must advance.
 fn counters() -> Vec<(String, u64)> {
     let dump = three_roles::obs::snapshot();
     [
@@ -129,80 +123,49 @@ fn counters() -> Vec<(String, u64)> {
     .collect()
 }
 
-fn queue_waits() -> u64 {
-    three_roles::obs::snapshot()
-        .histogram("engine.queue_wait_us")
-        .map_or(0, |h| h.count)
-}
-
-/// How a run moved the shared counters: per-counter deltas plus the
-/// number of `engine.queue_wait_us` samples recorded.
-struct Moved {
-    answers: Vec<Vec<String>>,
-    counters: Vec<(String, u64)>,
-    queue_waits: u64,
-}
-
-fn measure(run: impl FnOnce() -> Vec<Vec<QueryOutcome>>) -> Moved {
-    let (before, waits) = (counters(), queue_waits());
-    let outcomes = run();
-    let counters = counters()
+/// Answers `batches` through the engine and checks every answer against
+/// the artifact's own and every counter delta; returns the layered
+/// dispatches the run made.
+fn batches_answer_like_the_artifact(engine: &Engine, batches: &[(Artifact, Vec<Query>)]) -> u64 {
+    let before = counters();
+    let outcomes: Vec<Vec<QueryOutcome>> = batches
+        .iter()
+        .map(|(artifact, batch)| {
+            engine
+                .run_artifact_batch(artifact, batch.clone())
+                .expect("valid batch")
+        })
+        .collect();
+    let moved: Vec<(String, u64)> = counters()
         .into_iter()
         .zip(before)
         .map(|((name, after), (_, before))| (name, after - before))
         .collect();
-    Moved {
-        answers: outcomes
-            .iter()
-            .map(|batch| batch.iter().map(|o| bits(&o.answer)).collect())
-            .collect(),
-        counters,
-        queue_waits: queue_waits() - waits,
+
+    let mut per_kind = [0u64; QUERY_KINDS.len()];
+    for ((artifact, batch), outcomes) in batches.iter().zip(&outcomes) {
+        assert_eq!(outcomes.len(), batch.len());
+        for (query, outcome) in batch.iter().zip(outcomes) {
+            assert_eq!(
+                bits(&outcome.answer),
+                bits(&artifact.answer(query)),
+                "kind {}",
+                query.kind()
+            );
+            per_kind[query.kind_index()] += 1;
+        }
     }
-}
-
-/// Answers `batches` on both paths and checks they agree; returns the
-/// layered dispatches each path made.
-fn both_paths_agree(engine: &Engine, batches: &[(Artifact, Vec<Query>)]) -> u64 {
-    let inline = measure(|| {
-        batches
-            .iter()
-            .map(|(artifact, batch)| {
-                engine
-                    .run_artifact_batch(artifact, batch.clone())
-                    .expect("valid batch")
-            })
-            .collect()
-    });
-    assert_eq!(engine.stats().queue_depth, 0);
-    let pooled = measure(|| {
-        batches
-            .iter()
-            .map(|(artifact, batch)| {
-                let (tx, rx) = channel();
-                engine
-                    .submit_artifact_batch(artifact, batch.clone(), move |o| {
-                        let _ = tx.send(o);
-                    })
-                    .expect("valid batch");
-                rx.recv().expect("the pool answers every batch")
-            })
-            .collect()
-    });
-    assert_eq!(engine.stats().queue_depth, 0);
-
-    assert_eq!(inline.answers, pooled.answers);
-    assert_eq!(inline.counters, pooled.counters);
-    let queries: usize = batches.iter().map(|(_, b)| b.len()).sum();
-    assert_eq!(inline.counters[0].1, batches.len() as u64);
-    assert_eq!(inline.counters[1].1, queries as u64);
-    assert_eq!(inline.queue_waits, 0, "inline batches never queue");
-    assert!(pooled.queue_waits >= batches.len() as u64);
-    inline.counters[2].1
+    let queries: u64 = per_kind.iter().sum();
+    assert_eq!(moved[0].1, batches.len() as u64, "engine.batches");
+    assert_eq!(moved[1].1, queries, "engine.requests");
+    for (kind, expect) in per_kind.iter().enumerate() {
+        assert_eq!(moved[3 + kind].1, *expect, "{}", moved[3 + kind].0);
+    }
+    moved[2].1
 }
 
 #[test]
-fn circuit_batches_answer_alike_on_both_paths() {
+fn circuit_batches_answer_like_the_artifact_itself() {
     let _serial = serial();
     let engine = Engine::new(1 << 24, Some(2));
     let mut rng = SplitMix64::new(0xe8ec_0a7e);
@@ -215,32 +178,31 @@ fn circuit_batches_answer_alike_on_both_paths() {
         batches.push((artifact.clone(), mixed_batch(&mut rng, cnf.num_vars())));
         batches.push((artifact, vec![Query::Sat]));
     }
-    assert_eq!(both_paths_agree(&engine, &batches), 0);
+    assert_eq!(batches_answer_like_the_artifact(&engine, &batches), 0);
 
     // The layered sweep (forced on these small circuits) keeps both the
     // answers and the accounting.
     engine
         .executor()
         .set_parallel_policy(ParallelPolicy::Layered { min_nodes: 1 });
-    assert_eq!(both_paths_agree(&engine, &batches), batches.len() as u64);
+    assert_eq!(
+        batches_answer_like_the_artifact(&engine, &batches),
+        batches.len() as u64
+    );
 
-    // `Engine::run_batch` / `Engine::submit_batch` are the same paths.
+    // `Engine::run_batch` is the same path for a circuit.
     let circuit: Arc<PreparedCircuit> = engine.compile(&cnfs[0]).1;
     let batch = batches[0].1.clone();
-    let inline = engine.run_batch(&circuit, batch.clone()).unwrap();
-    let (tx, rx) = channel();
-    engine
-        .submit_batch(&circuit, batch, move |o| {
-            let _ = tx.send(o);
-        })
+    let via_circuit = engine.run_batch(&circuit, batch.clone()).unwrap();
+    let via_artifact = engine
+        .run_artifact_batch(&Artifact::Circuit(circuit), batch)
         .unwrap();
-    let pooled = rx.recv().unwrap();
     let strings = |os: &[QueryOutcome]| os.iter().map(|o| bits(&o.answer)).collect::<Vec<_>>();
-    assert_eq!(strings(&inline), strings(&pooled));
+    assert_eq!(strings(&via_circuit), strings(&via_artifact));
 }
 
 #[test]
-fn role_artifacts_answer_alike_on_both_paths() {
+fn role_artifact_batches_answer_like_the_artifact_itself() {
     let _serial = serial();
     let engine = Engine::new(1 << 24, Some(2));
     let cnf = Cnf::parse_dimacs("p cnf 4 3\n1 2 0\n-2 3 0\n-1 4 0\n").unwrap();
@@ -285,5 +247,5 @@ fn role_artifacts_answer_alike_on_both_paths() {
             ],
         ),
     ];
-    assert_eq!(both_paths_agree(&engine, &batches), 0);
+    assert_eq!(batches_answer_like_the_artifact(&engine, &batches), 0);
 }

@@ -3,10 +3,10 @@
 //! On a smooth d-DNNF a model count is WMC under 0/1 literal weights, so
 //! the engine answers every sum-product query of a batch — WMC, marginals,
 //! model counts with or without evidence, in any mix — in the lanes of one
-//! `f64` tape sweep, and SAT from a per-circuit constant. Through both
-//! executor paths (`Engine::run_batch` on the caller, `Engine::submit_batch`
-//! on the pool), every answer must equal its scalar oracle: WMC and
-//! marginals bit for bit, counts as the exact `u128` tape pass.
+//! `f64` tape sweep, and SAT from a per-circuit constant. Through the
+//! executor (`Engine::run_batch`), every answer must equal its scalar
+//! oracle: WMC and marginals bit for bit, counts as the exact `u128` tape
+//! pass.
 //!
 //! Count lanes are exact in `f64` only while the universe has at most 53
 //! variables; past that they take the `u128` lane sweep. The boundary test
@@ -17,7 +17,6 @@
 //! this file take one lock and never run side by side.
 
 use std::iter::once;
-use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use three_roles::core::{Lit, PartialAssignment, SplitMix64, Var};
@@ -121,25 +120,6 @@ fn bits(answer: &QueryAnswer) -> String {
     }
 }
 
-/// Answers a batch on the caller and on the pool; returns both.
-fn both_paths(
-    engine: &Engine,
-    circuit: &Arc<PreparedCircuit>,
-    batch: &[Query],
-) -> [Vec<String>; 2] {
-    let inline = engine
-        .run_batch(circuit, batch.to_vec())
-        .expect("valid batch");
-    let (tx, rx) = channel();
-    engine
-        .submit_batch(circuit, batch.to_vec(), move |o| {
-            let _ = tx.send(o);
-        })
-        .expect("valid batch");
-    let pooled = rx.recv().expect("the pool answers every batch");
-    [inline, pooled].map(|outcomes| outcomes.iter().map(|o| bits(&o.answer)).collect())
-}
-
 fn u128_sweeps() -> u64 {
     three_roles::obs::snapshot()
         .counter("kernel.u128_sweeps")
@@ -158,7 +138,7 @@ fn traced_spans(engine: &Engine, circuit: &Arc<PreparedCircuit>, batch: Vec<Quer
 }
 
 #[test]
-fn mixed_sum_product_batches_match_the_scalar_oracles_on_both_paths() {
+fn mixed_sum_product_batches_match_the_scalar_oracles() {
     let _serial = serial();
     let engine = Engine::new(1 << 24, Some(2));
     let mut rng = SplitMix64::new(0x5ab0_1a4e);
@@ -178,12 +158,13 @@ fn mixed_sum_product_batches_match_the_scalar_oracles_on_both_paths() {
                 .iter()
                 .map(|q| bits(&oracle(circuit.raw(), &smoothed, &tape, q)))
                 .collect();
-            for (path, got) in ["run_batch", "submit_batch"]
-                .into_iter()
-                .zip(both_paths(&engine, &circuit, &batch))
-            {
-                assert_eq!(got, expect, "instance {i}: {path}, group of {group}");
-            }
+            let got: Vec<String> = engine
+                .run_batch(&circuit, batch)
+                .expect("valid batch")
+                .iter()
+                .map(|o| bits(&o.answer))
+                .collect();
+            assert_eq!(got, expect, "instance {i}: group of {group}");
         }
     }
     assert!(saw_unsat, "the corpus includes an unsatisfiable circuit");
@@ -241,23 +222,14 @@ fn counts_past_53_variables_take_the_u128_lanes() {
         ] {
             engine.executor().set_parallel_policy(policy);
             let before = u128_sweeps();
-            let inline = engine.run_batch(&circuit, batch.clone()).unwrap();
-            let (tx, rx) = channel();
-            engine
-                .submit_batch(&circuit, batch.clone(), move |o| {
-                    let _ = tx.send(o);
-                })
-                .unwrap();
-            let pooled = rx.recv().unwrap();
-            for outcomes in [inline, pooled] {
-                let got: Vec<QueryAnswer> = outcomes.into_iter().map(|o| o.answer).collect();
-                assert_eq!(got, expect, "n = {n}, {}", policy.describe());
-            }
+            let outcomes = engine.run_batch(&circuit, batch.clone()).unwrap();
+            let got: Vec<QueryAnswer> = outcomes.into_iter().map(|o| o.answer).collect();
+            assert_eq!(got, expect, "n = {n}, {}", policy.describe());
             let sweeps = u128_sweeps() - before;
             if n <= 53 {
                 assert_eq!(sweeps, 0, "n = {n}: the counts fit the f64 lanes");
             } else {
-                assert_eq!(sweeps, 2, "n = {n}: one u128 sweep per path");
+                assert_eq!(sweeps, 1, "n = {n}: one u128 sweep per batch");
             }
         }
         let spans = traced_spans(&engine, &circuit, batch);
