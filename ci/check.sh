@@ -5,13 +5,13 @@
 #   ci/check.sh          # clippy (all targets, warnings are errors) and
 #                        # fmt over the workspace and perfbench/,
 #                        # no-default-features build+test, docs (warnings
-#                        # are errors), kernel perf smoke (bench_eval --smoke),
-#                        # network serving smoke (serve/client round trip
-#                        # diffed against local answers + bench_net --smoke),
+#                        # are errors), kernel timing floors (release-only
+#                        # test), network serving smoke (serve/client round
+#                        # trip diffed against local answers), obs smoke,
 #                        # roles smoke (learn/space/explain over the wire
-#                        # diffed against in-process + bench_roles --smoke),
-#                        # minimize smoke (optimize locally and through the
-#                        # registry, answers diffed + bench_minimize --smoke),
+#                        # diffed against in-process), minimize smoke
+#                        # (optimize locally and through the registry,
+#                        # answers diffed),
 #                        # trace smoke (forced trace over the wire: span tree
 #                        # stations + parent links, Chrome export parses,
 #                        # traced answers diffed against untraced, and a
@@ -25,9 +25,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Only a full bench run writes a BENCH_*.json; the smoke legs below must
-# leave every committed record as it was when the run started.
-bench_records="$(sha256sum BENCH_*.json)"
+# Only a full benchmark record run writes a BENCH_*.json; the legs below
+# must leave every committed record as it was when the run started, and
+# create none. There may be no record at all, so the glob may match nothing.
+bench_records() {
+    shopt -s nullglob
+    local files=(BENCH_*.json)
+    shopt -u nullglob
+    if (( ${#files[@]} > 0 )); then
+        sha256sum "${files[@]}"
+    fi
+}
+records_at_start="$(bench_records)"
 
 if [[ "${1:-}" == "--fix" ]]; then
     cargo clippy --workspace --all-targets --fix --allow-dirty --allow-staged -- -D warnings
@@ -53,7 +62,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 # the `simd` feature off — every lane sweep forced onto the portable
 # scalar backend — with the randomized identity suites still enabled. The
 # workspace declares trl-nnf without default features (only trl-engine
-# and trl-bench turn `simd` on), so the dev-dependency cycle through
+# turns `simd` on), so the dev-dependency cycle through
 # trl-compiler/trl-obdd/trl-sdd cannot switch it back on here; a
 # cfg(not(feature = "simd")) test asserts only the scalar backend exists.
 cargo test --quiet -p trl-nnf --no-default-features --features proptest
@@ -65,20 +74,20 @@ cargo test --quiet -p trl-nnf --no-default-features --features proptest
 # contract tests.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Perf smoke: both bench tiers (including the ~145k-node large circuit).
-# Fails if any kernel variant loses bit-identity with the scalar queries,
-# if lane batching is slower than scalar, or if the layer-parallel path
-# is slower than scalar on the large tier (it was 0.03x there before the
-# persistent sweep pool). The tight >=4x / SIMD / layered-floor gates
-# live in the full bench_eval run.
-cargo run --release --quiet -p trl-bench --bin bench_eval -- --smoke
+# Kernel timing floors: lane batching must not be slower than one scalar
+# arena walk per query on the small tier, nor the layer-parallel sweep on
+# the ~145k-node large tier (it was 0.03x there before the persistent
+# sweep pool), and every timed answer must bit-match scalar. The test is
+# ignored in debug builds, so the workspace test run above skips it.
+cargo test --release --quiet -p three-roles --test kernel_timing_floors
 
 # Net smoke: a real server on an ephemeral port must answer every query
 # kind over the wire byte-identically to the local CLI (up to the latency
-# suffix), and the closed-loop load generator must pass its bit-identity
-# and typed-overload criteria.
+# suffix). Pipelined load over 64 connections, its reactor and pipeline
+# counters, and typed overload are tests in crates/server/tests
+# (pipeline_metrics.rs, pipelining.rs, net_serving.rs), run by the
+# workspace test run above.
 cargo build --release --quiet --bin three-roles
-cargo build --release --quiet -p trl-bench --bin bench_net
 net_dir="$(mktemp -d)"
 trap 'kill "${serve_pid:-}" 2>/dev/null || true; rm -rf "$net_dir"' EXIT
 printf 'p cnf 6 7\n1 2 0\n-1 3 0\n-2 -4 0\n4 5 0\n-5 6 0\n2 -6 0\n1 -3 5 0\n' \
@@ -110,44 +119,9 @@ fi
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
-target/release/bench_net --smoke
 
-# Pipelined net smoke: the readiness-driven server under 64 pipelined
-# connections. The load generator pre-encodes the expected in-process
-# answers and byte-compares every response, so a zero exit code IS the
-# answers-identical check. Around the run, two Prometheus scrapes assert
-# the reactor counters are live and monotone, and that the batch-size
-# histogram counted exactly the pipelined frames the server served.
-target/release/three-roles serve 127.0.0.1:0 --workers 2 \
-    --max-conns 256 --queue 8192 > "$net_dir/pipe-serve.log" 2>&1 &
-serve_pid=$!
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' "$net_dir/pipe-serve.log" && break
-    sleep 0.1
-done
-addr="$(sed -n 's/^listening on //p' "$net_dir/pipe-serve.log" | head -n 1)"
-[[ -n "$addr" ]] || { echo "pipe-smoke: server never came up" >&2; exit 1; }
-target/release/three-roles metrics "$addr" --prom > "$net_dir/pipe-before.prom"
-target/release/bench_net --smoke --addr "$addr"
-target/release/three-roles metrics "$addr" --prom > "$net_dir/pipe-after.prom"
-target/release/three-roles client "$addr" shutdown > /dev/null
-wait "$serve_pid"
-unset serve_pid
+# The value of metric $1 in the Prometheus dump $2.
 prom_value() { awk -v m="$1" '$1 == m { print $2 }' "$2"; }
-wakeups_before="$(prom_value trl_server_reactor_wakeups "$net_dir/pipe-before.prom")"
-wakeups_after="$(prom_value trl_server_reactor_wakeups "$net_dir/pipe-after.prom")"
-pipelined="$(prom_value trl_server_requests_pipeline "$net_dir/pipe-after.prom")"
-batch_hist="$(prom_value trl_server_pipeline_batch_size_count "$net_dir/pipe-after.prom")"
-[[ -n "$wakeups_before" && -n "$wakeups_after" ]] \
-    || { echo "pipe-smoke: no reactor wakeup counter in scrape" >&2; exit 1; }
-(( wakeups_after > wakeups_before )) \
-    || { echo "pipe-smoke: reactor wakeups not monotone ($wakeups_before -> $wakeups_after)" >&2; exit 1; }
-# 64 connections x 6 frames, plus any typed-overload retries the load
-# generator re-sent; every one must be counted by the histogram too.
-(( pipelined >= 384 )) \
-    || { echo "pipe-smoke: expected >= 384 pipelined frames, served $pipelined" >&2; exit 1; }
-[[ "$batch_hist" == "$pipelined" ]] \
-    || { echo "pipe-smoke: batch-size histogram count $batch_hist != pipelined frames $pipelined" >&2; exit 1; }
 
 # Obs smoke: drive a fresh server with a known query mix, scrape the
 # Prometheus exposition, and check the cross-layer invariants — the
@@ -206,10 +180,9 @@ done
 # PSDD, compile a structured space and a classifier on a live server, and
 # answer one query of every new kind via the CLI both in-process and
 # through --server; after stripping the latency suffix the two outputs
-# must be byte-identical (floats travel as IEEE-754 bit patterns). Then
-# the per-kind roles load generator must pass its own bit-identity
-# criteria (a smoke run writes no BENCH_roles.json).
-cargo build --release --quiet -p trl-bench --bin bench_roles
+# must be byte-identical (floats travel as IEEE-754 bit patterns). Every
+# role query kind served bit-identically to in-process is also a test:
+# crates/server/tests/roles_serving.rs.
 printf 'p cnf 4 3\n1 2 0\n-2 3 0\n-1 4 0\n' > "$net_dir/roles.cnf"
 printf '1 -2 3 4 * 2\n-1 2 3 -4\n1 2 3 4 * 0.5\n-1 2 3 4\n' > "$net_dir/roles.data"
 printf '4 0 3\n0 1\n1 3\n0 2\n2 3\n1 2\n' > "$net_dir/roles.graph"
@@ -257,7 +230,6 @@ done
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
-target/release/bench_roles --smoke
 
 # Minimize smoke: the optimize pass must never change an answer. Locally:
 # query the compiled artifact, optimize it into a new artifact, re-query,
@@ -267,9 +239,8 @@ target/release/bench_roles --smoke
 # artifact in place — the same battery must answer identically before and
 # after the swap, the minimize.* metrics must be registered zero-valued
 # from startup and count the job afterwards, and the stats table must
-# hold the minimize row. Then the minimization bench must pass its
-# node-ratio and bit-identity criteria on the corpus prefix.
-cargo build --release --quiet -p trl-bench --bin bench_minimize
+# hold the minimize row. Bit-identity and the node-ratio gates over the
+# whole crosscheck corpus are a test: crates/minimize/tests/identity_sweep.rs.
 min_flags=(--sat --count --wmc --marginals --weight 1=0.5 --weight -1=0.5)
 target/release/three-roles query "$net_dir/smoke.trlc" "${min_flags[@]}" \
     > "$net_dir/min-before.out"
@@ -323,7 +294,6 @@ jobs_end="$(prom_value trl_minimize_jobs "$net_dir/min-end.prom")"
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
-target/release/bench_minimize --smoke
 
 # Trace smoke: request-scoped tracing end to end. With sampling at zero a
 # `three-roles trace` query must still be recorded (the Trace frame forces
@@ -422,9 +392,9 @@ grep -q '^  executor\.batch ' "$net_dir/trace-local.out" \
 grep -Eq '^ {4}kernel\.sweep\.[a-z0-9]+ ' "$net_dir/trace-local.out" \
     || { echo "trace-smoke: no kernel sweep under the local executor batch" >&2; exit 1; }
 
-if [[ "$(sha256sum BENCH_*.json)" != "$bench_records" ]]; then
+if [[ "$(bench_records)" != "$records_at_start" ]]; then
     echo "bench-records: a BENCH_*.json changed during the run:" >&2
-    diff <(echo "$bench_records") <(sha256sum BENCH_*.json) >&2 || true
+    diff <(echo "$records_at_start") <(bench_records) >&2 || true
     exit 1
 fi
 

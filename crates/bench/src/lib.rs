@@ -1,15 +1,9 @@
-//! Shared infrastructure for the experiment binaries (`exp01`–`exp19`) and
-//! the wall-clock benches.
+//! Shared infrastructure for the experiment binaries (`exp01`–`exp19`).
 //!
 //! Each binary regenerates one figure-level artifact of the paper; the
 //! mapping is the per-experiment index in DESIGN.md, and the measured
 //! numbers are recorded against the paper's in EXPERIMENTS.md. Run one with
-//! `cargo run --release -p trl-bench --bin exp04_ddnnf_count`. The benches
-//! under `benches/` use the self-contained [`harness`] module (no external
-//! bench framework), so they build in offline environments.
-
-pub mod harness;
-pub mod seed_compiler;
+//! `cargo run --release -p trl-bench --bin exp04_ddnnf_count`.
 
 use std::time::Instant;
 
@@ -90,8 +84,9 @@ pub fn random_3cnf(rng: &mut Rng, n: usize, m: usize) -> trl_prop::Cnf {
 }
 
 /// Generates a conjunction of `copies` independent random 3-CNF blocks
-/// over disjoint variable ranges — the large-circuit benchmark instance:
-/// the compiler's component decomposition compiles each block separately,
+/// over disjoint variable ranges — the large tier of the kernel timing
+/// floors (`tests/kernel_timing_floors.rs` at the repository root): the
+/// compiler's component decomposition compiles each block separately,
 /// so tape size scales linearly with `copies` while per-block structure
 /// stays realistic. Every block carries a planted satisfying assignment
 /// (a clause violating it gets one literal flipped to agree), so no block
@@ -162,7 +157,7 @@ mod tests {
                 .all(|l| l.var().index() / 6 == block));
         }
         // Every block planted a solution, so the conjunction is SAT.
-        let (c, _) = crate::seed_compiler::compile(&cnf);
+        let c = trl_compiler::DecisionDnnfCompiler::default().compile(&cnf);
         assert!(c.model_count() > 0);
     }
 

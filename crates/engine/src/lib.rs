@@ -28,9 +28,7 @@
 //!   reporting per-query latency;
 //! * [`engine`] — [`Engine`]: the registry and executor bundled behind one
 //!   `Arc`-shareable handle with a [`StatsSnapshot`] counter surface — what
-//!   a serving frontend (`trl-server`) holds;
-//! * [`eval_bench`] — the kernel-comparison benchmark behind `three-roles
-//!   bench-eval` and the `bench_eval` binary (`BENCH_eval.json`).
+//!   a serving frontend (`trl-server`) holds.
 //!
 //! ```
 //! use trl_engine::{Artifact, Executor, PreparedCircuit, Query, Registry};
@@ -54,7 +52,6 @@ pub mod artifact;
 pub mod binary;
 pub mod engine;
 pub mod error;
-pub mod eval_bench;
 pub mod executor;
 pub mod prepared;
 pub mod registry;
@@ -67,10 +64,6 @@ pub use artifact::{
 pub use binary::{load_binary, read_binary, save_binary, write_binary, FORMAT_VERSION};
 pub use engine::{Engine, StatsSnapshot};
 pub use error::EngineError;
-pub use eval_bench::{
-    eval_benchmark, eval_benchmark_tiers, kernel_identity_sweep, EvalReport, EvalTierReport,
-    EvalVariantReport, TierSpec,
-};
 pub use executor::{
     Executor, ParallelPolicy, Query, QueryAnswer, QueryOutcome, DEFAULT_LAYERED_MIN_NODES,
     QUERY_KINDS,

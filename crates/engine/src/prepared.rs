@@ -66,9 +66,8 @@ impl PreparedCircuit {
     /// Builds the evaluation tape now instead of on the first query that
     /// needs it. Benchmarks and latency-sensitive deployments call this
     /// before the measurement/serving loop so tape construction is never
-    /// billed to an unlucky first query (it showed up as a
-    /// millisecond-scale max-latency outlier in `BENCH_eval.json` before
-    /// the bench warmed the tape).
+    /// billed to an unlucky first query (unwarmed, it shows up as a
+    /// millisecond-scale max-latency outlier).
     pub fn warm(&self) {
         self.tape();
     }

@@ -348,7 +348,7 @@ impl EvalTape {
     /// marginal kernels rely on that — while every later layer is sorted
     /// by first-child slot so a layer's CSR reads walk the earlier layers
     /// roughly in storage order (cache locality; the effect shows up in
-    /// the `kernel.tape_nodes`-normalized sweep times of `bench_eval`).
+    /// sweep times normalized by `kernel.tape_nodes`).
     pub fn new(circuit: &Circuit) -> EvalTape {
         let root = circuit.root().index();
         // Reachability: the arena is topological, so one reverse scan from

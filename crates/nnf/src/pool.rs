@@ -2,7 +2,7 @@
 //!
 //! The first layered kernels spawned `std::thread::scope` workers *per
 //! lane-group sweep* — on a small circuit that is hundreds of thread
-//! spawns per batch, and `BENCH_eval.json` recorded the result: a 0.03x
+//! spawns per batch, and a kernel benchmark measured the result: a 0.03x
 //! regression against the sequential lane-batched kernel. [`SweepPool`]
 //! fixes the economics: workers are spawned **once** and parked on a
 //! condvar; dispatching a sweep is one mutex-protected publish plus a

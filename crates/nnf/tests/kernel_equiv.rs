@@ -6,6 +6,9 @@
 //! to the corresponding `queries.rs` entry point on the same smoothed
 //! circuit: WMC, model count, model count under evidence, marginals and
 //! MPE — the sum-product kinds also when they share one lane group.
+//! Layer-parallel sweeps run on the global pool and on a private
+//! two-worker pool: the global pool has one worker on a single-CPU host,
+//! where the layered kernels fall back to the sequential one.
 //! The corpus is the same 50 deterministic instances the compiler's
 //! crosscheck suite sweeps, so any divergence pins to a seed.
 
@@ -13,7 +16,7 @@ use trl_compiler::DecisionDnnfCompiler;
 use trl_core::{PartialAssignment, SplitMix64, Var};
 use trl_nnf::{
     smooth, Circuit, CircuitBuilder, EvalTape, LaneBackend, LitWeights, NnfId, NnfNode,
-    SumProductAnswer, SumProductLane, LANES,
+    SumProductAnswer, SumProductLane, SweepPool, LANES,
 };
 
 /// Per-variable weights skewed away from 1 so products differ per lane and
@@ -54,6 +57,7 @@ fn corpus() -> Vec<(usize, Circuit)> {
 
 #[test]
 fn wmc_kernels_bit_match_scalar_queries() {
+    let pool = SweepPool::new(2);
     for (i, (n, circuit)) in corpus().into_iter().enumerate() {
         let smoothed = smooth(&circuit);
         let tape = EvalTape::new(&smoothed);
@@ -74,9 +78,15 @@ fn wmc_kernels_bit_match_scalar_queries() {
             .iter()
             .map(|x| x.to_bits())
             .collect();
+        let pooled: Vec<u64> = tape
+            .wmc_batch_pooled(&refs, &pool, 2)
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
         assert_eq!(tape_scalar, expect, "instance {i}: tape scalar diverged");
         assert_eq!(batched, expect, "instance {i}: lane-batched diverged");
         assert_eq!(layered, expect, "instance {i}: layer-parallel diverged");
+        assert_eq!(pooled, expect, "instance {i}: pooled workers diverged");
     }
 }
 
@@ -125,6 +135,16 @@ fn marginal_kernels_bit_match_scalar_queries() {
                 .collect(),
         )
     };
+    let marginals_bits = |answers: Vec<SumProductAnswer>| -> Vec<(u64, Vec<(u64, u64)>)> {
+        answers
+            .into_iter()
+            .map(|a| match a {
+                SumProductAnswer::Marginals { wmc, marginals } => as_bits(&(wmc, marginals)),
+                other => panic!("{other:?} for a marginals lane"),
+            })
+            .collect()
+    };
+    let pool = SweepPool::new(2);
     for (i, (n, circuit)) in corpus().into_iter().enumerate() {
         let smoothed = smooth(&circuit);
         let tape = EvalTape::new(&smoothed);
@@ -144,19 +164,12 @@ fn marginal_kernels_bit_match_scalar_queries() {
         let batched: Vec<_> = tape.marginals_batch(&refs).iter().map(as_bits).collect();
         let lanes: Vec<SumProductLane> =
             refs.iter().map(|w| SumProductLane::Marginals(w)).collect();
-        let layered: Vec<_> = tape
-            .sum_product_batch_layered(&lanes, 3)
-            .iter()
-            .map(|a| match a {
-                SumProductAnswer::Marginals { wmc, marginals } => {
-                    as_bits(&(*wmc, marginals.clone()))
-                }
-                other => panic!("instance {i}: {other:?} for a marginals lane"),
-            })
-            .collect();
+        let layered = marginals_bits(tape.sum_product_batch_layered(&lanes, 3));
+        let pooled = marginals_bits(tape.sum_product_batch_pooled(&lanes, &pool, 2));
         assert_eq!(tape_scalar, expect, "instance {i}: tape scalar diverged");
         assert_eq!(batched, expect, "instance {i}: lane-batched diverged");
         assert_eq!(layered, expect, "instance {i}: layer-parallel diverged");
+        assert_eq!(pooled, expect, "instance {i}: pooled workers diverged");
     }
 }
 

@@ -23,8 +23,7 @@
 //!   no observable cost until someone turns on the [`RingRecorder`]
 //!   (tests) or [`StderrJsonExporter`] (the `serve --obs-log` flag).
 //! - **[`LatencySummary`]**: the workspace's single nearest-rank
-//!   percentile summary, shared by the benches and by histogram
-//!   rendering.
+//!   percentile summary, over raw samples or a histogram snapshot.
 //! - **Request traces** ([`trace_span`], [`TraceContext`]): hierarchical
 //!   per-request spans with parent links, recorded into per-thread
 //!   lock-free rings (the flight recorder) and reassembled after the

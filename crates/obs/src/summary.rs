@@ -1,6 +1,5 @@
-//! The workspace's one nearest-rank latency summary, shared by the
-//! eval/net/roles benches and by histogram snapshot rendering, so the
-//! benches and the metrics layer keep no parallel copies.
+//! The workspace's one nearest-rank latency summary, over raw samples or
+//! a histogram snapshot.
 
 use crate::metrics::HistogramSnapshot;
 
@@ -54,14 +53,6 @@ impl LatencySummary {
             p99_us: snapshot.p99_us(),
             max_us: snapshot.quantile_us(1.0),
         }
-    }
-
-    /// The summary as an inline JSON object fragment.
-    pub fn to_json_fragment(&self) -> String {
-        format!(
-            "{{ \"mean_us\": {:.2}, \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}, \"max_us\": {:.2} }}",
-            self.mean_us, self.p50_us, self.p95_us, self.p99_us, self.max_us
-        )
     }
 }
 

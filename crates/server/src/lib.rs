@@ -23,9 +23,8 @@
 //!   answers [`WireError::Overloaded`] when full (backpressure instead of
 //!   unbounded buffering), and graceful shutdown that stops accepting,
 //!   drains in-flight requests, and joins every thread;
-//! * [`client`] — a blocking client used by the `three-roles` CLI, the
-//!   examples, and the `bench_net` closed-loop load generator
-//!   (`BENCH_net.json`).
+//! * [`client`] — a blocking client used by the `three-roles` CLI and
+//!   the examples.
 //!
 //! ```
 //! use std::sync::Arc;

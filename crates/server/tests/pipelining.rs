@@ -11,7 +11,7 @@ use trl_core::{PartialAssignment, Var};
 use trl_engine::{Artifact, Engine, Executor, PreparedCircuit, Query, QueryAnswer};
 use trl_nnf::LitWeights;
 use trl_prop::Cnf;
-use trl_server::{Client, Server, ServerConfig, WireError};
+use trl_server::{Client, ClientError, Server, ServerConfig, WireError};
 
 fn acceptance_cnf() -> Cnf {
     Cnf::parse_dimacs("p cnf 6 7\n1 2 0\n-1 3 0\n-2 -4 0\n4 5 0\n-5 6 0\n2 -6 0\n1 -3 5 0\n")
@@ -246,6 +246,61 @@ fn overload_is_typed_and_survivable_under_pipelining() {
     let (id, result) = client.pipeline_recv().unwrap();
     assert_eq!(id, 999);
     assert_eq!(result.unwrap(), vec![QueryAnswer::Sat(true)]);
+
+    handle.shutdown();
+}
+
+/// Retries `op` while the server answers with typed backpressure; any
+/// other failure panics.
+fn retry_overloaded<T>(mut op: impl FnMut() -> Result<T, ClientError>) -> T {
+    loop {
+        match op() {
+            Ok(value) => return value,
+            Err(ClientError::Server(WireError::Overloaded { .. })) => std::thread::yield_now(),
+            Err(other) => panic!("non-backpressure failure under overload: {other}"),
+        }
+    }
+}
+
+/// Eight connections at once against a two-slot queue: a pipelined frame
+/// wider than the whole queue is a typed rejection on every connection,
+/// and every connection still answers afterwards. Compiles and queries
+/// may be shed too while the others contend; retrying them on the typed
+/// error is the backpressure contract.
+#[test]
+fn overweight_frames_are_typed_on_every_concurrent_connection() {
+    let cnf = acceptance_cnf();
+    let engine = Arc::new(Engine::new(1 << 22, Some(1)));
+    let config = ServerConfig {
+        queue_capacity: 2,
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind("127.0.0.1:0", engine, config).unwrap();
+    let addr = handle.addr();
+
+    let connections: Vec<_> = (0..8)
+        .map(|_| {
+            let cnf = cnf.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let key = retry_overloaded(|| client.compile(&cnf)).key;
+                client
+                    .pipeline_send(0, key, vec![Query::ModelCount; 3])
+                    .unwrap();
+                let (id, result) = client.pipeline_recv().unwrap();
+                assert_eq!(id, 0);
+                assert!(
+                    matches!(result, Err(WireError::Overloaded { capacity: 2, .. })),
+                    "expected a typed overload, got {result:?}"
+                );
+                let answer = retry_overloaded(|| client.query(key, Query::Sat));
+                assert_eq!(answer, QueryAnswer::Sat(true));
+            })
+        })
+        .collect();
+    for connection in connections {
+        connection.join().expect("connection thread");
+    }
 
     handle.shutdown();
 }

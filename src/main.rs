@@ -23,7 +23,6 @@
 //! three-roles client <addr> compile <cnf>
 //! three-roles client <addr> query <cnf> [query flags as above]
 //! three-roles metrics <addr> [--prom]
-//! three-roles bench-eval <cnf> [-o PATH] [--queries N] [--seed S]
 //! ```
 //!
 //! `compile` turns a DIMACS CNF into a persisted d-DNNF artifact — the
@@ -41,8 +40,7 @@
 //! stats surface — uptime, connections, and a per-query-kind latency
 //! table (p50/p95/p99) — and `--watch` refreshes it each second;
 //! `metrics` dumps every process-global metric as a table or, with
-//! `--prom`, in Prometheus text exposition for scraping. `bench-eval`
-//! runs the kernel-variant benchmark and writes `BENCH_eval.json`.
+//! `--prom`, in Prometheus text exposition for scraping.
 //!
 //! `learn`, `space`, and `explain` are the other two roles of the paper
 //! behind the same compile-once/query-many engine: `learn` fits a PSDD to
@@ -73,8 +71,8 @@ use three_roles::core::{Assignment, PartialAssignment};
 use three_roles::core::{Lit, Var};
 use three_roles::engine::StatsSnapshot;
 use three_roles::engine::{
-    eval_benchmark, load_binary, load_nnf, save_binary, save_nnf, save_vtree, Engine, Executor,
-    ParallelPolicy, Query, QueryAnswer, Validation, DEFAULT_LAYERED_MIN_NODES,
+    load_binary, load_nnf, save_binary, save_nnf, save_vtree, Engine, Executor, ParallelPolicy,
+    Query, QueryAnswer, Validation, DEFAULT_LAYERED_MIN_NODES,
 };
 use three_roles::nnf::{Circuit, LitWeights};
 use three_roles::obs::{LatencySummary, StderrJsonExporter};
@@ -99,7 +97,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "metrics" => cmd_metrics(rest),
-        "bench-eval" => cmd_bench_eval(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -141,7 +138,6 @@ USAGE:
   three-roles client <addr> compile <cnf>
   three-roles client <addr> query <cnf> [query flags as above]
   three-roles metrics <addr> [--prom]
-  three-roles bench-eval <cnf> [-o PATH] [--queries N] [--seed S]
 
 COMPILE:
   -o ARTIFACT        output path (default: input with .trlc / .nnf extension)
@@ -258,11 +254,6 @@ CLIENT (speaks the trl-server wire protocol to a running `serve`):
 
 METRICS (dump a serving process's metric registry):
   --prom             Prometheus text exposition instead of a table
-
-BENCH-EVAL:
-  -o PATH            where to write the JSON report (default BENCH_eval.json)
-  --queries N        WMC queries in the stream (default 1024)
-  --seed S           query-stream seed (default 0x5eed)
 ";
 
 /// Pulls the value of `flag` out of `args`, removing both tokens.
@@ -675,6 +666,17 @@ fn print_outcome(kind: &str, answer: &QueryAnswer, latency: Duration) {
     println!("   ({:.1} us)", latency.as_secs_f64() * 1e6);
 }
 
+/// The executor for a one-shot local `query` / `trace`. `run` answers on
+/// the calling thread, so one pool worker suffices; the layered policy is
+/// the one [`Executor::with_default_workers`] sets.
+fn local_executor() -> Executor {
+    let executor = Executor::new(1);
+    executor.set_parallel_policy(ParallelPolicy::Layered {
+        min_nodes: DEFAULT_LAYERED_MIN_NODES,
+    });
+    executor
+}
+
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let spec = QuerySpec::take(&mut args)?;
@@ -691,9 +693,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let prepared = three_roles::engine::Artifact::Circuit(std::sync::Arc::new(
         three_roles::engine::PreparedCircuit::new(circuit),
     ));
-    // `run` answers on this thread; the default executor keeps the layered
-    // policy for wide circuits.
-    let outcomes = Executor::with_default_workers()
+    let outcomes = local_executor()
         .run(&prepared, queries.clone())
         .map_err(|e| e.to_string())?;
     for (query, outcome) in queries.iter().zip(outcomes) {
@@ -1047,7 +1047,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                 load_artifact(&input, Validation::Full)?
             };
             let queries = spec.build(circuit.num_vars())?;
-            let executor = Executor::with_default_workers();
+            let executor = local_executor();
             let artifact = three_roles::engine::Artifact::Circuit(std::sync::Arc::new(
                 three_roles::engine::PreparedCircuit::new(circuit),
             ));
@@ -1345,30 +1345,4 @@ fn expect_no_more(args: Vec<String>, action: &str) -> Result<(), String> {
             "client {action} takes no further arguments, got {args:?}"
         ))
     }
-}
-
-fn cmd_bench_eval(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let out = take_value(&mut args, "-o")?.unwrap_or_else(|| "BENCH_eval.json".into());
-    let queries = match take_value(&mut args, "--queries")? {
-        Some(n) => parse_num(&n, "query count")?,
-        None => 1024usize,
-    };
-    let seed = match take_value(&mut args, "--seed")? {
-        Some(s) => parse_num(&s, "seed")?,
-        None => 0x5eedu64,
-    };
-    let input = take_positional(args, "input CNF path")?;
-
-    let cnf = read_cnf(&input)?;
-    let circuit = DecisionDnnfCompiler::default().compile(&cnf);
-    let layer_threads = std::thread::available_parallelism().map_or(2, |p| p.get().max(2));
-    let report = eval_benchmark(&input, &circuit, queries, seed, layer_threads);
-    std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!(
-        "bench-eval {input}: lane-batched speedup {:.2}x over scalar; identical={}; report -> {out}",
-        report.lane_batched_speedup(),
-        report.all_identical()
-    );
-    Ok(())
 }
