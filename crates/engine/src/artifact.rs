@@ -7,7 +7,7 @@
 //! classifier ([`trl_xai::PreparedClassifier`], role 3). Every variant is
 //! an `Arc` around an immutable prepared form, so the executor's worker
 //! pool answers queries against any of them without locks; the registry
-//! still evicts by retained nodes, LRU, exactly as before.
+//! evicts every kind by retained nodes under one S3-FIFO policy.
 //!
 //! Keys stay 64-bit fingerprints, but each artifact kind salts its hash
 //! ([`psdd_fingerprint`], [`space_fingerprint`], [`classifier_fingerprint`])

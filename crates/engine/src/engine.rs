@@ -88,7 +88,7 @@ pub struct OptimizeReport {
 /// A compile-once/query-many engine: a [`Registry`] behind a mutex plus a
 /// shared [`Executor`]. Clone-free sharing: wrap it in an `Arc`.
 ///
-/// The mutex guards only registry bookkeeping (lookup, LRU touch, insert);
+/// The mutex guards only registry bookkeeping (lookup, insert, eviction);
 /// compilation of a missed formula happens *outside* the lock so a slow
 /// compile never blocks queries against already-resident artifacts.
 pub struct Engine {
@@ -107,10 +107,11 @@ impl Engine {
     /// server's reactors among them — bring their own threads and are
     /// answered on them.
     pub fn new(max_retained_nodes: usize, workers: Option<usize>) -> Self {
-        // Zero-valued minimize.* and trace.* rows from the first snapshot
-        // on, like the executor's per-kind counters.
+        // Zero-valued minimize.*, trace.* and registry policy rows from
+        // the first snapshot on, like the executor's per-kind counters.
         trl_minimize::register_metrics();
         trl_obs::register_trace_metrics();
+        crate::registry::register_metrics();
         Engine {
             registry: Mutex::new(Registry::new(max_retained_nodes)),
             executor: match workers {
@@ -125,6 +126,7 @@ impl Engine {
     pub fn from_parts(registry: Registry, executor: Executor) -> Self {
         trl_minimize::register_metrics();
         trl_obs::register_trace_metrics();
+        crate::registry::register_metrics();
         Engine {
             registry: Mutex::new(registry),
             executor,
@@ -271,7 +273,8 @@ impl Engine {
         (key, prepared)
     }
 
-    /// The artifact under a registry key, if still resident (touches LRU).
+    /// The artifact under a registry key, if still resident (counts as a
+    /// use of the entry).
     pub fn get(&self, key: u64) -> Option<Artifact> {
         self.lock().get(key)
     }
@@ -290,12 +293,13 @@ impl Engine {
     /// The minimization search runs entirely **outside** the registry lock
     /// (it can take the whole schedule's time budget); the lock is taken
     /// twice, for a peek and for the swap. The swap preserves the
-    /// fingerprint and LRU position, re-snapshots the retained-node charge
-    /// (releasing budget immediately), and replaces only the registry's
-    /// `Arc` — queries already holding the prepared circuit finish on the
-    /// original, bit-identical artifact. If the artifact was evicted while
-    /// minimizing, the result is discarded (`swapped == false`): eviction
-    /// already decided that memory is better spent elsewhere.
+    /// fingerprint, the queue and the use counter, re-snapshots the
+    /// retained-node charge (releasing budget immediately), and replaces
+    /// only the registry's `Arc` — queries already holding the prepared
+    /// circuit finish on the original, bit-identical artifact. If the
+    /// artifact was evicted while minimizing, the result is discarded
+    /// (`swapped == false`): eviction already decided that memory is
+    /// better spent elsewhere.
     pub fn optimize_with(
         &self,
         key: u64,

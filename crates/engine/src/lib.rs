@@ -16,8 +16,9 @@
 //! * [`prepared`] — [`PreparedCircuit`]: a compiled circuit plus the
 //!   [`trl_nnf::EvalTape`] its smoothed form is linearized into lazily,
 //!   **once**, then queried many times through the tape kernels;
-//! * [`registry`] — a bounded LRU artifact store keyed on CNF
-//!   [`fingerprint`], compiling on miss and evicting by retained node count;
+//! * [`registry`] — a bounded artifact store keyed on CNF [`fingerprint`],
+//!   evicting by retained node count under S3-FIFO, so one-off formulas
+//!   never push out popular circuits;
 //! * [`artifact`] — [`Artifact`]: the typed registry entry generalizing
 //!   "compiled circuit" to the paper's other two roles — learned PSDDs
 //!   (role 2), compiled structured spaces (role 2), and compiled
@@ -31,19 +32,18 @@
 //!   a serving frontend (`trl-server`) holds.
 //!
 //! ```
-//! use trl_engine::{Artifact, Executor, PreparedCircuit, Query, Registry};
+//! use trl_engine::{Engine, Query};
 //! use trl_prop::Cnf;
 //! use std::sync::Arc;
 //!
 //! let cnf = Cnf::parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n").unwrap();
-//! let mut registry = Registry::new(1 << 20);
-//! let circuit = registry.get_or_compile(&cnf); // compiles: miss
-//! let again = registry.get_or_compile(&cnf);   // hit: same Arc
+//! let engine = Engine::new(1 << 20, Some(1));
+//! let (_, circuit) = engine.compile(&cnf); // compiles: miss
+//! let (_, again) = engine.compile(&cnf);   // hit: same Arc
 //! assert!(Arc::ptr_eq(&circuit, &again));
 //!
-//! let executor = Executor::new(2);
-//! let outcomes = executor
-//!     .run(&Artifact::Circuit(circuit), vec![Query::ModelCount, Query::Sat])
+//! let outcomes = engine
+//!     .run_batch(&circuit, vec![Query::ModelCount, Query::Sat])
 //!     .unwrap();
 //! assert_eq!(outcomes[0].answer.model_count(), Some(2));
 //! ```

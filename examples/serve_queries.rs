@@ -2,7 +2,7 @@
 //!
 //! A small CNF is compiled to a Decision-DNNF, persisted to disk in both
 //! artifact formats, reloaded with full d-DNNF re-validation, registered in
-//! the LRU artifact registry, and then queried in batches through the
+//! the artifact registry, and then queried in batches through the
 //! executor — model count, WMC, marginals, and MPE, each with its service
 //! latency.
 //!
@@ -56,11 +56,12 @@ fn main() {
 
     // A registry keeps prepared artifacts hot under a node budget.
     let mut registry = Registry::new(1 << 16);
+    let key = fingerprint(&cnf);
     registry.insert(
-        fingerprint(&cnf),
+        key,
         Artifact::Circuit(Arc::new(PreparedCircuit::new(from_bin))),
     );
-    let prepared = registry.get_or_compile(&cnf); // hit: no recompilation
+    let prepared = registry.get(key).expect("just inserted"); // hit: no recompilation
     println!(
         "registry: {} artifact(s), {} retained nodes, stats {:?}",
         registry.len(),
@@ -84,9 +85,7 @@ fn main() {
         Query::MaxWeight(w),
     ];
     let kinds: Vec<&str> = batch.iter().map(Query::kind).collect();
-    let outcomes = executor
-        .run(&Artifact::Circuit(prepared), batch)
-        .expect("valid batch");
+    let outcomes = executor.run(&prepared, batch).expect("valid batch");
     for (kind, outcome) in kinds.iter().zip(&outcomes) {
         let shown = match &outcome.answer {
             QueryAnswer::ModelCount(n) => format!("{n}"),

@@ -85,7 +85,8 @@ fn registry_serves_loaded_artifacts_without_recompiling() {
         Artifact::Circuit(Arc::new(PreparedCircuit::new(restored))),
     );
 
-    let served = registry.get_or_compile(&cnf);
+    let served = registry.get(key).expect("restored artifact is resident");
+    let served = served.as_circuit().expect("a circuit");
     assert_eq!(registry.stats().misses, 0);
     assert_eq!(registry.stats().hits, 1);
     assert_eq!(
