@@ -12,6 +12,8 @@
 #                        # diffed against in-process), minimize smoke
 #                        # (optimize locally and through the registry,
 #                        # answers diffed),
+#                        # serving examples (net_roundtrip asserts wire
+#                        # answers bit-identical to the executor's),
 #                        # trace smoke (forced trace over the wire: span tree
 #                        # stations + parent links, Chrome export parses,
 #                        # traced answers diffed against untraced, and a
@@ -119,6 +121,12 @@ fi
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid
+
+# Serving examples: each binds a server in process and asserts its own
+# contract; net_roundtrip checks every wire answer, one query at a time
+# and batched, bit for bit against the in-process executor.
+cargo run --release --quiet --example net_roundtrip > /dev/null
+cargo run --release --quiet --example serve_queries > /dev/null
 
 # The value of metric $1 in the Prometheus dump $2.
 prom_value() { awk -v m="$1" '$1 == m { print $2 }' "$2"; }

@@ -27,11 +27,10 @@ use trl_xai::PreparedClassifier;
 /// One coherent view of a serving engine's counters, taken atomically with
 /// respect to the registry.
 ///
-/// The first six fields are the legacy (wire version 1) surface and keep
-/// their exact encoding order; everything after `queue_depth` is the
-/// extended surface added with the observability layer. `queue_depth` and
-/// the `connections_*` fields are zero unless a serving frontend overlays
-/// them (the engine itself has no admission queue and no connections).
+/// The `trl-server` stats frame encodes the fields in declaration order.
+/// `queue_depth` and the `connections_*` fields are zero unless a serving
+/// frontend overlays them (the engine itself has no admission queue and
+/// no connections).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// Registry hit/miss/eviction counters since engine creation.

@@ -1,10 +1,11 @@
 //! A blocking client for the `trl-server` wire protocol.
 //!
-//! One [`Client`] wraps one TCP connection. The classic methods speak
-//! strict request/response — one frame out, one frame in — while the
-//! `pipeline_*` family keeps many version-3 frames in flight on the same
-//! connection and matches responses by id as they complete.
-//! Server-side failures arrive as [`ClientError::Server`] carrying the
+//! One [`Client`] wraps one TCP connection. The `pipeline_*` family keeps
+//! many query frames in flight on the connection and matches responses
+//! by id as they complete; every other method is one frame out, one frame
+//! in, and [`Client::query`], [`Client::batch`] and [`Client::trace`] are
+//! that pipelined client at depth 1 (they check that the response echoes
+//! the id they sent). Server-side failures arrive as [`ClientError::Server`] carrying the
 //! typed [`WireError`] — the connection stays usable afterwards (that is
 //! how a caller sees and reacts to [`WireError::Overloaded`]
 //! backpressure). Protocol-level failures ([`ClientError::Protocol`])
@@ -12,7 +13,7 @@
 
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
@@ -20,6 +21,7 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_LEN,
 };
 use trl_engine::{Query, QueryAnswer, StatsSnapshot};
+use trl_obs::{TraceContext, TraceSpanData};
 use trl_prop::Cnf;
 
 /// What a [`Client`] call can fail with.
@@ -133,51 +135,29 @@ pub struct OptimizedSummary {
     pub wall_us: u64,
 }
 
-/// One blocking connection to a `trl-server`.
+/// One blocking connection to a `trl-server`. A blocking call reads
+/// exactly one response, so it must not be made while pipelined frames
+/// are still in flight.
 pub struct Client {
     stream: TcpStream,
-    max_frame_len: u32,
+    /// The id the next depth-1 query frame carries.
+    next_id: u64,
 }
 
 impl Client {
-    /// Connects to `addr` with default timeouts (30 s read/write) and the
-    /// default frame-length ceiling.
+    /// Connects to `addr` with 30 s read/write timeouts; inbound frames
+    /// may carry up to [`DEFAULT_MAX_FRAME_LEN`] payload bytes.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        Client::from_stream(stream)
-    }
-
-    /// Connects with a bound on connection establishment itself.
-    pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Client> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        Client::from_stream(stream)
-    }
-
-    fn from_stream(stream: TcpStream) -> Result<Client> {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-        Ok(Client {
-            stream,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-        })
-    }
-
-    /// Sets the per-call read/write deadlines (`None` blocks forever).
-    pub fn set_timeouts(&mut self, read: Option<Duration>, write: Option<Duration>) -> Result<()> {
-        self.stream.set_read_timeout(read)?;
-        self.stream.set_write_timeout(write)?;
-        Ok(())
-    }
-
-    /// Sets the ceiling on inbound frame payloads.
-    pub fn set_max_frame_len(&mut self, max: u32) {
-        self.max_frame_len = max;
+        Ok(Client { stream, next_id: 0 })
     }
 
     fn call(&mut self, request: &Request) -> Result<Response> {
         write_request(&mut self.stream, request)?;
-        let response = read_response(&mut self.stream, self.max_frame_len)?;
+        let response = read_response(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         if let Response::Error(e) = response {
             return Err(ClientError::Server(e));
         }
@@ -214,8 +194,7 @@ impl Client {
     }
 
     /// Learns (or fetches, if the server already holds it) a PSDD over
-    /// `cnf`'s support from a weighted complete dataset (protocol
-    /// version 4), returning the registry key for query requests.
+    /// `cnf`'s support from a weighted complete dataset, returning the registry key for query requests.
     pub fn learn_psdd(
         &mut self,
         cnf: &Cnf,
@@ -245,7 +224,7 @@ impl Client {
     }
 
     /// Compiles (or fetches) the structured space of simple `s`–`t` paths
-    /// of a graph (protocol version 4).
+    /// of a graph.
     pub fn compile_space(
         &mut self,
         num_nodes: u32,
@@ -277,7 +256,7 @@ impl Client {
     }
 
     /// Compiles (or fetches) `cnf` as a classifier prepared for
-    /// explanation queries (protocol version 4).
+    /// explanation queries.
     pub fn compile_classifier(&mut self, cnf: &Cnf) -> Result<ClassifierSummary> {
         match self.call(&Request::CompileClassifier(cnf.clone()))? {
             Response::ClassifierCompiled {
@@ -296,8 +275,8 @@ impl Client {
     }
 
     /// Asks the server to minimize the circuit under `key` and swap in a
-    /// strictly smaller bit-identical replacement if one is found
-    /// (protocol version 5). The key is unchanged either way.
+    /// strictly smaller bit-identical replacement if one is found. The key
+    /// is unchanged either way.
     pub fn optimize(&mut self, key: u64) -> Result<OptimizedSummary> {
         match self.call(&Request::Optimize { key })? {
             Response::Optimized {
@@ -321,48 +300,74 @@ impl Client {
 
     /// Answers one query against the artifact under `key`.
     pub fn query(&mut self, key: u64, query: Query) -> Result<QueryAnswer> {
-        match self.call(&Request::Query { key, query })? {
-            Response::Answer(a) => Ok(a),
-            _ => Err(ClientError::UnexpectedResponse { expected: "answer" }),
-        }
-    }
-
-    /// Answers one query like [`Client::query`] — the answer is
-    /// byte-identical — but force-traced server-side (protocol version 6):
-    /// returns the trace id this call generated together with the answer
-    /// and the server's collected span tree, whose root parents onto the
-    /// generated context's root span.
-    pub fn trace(
-        &mut self,
-        key: u64,
-        query: Query,
-    ) -> Result<(u64, QueryAnswer, Vec<trl_obs::TraceSpanData>)> {
-        let ctx = trl_obs::TraceContext::generate(true);
-        match self.call(&Request::Trace { ctx, key, query })? {
-            Response::Traced { answer, spans } => Ok((ctx.trace_id, answer, spans)),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "traced answer",
-            }),
-        }
+        let (mut answers, _) = self.call_queries(key, vec![query], None)?;
+        Ok(answers.remove(0))
     }
 
     /// Answers a batch of queries against the artifact under `key`, in
     /// submission order (grouped into shared kernel sweeps server-side).
     pub fn batch(&mut self, key: u64, queries: Vec<Query>) -> Result<Vec<QueryAnswer>> {
-        let expected = queries.len();
-        match self.call(&Request::Batch { key, queries })? {
-            Response::Batch(answers) if answers.len() == expected => Ok(answers),
-            Response::Batch(_) => Err(ClientError::UnexpectedResponse {
-                expected: "one answer per query",
-            }),
+        Ok(self.call_queries(key, queries, None)?.0)
+    }
+
+    /// Answers one query like [`Client::query`] — the answer is
+    /// bit-identical — but force-traced server-side: returns the trace id
+    /// this call generated together with the answer and the server's
+    /// collected span tree, whose root parents onto the generated
+    /// context's root span.
+    pub fn trace(
+        &mut self,
+        key: u64,
+        query: Query,
+    ) -> Result<(u64, QueryAnswer, Vec<TraceSpanData>)> {
+        let ctx = TraceContext::generate(true);
+        let (mut answers, spans) = self.call_queries(key, vec![query], Some(ctx))?;
+        Ok((ctx.trace_id, answers.remove(0), spans))
+    }
+
+    /// The pipelined client at depth 1: sends one query frame (traced
+    /// under `trace`, if given) and reads its response, which must echo
+    /// the frame's id and carry one answer per query.
+    fn call_queries(
+        &mut self,
+        key: u64,
+        queries: Vec<Query>,
+        trace: Option<TraceContext>,
+    ) -> Result<(Vec<QueryAnswer>, Vec<TraceSpanData>)> {
+        self.next_id = self.next_id.wrapping_add(1);
+        let (id, expected) = (self.next_id, queries.len());
+        let request = match trace {
+            Some(ctx) => Request::Trace {
+                id,
+                ctx,
+                key,
+                queries,
+            },
+            None => Request::PipelinedBatch { id, key, queries },
+        };
+        let (echoed, result, spans) = match self.call(&request)? {
+            Response::PipelinedBatch { id, result } => (id, result, Vec::new()),
+            Response::Traced { id, result, spans } => (id, result, spans),
+            _ => {
+                return Err(ClientError::UnexpectedResponse {
+                    expected: "answers",
+                })
+            }
+        };
+        if echoed != id {
+            return Err(ClientError::UnexpectedResponse {
+                expected: "the id of the frame just sent",
+            });
+        }
+        match result.map_err(ClientError::Server)? {
+            answers if answers.len() == expected => Ok((answers, spans)),
             _ => Err(ClientError::UnexpectedResponse {
-                expected: "answer batch",
+                expected: "one answer per query",
             }),
         }
     }
 
-    /// Sends one pipelined batch frame (protocol version 3) **without
-    /// waiting for the response**. The caller picks `id` and must keep it
+    /// Sends one query frame **without waiting for the response**. The caller picks `id` and must keep it
     /// unique among its in-flight frames; the matching
     /// [`Client::pipeline_recv`] may deliver ids in any order, because the
     /// server answers pipelined frames as they complete.
@@ -374,14 +379,14 @@ impl Client {
         Ok(())
     }
 
-    /// Receives the next pipelined response — whichever in-flight frame
+    /// Receives the next query-frame response — whichever in-flight frame
     /// completed first. Per-frame failures (overload, unknown key,
     /// invalid queries) arrive as the `Err` half of the returned result
     /// with the id still attached; the connection stays usable.
     pub fn pipeline_recv(
         &mut self,
     ) -> Result<(u64, std::result::Result<Vec<QueryAnswer>, WireError>)> {
-        match read_response(&mut self.stream, self.max_frame_len)? {
+        match read_response(&mut self.stream, DEFAULT_MAX_FRAME_LEN)? {
             Response::PipelinedBatch { id, result } => Ok((id, result)),
             Response::Error(e) => Err(ClientError::Server(e)),
             _ => Err(ClientError::UnexpectedResponse {

@@ -6,16 +6,18 @@
 //! network boundary in front of it, std-only like the rest of the
 //! workspace:
 //!
-//! * [`protocol`] — a versioned, length-prefixed, checksummed binary wire
-//!   protocol with typed request/response frames for compile, SAT,
-//!   model-count(-under-evidence), WMC, marginals, MPE, batches, stats,
-//!   and shutdown — and, since version 4, the paper's other two roles:
-//!   PSDD learning plus log-likelihood/marginal queries (role 2),
-//!   structured-space compilation with count/top queries (role 2), and
-//!   classifier compilation with sufficient-reason, robustness, and bias
-//!   queries (role 3). Corrupt, truncated, or oversized frames yield typed
-//!   [`ProtocolError`]s, never panics, and floats travel as IEEE-754 bit
-//!   patterns so served answers are **bit-identical** to in-process ones;
+//! * [`protocol`] — a length-prefixed, checksummed binary wire protocol
+//!   with one version ([`PROTOCOL_VERSION`]). Builds (compile, PSDD
+//!   learning, structured spaces, classifiers, optimize), stats, ping and
+//!   shutdown each have a frame; every query kind of the three roles —
+//!   SAT, model counts, WMC, marginals, MPE; PSDD log-likelihood and
+//!   marginals, space count and top; sufficient reasons, robustness and
+//!   bias — rides one of two query frames (plain or traced), which carry
+//!   a client-chosen id and are answered out of order by id. Corrupt,
+//!   truncated, or oversized frames, and frames of any other version,
+//!   yield typed [`ProtocolError`]s, never panics, and floats travel as
+//!   IEEE-754 bit patterns so served answers are **bit-identical** to
+//!   in-process ones;
 //! * [`server`] — a readiness-driven multiplexed TCP server whose reactor
 //!   threads answer queries themselves and hand builds to the engine's
 //!   worker pool, with a bounded connection-acceptance gate,
@@ -54,9 +56,9 @@ pub use client::{
     SpaceSummary,
 };
 pub use protocol::{
-    decode_stats_v1_prefix, read_request, read_response, scan_frame, write_request, write_response,
-    write_response_versioned, FrameScan, ProtocolError, Request, Response, WireError,
-    DEFAULT_MAX_FRAME_LEN, MAX_UNIVERSE, PROTOCOL_VERSION,
+    read_request, read_response, scan_frame, write_request, write_response, FrameScan,
+    ProtocolError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN, MAX_UNIVERSE,
+    PROTOCOL_VERSION,
 };
 pub use reactor::{Event, Reactor, Waker};
 pub use server::{Server, ServerConfig, ServerCounters, ServerHandle};

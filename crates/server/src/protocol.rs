@@ -1,4 +1,4 @@
-//! The versioned, length-prefixed binary wire protocol between a
+//! The length-prefixed binary wire protocol between a
 //! `trl-server` and its clients.
 //!
 //! Every message travels as one **frame**:
@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"TRLW"
-//!      4     2  protocol version (currently 6)
+//!      4     2  protocol version (7)
 //!      6     1  frame kind tag (request 0x01..., response 0x81...)
 //!      7     1  reserved (0)
 //!      8     4  payload length in bytes (u32)
@@ -28,66 +28,34 @@
 //! [`Response::Error`] carrying a typed [`WireError`] — a protocol error
 //! means the *stream* is unusable, a wire error means the *request* failed.
 //!
-//! ## Version history
+//! ## Frames
 //!
-//! * **1** — initial protocol; the stats payload carried eight fields
-//!   (registry hits/misses/evictions, artifacts, retained/max-retained
-//!   nodes, workers, queue depth).
-//! * **2** — the stats payload grew an observability extension *after* the
-//!   unchanged version-1 prefix: uptime, per-query-kind served counts,
-//!   connection counters, and a full metric dump (counters, gauges,
-//!   latency histograms). Readers accept versions `1..=2`, and a
-//!   prefix-tolerant version-1 reader ([`decode_stats_v1_prefix`]) still
-//!   recovers the legacy fields from a version-2 payload byte-for-byte.
-//!   Every other frame kind is encoded exactly as in version 1.
-//! * **3** — pipelining and frame batching. Two new frame kinds:
-//!   [`Request::PipelinedBatch`] (kind `0x07`: a client-chosen request id,
-//!   a registry key, and many queries under one checksummed length
-//!   prefix) and [`Response::PipelinedBatch`] (kind `0x88`: the id echoed
-//!   back with either the answers or a typed [`WireError`]). Ids let a
-//!   connection keep many frames in flight and match responses that
-//!   complete out of order. Every version-2 frame kind is encoded exactly
-//!   as before, readers accept versions `1..=3`, and a server stamps each
-//!   response with the version of the request frame it answers
-//!   ([`write_response_versioned`]) — a version-2 client never sees a
-//!   version-3 header.
-//! * **4** — typed artifacts for the paper's other two roles. Three new
-//!   request kinds build non-circuit artifacts: [`Request::LearnPsdd`]
-//!   (kind `0x08`: a CNF support, a Laplace prior, and a weighted complete
-//!   dataset to learn a PSDD from), [`Request::CompileSpace`] (kind
-//!   `0x09`: a graph and terminals whose simple paths become a structured
-//!   space), and [`Request::CompileClassifier`] (kind `0x0a`: a CNF
-//!   compiled for explanation queries). Each is answered by its own
-//!   response kind ([`Response::Learned`] `0x89`,
-//!   [`Response::SpaceCompiled`] `0x8a`, [`Response::ClassifierCompiled`]
-//!   `0x8b`) carrying the registry key the artifact now lives under. The
-//!   existing query/batch/pipelined frames gained seven query tags
-//!   (`6..=12`: PSDD log-likelihood and marginal, space count and top,
-//!   sufficient reason, robustness, bias) and five answer tags (`5..=9`).
-//!   Every version-3 frame kind is encoded exactly as before, readers
-//!   accept versions `1..=4`, and responses keep echoing the request
-//!   frame's version.
-//! * **5** — background minimization. One new request kind,
-//!   [`Request::Optimize`] (kind `0x0b`: a registry key whose resident
-//!   circuit the server re-compresses and atomically swaps in place —
-//!   the key is unchanged, every answer stays bit-identical), answered
-//!   by [`Response::Optimized`] (kind `0x8c`: node counts before/after,
-//!   whether the smaller circuit was actually swapped in, and the wall
-//!   time the pass took). Every version-4 frame kind is encoded exactly
-//!   as before, readers accept versions `1..=5`, and responses keep
-//!   echoing the request frame's version.
-//! * **6** — request-scoped tracing. One new request kind,
-//!   [`Request::Trace`] (kind `0x0c`: a client-generated
-//!   [`TraceContext`] — trace id, the client's open span id, sampled
-//!   flag — plus the registry key and query of an ordinary
-//!   [`Request::Query`]), answered by [`Response::Traced`] (kind `0x8d`:
-//!   the bit-identical [`QueryAnswer`] the untraced query would have
-//!   produced, plus the server-side span tree as a flat list of
-//!   [`TraceSpanData`] with parent links, rooted under the client's span
-//!   id). The trace context is an *optional extension*: v1–v5 clients
-//!   never send kind `0x0c` and every pre-existing frame kind is encoded
-//!   exactly as before; readers accept versions `1..=6`, and responses
-//!   keep echoing the request frame's version.
+//! There is one protocol version, [`PROTOCOL_VERSION`]; a frame stamped
+//! with any other is rejected with [`ProtocolError::UnsupportedVersion`].
+//!
+//! ```text
+//! request                      kind  response                        kind
+//! Ping                         0x01  Pong                            0x81
+//! Compile                      0x02  Compiled                        0x82
+//! Stats                        0x05  Stats                           0x85
+//! Shutdown                     0x06  ShuttingDown                    0x86
+//! PipelinedBatch {id,key,qs}   0x07  PipelinedBatch {id,result}      0x88
+//! LearnPsdd                    0x08  Learned                         0x89
+//! CompileSpace                 0x09  SpaceCompiled                   0x8a
+//! CompileClassifier            0x0a  ClassifierCompiled              0x8b
+//! Optimize                     0x0b  Optimized                       0x8c
+//! Trace {id,ctx,key,qs}        0x0c  Traced {id,result,spans}        0x8d
+//! (any request that failed)          Error                           0x87
+//! ```
+//!
+//! The two query frames, [`Request::PipelinedBatch`] and
+//! [`Request::Trace`], carry a client-chosen id and are answered **out of
+//! order by id**: a connection may keep any number in flight, and a query
+//! frame never waits behind a build on its connection. A per-frame
+//! failure (overload, unknown key, invalid query) comes back as the `Err`
+//! half of the frame's `result`, with the id attached. Every other request
+//! is answered in arrival order relative to the other non-query requests
+//! on its connection.
 
 use std::fmt;
 use std::hash::Hasher;
@@ -99,8 +67,8 @@ use trl_nnf::LitWeights;
 use trl_obs::{HistogramSnapshot, MetricValue, MetricsDump, TraceContext, TraceSpanData};
 use trl_prop::Cnf;
 
-/// The newest protocol version this build speaks.
-pub const PROTOCOL_VERSION: u16 = 6;
+/// The one protocol version this build speaks.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Frame magic: "TRL Wire".
 pub const MAGIC: [u8; 4] = *b"TRLW";
@@ -120,30 +88,26 @@ pub const MAX_UNIVERSE: u32 = 1 << 24;
 
 const KIND_REQ_PING: u8 = 0x01;
 const KIND_REQ_COMPILE: u8 = 0x02;
-const KIND_REQ_QUERY: u8 = 0x03;
-const KIND_REQ_BATCH: u8 = 0x04;
 const KIND_REQ_STATS: u8 = 0x05;
 const KIND_REQ_SHUTDOWN: u8 = 0x06;
-const KIND_REQ_PIPELINED_BATCH: u8 = 0x07; // version 3
-const KIND_REQ_LEARN_PSDD: u8 = 0x08; // version 4
-const KIND_REQ_COMPILE_SPACE: u8 = 0x09; // version 4
-const KIND_REQ_COMPILE_CLASSIFIER: u8 = 0x0a; // version 4
-const KIND_REQ_OPTIMIZE: u8 = 0x0b; // version 5
-const KIND_REQ_TRACE: u8 = 0x0c; // version 6
+const KIND_REQ_PIPELINED_BATCH: u8 = 0x07;
+const KIND_REQ_LEARN_PSDD: u8 = 0x08;
+const KIND_REQ_COMPILE_SPACE: u8 = 0x09;
+const KIND_REQ_COMPILE_CLASSIFIER: u8 = 0x0a;
+const KIND_REQ_OPTIMIZE: u8 = 0x0b;
+const KIND_REQ_TRACE: u8 = 0x0c;
 
 const KIND_RESP_PONG: u8 = 0x81;
 const KIND_RESP_COMPILED: u8 = 0x82;
-const KIND_RESP_ANSWER: u8 = 0x83;
-const KIND_RESP_BATCH: u8 = 0x84;
 const KIND_RESP_STATS: u8 = 0x85;
 const KIND_RESP_SHUTTING_DOWN: u8 = 0x86;
 const KIND_RESP_ERROR: u8 = 0x87;
-const KIND_RESP_PIPELINED_BATCH: u8 = 0x88; // version 3
-const KIND_RESP_LEARNED: u8 = 0x89; // version 4
-const KIND_RESP_SPACE_COMPILED: u8 = 0x8a; // version 4
-const KIND_RESP_CLASSIFIER_COMPILED: u8 = 0x8b; // version 4
-const KIND_RESP_OPTIMIZED: u8 = 0x8c; // version 5
-const KIND_RESP_TRACED: u8 = 0x8d; // version 6
+const KIND_RESP_PIPELINED_BATCH: u8 = 0x88;
+const KIND_RESP_LEARNED: u8 = 0x89;
+const KIND_RESP_SPACE_COMPILED: u8 = 0x8a;
+const KIND_RESP_CLASSIFIER_COMPILED: u8 = 0x8b;
+const KIND_RESP_OPTIMIZED: u8 = 0x8c;
+const KIND_RESP_TRACED: u8 = 0x8d;
 
 /// Errors that make a frame (and usually the stream carrying it)
 /// unusable. Application-level failures travel as [`WireError`] instead.
@@ -155,11 +119,12 @@ pub enum ProtocolError {
     Disconnected,
     /// The frame does not start with the protocol magic.
     BadMagic([u8; 4]),
-    /// The peer speaks a protocol version this build cannot.
+    /// The frame is stamped with a protocol version other than this
+    /// build's.
     UnsupportedVersion {
         /// Version found in the frame header.
         found: u16,
-        /// Newest version this build understands.
+        /// The one version this build speaks.
         supported: u16,
     },
     /// The frame declares a payload larger than the configured ceiling.
@@ -198,7 +163,7 @@ impl fmt::Display for ProtocolError {
             ProtocolError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             ProtocolError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported protocol version {found} (this build speaks up to {supported})"
+                "unsupported protocol version {found} (this build speaks only version {supported})"
             ),
             ProtocolError::FrameTooLarge { declared, max } => {
                 write!(
@@ -291,31 +256,16 @@ pub enum Request {
     /// Compile (or fetch, if resident) an artifact for this CNF; answered
     /// with [`Response::Compiled`] carrying the registry key.
     Compile(Cnf),
-    /// Answer one query against the artifact under `key`.
-    Query {
-        /// Registry key from a [`Response::Compiled`].
-        key: u64,
-        /// The query to answer.
-        query: Query,
-    },
-    /// Answer a batch of queries against the artifact under `key`,
-    /// grouped into shared kernel sweeps server-side.
-    Batch {
-        /// Registry key from a [`Response::Compiled`].
-        key: u64,
-        /// The queries, answered in submission order.
-        queries: Vec<Query>,
-    },
     /// Snapshot the server's registry/executor counters.
     Stats,
     /// Ask the server to shut down gracefully: stop accepting, drain
     /// in-flight work, join connection threads.
     Shutdown,
-    /// **Version 3.** A pipelined batch: many queries under one
-    /// checksummed length prefix, tagged with a client-chosen request id.
-    /// A connection may have any number of these in flight; the server
-    /// answers each with a [`Response::PipelinedBatch`] echoing the id,
-    /// possibly out of submission order.
+    /// A query frame: many queries under one checksummed length prefix,
+    /// tagged with a client-chosen request id. A connection may have any
+    /// number of these in flight; the server answers each with a
+    /// [`Response::PipelinedBatch`] echoing the id, possibly out of
+    /// submission order.
     PipelinedBatch {
         /// Client-chosen id echoed in the response; the client's job to
         /// keep unique among its in-flight requests.
@@ -325,7 +275,7 @@ pub enum Request {
         /// The queries, answered in submission order within the batch.
         queries: Vec<Query>,
     },
-    /// **Version 4.** Learn (or fetch, if resident) a PSDD over this CNF
+    /// Learn (or fetch, if resident) a PSDD over this CNF
     /// support from a weighted complete dataset; answered with
     /// [`Response::Learned`] carrying the registry key.
     LearnPsdd {
@@ -336,7 +286,7 @@ pub enum Request {
         /// Weighted complete examples over the CNF's universe.
         data: Vec<(Assignment, f64)>,
     },
-    /// **Version 4.** Compile (or fetch) the structured space of simple
+    /// Compile (or fetch) the structured space of simple
     /// `s`–`t` paths of a graph; answered with [`Response::SpaceCompiled`].
     CompileSpace {
         /// Number of graph nodes.
@@ -349,30 +299,32 @@ pub enum Request {
         /// Target node.
         t: u32,
     },
-    /// **Version 4.** Compile (or fetch) a CNF as a classifier prepared
+    /// Compile (or fetch) a CNF as a classifier prepared
     /// for explanation queries; answered with
     /// [`Response::ClassifierCompiled`].
     CompileClassifier(Cnf),
-    /// **Version 5.** Minimize the circuit resident under `key` and, if a
+    /// Minimize the circuit resident under `key` and, if a
     /// strictly smaller bit-identical circuit is found, atomically swap
     /// it in under the same key; answered with [`Response::Optimized`].
     Optimize {
         /// Registry key from a [`Response::Compiled`].
         key: u64,
     },
-    /// **Version 6.** A force-sampled query carrying its trace context:
-    /// answered like [`Request::Query`] (the answer is byte-identical to
-    /// the untraced one) but with the server-side span tree attached in a
-    /// [`Response::Traced`]. The server's root span parents onto
-    /// `ctx.span_id`, so the client can splice the server subtree under
-    /// its own request span.
+    /// A force-sampled query frame carrying its trace context: answered
+    /// out of order by id like [`Request::PipelinedBatch`] (the answers
+    /// are bit-identical to the untraced ones) but with the server-side
+    /// span tree attached in a [`Response::Traced`]. The server's root
+    /// span parents onto `ctx.span_id`, so the client can splice the
+    /// server subtree under its own request span.
     Trace {
+        /// Client-chosen id echoed in the response.
+        id: u64,
         /// The client-generated trace context this request travels under.
         ctx: TraceContext,
         /// Registry key from a [`Response::Compiled`].
         key: u64,
-        /// The query to answer and trace.
-        query: Query,
+        /// The queries to answer and trace, answered in submission order.
+        queries: Vec<Query>,
     },
 }
 
@@ -392,17 +344,13 @@ pub enum Response {
         /// Edges in the compiled circuit.
         edges: u32,
     },
-    /// Answer to [`Request::Query`].
-    Answer(QueryAnswer),
-    /// Answer to [`Request::Batch`], in submission order.
-    Batch(Vec<QueryAnswer>),
     /// Answer to [`Request::Stats`].
     Stats(StatsSnapshot),
     /// Acknowledgement of [`Request::Shutdown`].
     ShuttingDown,
     /// The request failed; the connection remains usable.
     Error(WireError),
-    /// **Version 3.** Answer to [`Request::PipelinedBatch`]: the request
+    /// Answer to [`Request::PipelinedBatch`]: the request
     /// id echoed back with either every answer (in submission order) or
     /// the typed failure that rejected the whole batch. The connection
     /// remains usable either way.
@@ -412,7 +360,7 @@ pub enum Response {
         /// Answers in submission order, or the batch's typed failure.
         result: std::result::Result<Vec<QueryAnswer>, WireError>,
     },
-    /// **Version 4.** Answer to [`Request::LearnPsdd`].
+    /// Answer to [`Request::LearnPsdd`].
     Learned {
         /// Registry key addressing the learned PSDD in later requests.
         key: u64,
@@ -423,7 +371,7 @@ pub enum Response {
         /// Training-set log-likelihood under the learned parameters.
         log_likelihood: f64,
     },
-    /// **Version 4.** Answer to [`Request::CompileSpace`].
+    /// Answer to [`Request::CompileSpace`].
     SpaceCompiled {
         /// Registry key addressing the space in later requests.
         key: u64,
@@ -434,7 +382,7 @@ pub enum Response {
         /// Simple `s`–`t` paths the space contains.
         paths: u128,
     },
-    /// **Version 4.** Answer to [`Request::CompileClassifier`].
+    /// Answer to [`Request::CompileClassifier`].
     ClassifierCompiled {
         /// Registry key addressing the classifier in later requests.
         key: u64,
@@ -443,17 +391,19 @@ pub enum Response {
         /// Nodes in the compiled classifier.
         nodes: u32,
     },
-    /// **Version 6.** Answer to [`Request::Trace`]: the query's answer —
-    /// bit-identical to what [`Response::Answer`] would carry — plus the
-    /// collected server-side spans of the request's trace, parent-linked
-    /// and sorted by start time.
+    /// Answer to [`Request::Trace`]: the id echoed back with the answers —
+    /// bit-identical to what [`Response::PipelinedBatch`] would carry — or
+    /// the frame's typed failure, plus the collected server-side spans of
+    /// the request's trace, parent-linked and sorted by start time.
     Traced {
-        /// The traced query's answer.
-        answer: QueryAnswer,
+        /// The id from the request this frame answers.
+        id: u64,
+        /// Answers in submission order, or the frame's typed failure.
+        result: std::result::Result<Vec<QueryAnswer>, WireError>,
         /// The server-side span tree, flat with parent links.
         spans: Vec<TraceSpanData>,
     },
-    /// **Version 5.** Answer to [`Request::Optimize`].
+    /// Answer to [`Request::Optimize`].
     Optimized {
         /// The key whose artifact was (maybe) minimized; unchanged.
         key: u64,
@@ -478,13 +428,12 @@ fn checksum(bytes: &[u8]) -> u64 {
 
 // ---------------------------------------------------------------- framing
 
-/// Writes one frame stamped with an explicit protocol version: header
-/// (with checksums) followed by the payload. Servers use this to echo the
-/// version of the request frame they are answering.
-fn write_frame_versioned(w: &mut impl Write, kind: u8, payload: &[u8], version: u16) -> Result<()> {
+/// Writes one frame stamped with [`PROTOCOL_VERSION`]: header (with
+/// checksums) followed by the payload.
+fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&version.to_le_bytes());
+    header.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     header.push(kind);
     header.push(0);
     header.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -498,14 +447,9 @@ fn write_frame_versioned(w: &mut impl Write, kind: u8, payload: &[u8], version: 
     Ok(())
 }
 
-/// Writes one frame stamped with [`PROTOCOL_VERSION`].
-fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> Result<()> {
-    write_frame_versioned(w, kind, payload, PROTOCOL_VERSION)
-}
-
 /// Verifies a complete header (magic, header checksum, version, length
-/// bound) and returns `(version, kind, payload_len)`.
-fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u16, u8, u32)> {
+/// bound) and returns `(kind, payload_len)`.
+fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u8, u32)> {
     if header[0..4] != MAGIC {
         return Err(ProtocolError::BadMagic(header[0..4].try_into().unwrap()));
     }
@@ -519,7 +463,7 @@ fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u16, u8, u32)> {
         });
     }
     let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if version == 0 || version > PROTOCOL_VERSION {
+    if version != PROTOCOL_VERSION {
         return Err(ProtocolError::UnsupportedVersion {
             found: version,
             supported: PROTOCOL_VERSION,
@@ -533,7 +477,7 @@ fn check_header(header: &[u8], max_frame_len: u32) -> Result<(u16, u8, u32)> {
             max: max_frame_len,
         });
     }
-    Ok((version, kind, payload_len))
+    Ok((kind, payload_len))
 }
 
 /// Verifies a payload checksum stored in `header` against `payload`.
@@ -550,17 +494,17 @@ fn check_payload(header: &[u8], payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Reads one frame, returning its header version, kind tag, and verified
-/// payload. Frames declaring more than `max_frame_len` payload bytes are
-/// rejected before the payload is allocated.
-fn read_frame(r: &mut impl Read, max_frame_len: u32) -> Result<(u16, u8, Vec<u8>)> {
+/// Reads one frame, returning its kind tag and verified payload. Frames
+/// declaring more than `max_frame_len` payload bytes are rejected before
+/// the payload is allocated.
+fn read_frame(r: &mut impl Read, max_frame_len: u32) -> Result<(u8, Vec<u8>)> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
-    let (version, kind, payload_len) = check_header(&header, max_frame_len)?;
+    let (kind, payload_len) = check_header(&header, max_frame_len)?;
     let mut payload = vec![0u8; payload_len as usize];
     r.read_exact(&mut payload)?;
     check_payload(&header, &payload)?;
-    Ok((version, kind, payload))
+    Ok((kind, payload))
 }
 
 /// Outcome of scanning an in-memory byte buffer for one complete frame
@@ -578,8 +522,6 @@ pub enum FrameScan {
     },
     /// One verified frame.
     Frame {
-        /// Protocol version stamped in the frame header.
-        version: u16,
         /// Frame kind tag.
         kind: u8,
         /// Verified payload bytes.
@@ -601,7 +543,7 @@ pub fn scan_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameScan> {
         return Ok(FrameScan::Incomplete { need: HEADER_LEN });
     }
     let header = &buf[..HEADER_LEN];
-    let (version, kind, payload_len) = check_header(header, max_frame_len)?;
+    let (kind, payload_len) = check_header(header, max_frame_len)?;
     let total = HEADER_LEN + payload_len as usize;
     if buf.len() < total {
         return Ok(FrameScan::Incomplete { need: total });
@@ -609,7 +551,6 @@ pub fn scan_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameScan> {
     let payload = &buf[HEADER_LEN..total];
     check_payload(header, payload)?;
     Ok(FrameScan::Frame {
-        version,
         kind,
         payload: payload.to_vec(),
         consumed: total,
@@ -1173,6 +1114,52 @@ fn decode_wire_error(d: &mut Dec) -> Result<WireError> {
     })
 }
 
+fn encode_queries(e: &mut Enc, queries: &[Query]) {
+    e.u32(queries.len() as u32);
+    for q in queries {
+        encode_query(e, q);
+    }
+}
+
+fn decode_queries(d: &mut Dec) -> Result<Vec<Query>> {
+    let declared = d.u32()?;
+    let n = d.counted(declared, 1)?;
+    (0..n).map(|_| decode_query(d)).collect()
+}
+
+/// A query frame's result: tag 0 and the answers, or tag 1 and the typed
+/// failure.
+fn encode_result(e: &mut Enc, result: &std::result::Result<Vec<QueryAnswer>, WireError>) {
+    match result {
+        Ok(answers) => {
+            e.u8(0);
+            e.u32(answers.len() as u32);
+            for a in answers {
+                encode_answer(e, a);
+            }
+        }
+        Err(err) => {
+            e.u8(1);
+            encode_wire_error(e, err);
+        }
+    }
+}
+
+fn decode_result(d: &mut Dec) -> Result<std::result::Result<Vec<QueryAnswer>, WireError>> {
+    match d.u8()? {
+        0 => {
+            let declared = d.u32()?;
+            let n = d.counted(declared, 1)?;
+            let answers = (0..n).map(|_| decode_answer(d)).collect::<Result<_>>()?;
+            Ok(Ok(answers))
+        }
+        1 => Ok(Err(decode_wire_error(d)?)),
+        tag => Err(ProtocolError::Malformed(format!(
+            "unknown query-frame result tag {tag}"
+        ))),
+    }
+}
+
 const METRIC_COUNTER: u8 = 0;
 const METRIC_GAUGE: u8 = 1;
 const METRIC_HISTOGRAM: u8 = 2;
@@ -1241,8 +1228,6 @@ fn decode_metrics(d: &mut Dec) -> Result<MetricsDump> {
 }
 
 fn encode_stats(e: &mut Enc, s: &StatsSnapshot) {
-    // Version-1 prefix — field order is load-bearing; a prefix-tolerant
-    // version-1 reader decodes exactly these bytes and stops.
     e.u64(s.registry.hits);
     e.u64(s.registry.misses);
     e.u64(s.registry.evictions);
@@ -1251,7 +1236,6 @@ fn encode_stats(e: &mut Enc, s: &StatsSnapshot) {
     e.u64(s.max_retained_nodes as u64);
     e.u32(s.workers as u32);
     e.u64(s.queue_depth as u64);
-    // Version-2 observability extension.
     e.u64(s.uptime_ms);
     e.u32(s.requests_served.len() as u32);
     for (kind, count) in &s.requests_served {
@@ -1263,8 +1247,8 @@ fn encode_stats(e: &mut Enc, s: &StatsSnapshot) {
     encode_metrics(e, &s.metrics);
 }
 
-/// Decodes the version-1 stats fields, leaving the extension at default.
-fn decode_stats_prefix(d: &mut Dec) -> Result<StatsSnapshot> {
+fn decode_stats(d: &mut Dec) -> Result<StatsSnapshot> {
+    // Struct fields evaluate in source order, which is the wire order.
     Ok(StatsSnapshot {
         registry: RegistryStats {
             hits: d.u64()?,
@@ -1276,42 +1260,19 @@ fn decode_stats_prefix(d: &mut Dec) -> Result<StatsSnapshot> {
         max_retained_nodes: d.u64()? as usize,
         workers: d.u32()? as usize,
         queue_depth: d.u64()? as usize,
-        ..StatsSnapshot::default()
+        uptime_ms: d.u64()?,
+        requests_served: {
+            let declared = d.u32()?;
+            // Each per-kind entry carries a name length (4) and a count (8).
+            let n = d.counted(declared, 12)?;
+            (0..n)
+                .map(|_| Ok((d.str()?, d.u64()?)))
+                .collect::<Result<_>>()?
+        },
+        connections_accepted: d.u64()?,
+        connections_active: d.u64()?,
+        metrics: decode_metrics(d)?,
     })
-}
-
-fn decode_stats(d: &mut Dec) -> Result<StatsSnapshot> {
-    let mut s = decode_stats_prefix(d)?;
-    s.uptime_ms = d.u64()?;
-    let declared = d.u32()?;
-    // Each per-kind entry carries a name length (4) and a count (8).
-    let n = d.counted(declared, 12)?;
-    let mut requests_served = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = d.str()?;
-        let count = d.u64()?;
-        requests_served.push((kind, count));
-    }
-    s.requests_served = requests_served;
-    s.connections_accepted = d.u64()?;
-    s.connections_active = d.u64()?;
-    s.metrics = decode_metrics(d)?;
-    Ok(s)
-}
-
-/// Decodes only the **version-1 prefix** of a stats payload, ignoring any
-/// extension bytes that follow — byte-for-byte what a version-1
-/// `decode_stats` consumed.
-///
-/// This is how a forward-tolerant old client reads a version-2 stats
-/// payload: the legacy eight fields sit unchanged at the front, so a
-/// reader that stops after them (rather than demanding payload
-/// exhaustion) keeps working across the version bump. It exists as a
-/// public entry point so compatibility tests can prove the prefix never
-/// drifts.
-pub fn decode_stats_v1_prefix(payload: &[u8]) -> Result<StatsSnapshot> {
-    let mut d = Dec::new(payload);
-    decode_stats_prefix(&mut d)
 }
 
 // ------------------------------------------------------- public surface
@@ -1325,28 +1286,12 @@ impl Request {
                 encode_cnf(&mut e, cnf);
                 KIND_REQ_COMPILE
             }
-            Request::Query { key, query } => {
-                e.u64(*key);
-                encode_query(&mut e, query);
-                KIND_REQ_QUERY
-            }
-            Request::Batch { key, queries } => {
-                e.u64(*key);
-                e.u32(queries.len() as u32);
-                for q in queries {
-                    encode_query(&mut e, q);
-                }
-                KIND_REQ_BATCH
-            }
             Request::Stats => KIND_REQ_STATS,
             Request::Shutdown => KIND_REQ_SHUTDOWN,
             Request::PipelinedBatch { id, key, queries } => {
                 e.u64(*id);
                 e.u64(*key);
-                e.u32(queries.len() as u32);
-                for q in queries {
-                    encode_query(&mut e, q);
-                }
+                encode_queries(&mut e, queries);
                 KIND_REQ_PIPELINED_BATCH
             }
             Request::LearnPsdd { cnf, alpha, data } => {
@@ -1379,12 +1324,18 @@ impl Request {
                 e.u64(*key);
                 KIND_REQ_OPTIMIZE
             }
-            Request::Trace { ctx, key, query } => {
+            Request::Trace {
+                id,
+                ctx,
+                key,
+                queries,
+            } => {
+                e.u64(*id);
                 e.u64(ctx.trace_id);
                 e.u64(ctx.span_id);
                 e.u8(u8::from(ctx.sampled));
                 e.u64(*key);
-                encode_query(&mut e, query);
+                encode_queries(&mut e, queries);
                 KIND_REQ_TRACE
             }
         };
@@ -1396,33 +1347,13 @@ impl Request {
         let req = match kind {
             KIND_REQ_PING => Request::Ping,
             KIND_REQ_COMPILE => Request::Compile(decode_cnf(&mut d)?),
-            KIND_REQ_QUERY => Request::Query {
-                key: d.u64()?,
-                query: decode_query(&mut d)?,
-            },
-            KIND_REQ_BATCH => {
-                let key = d.u64()?;
-                let declared = d.u32()?;
-                let n = d.counted(declared, 1)?;
-                let mut queries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    queries.push(decode_query(&mut d)?);
-                }
-                Request::Batch { key, queries }
-            }
             KIND_REQ_STATS => Request::Stats,
             KIND_REQ_SHUTDOWN => Request::Shutdown,
-            KIND_REQ_PIPELINED_BATCH => {
-                let id = d.u64()?;
-                let key = d.u64()?;
-                let declared = d.u32()?;
-                let n = d.counted(declared, 1)?;
-                let mut queries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    queries.push(decode_query(&mut d)?);
-                }
-                Request::PipelinedBatch { id, key, queries }
-            }
+            KIND_REQ_PIPELINED_BATCH => Request::PipelinedBatch {
+                id: d.u64()?,
+                key: d.u64()?,
+                queries: decode_queries(&mut d)?,
+            },
             KIND_REQ_LEARN_PSDD => {
                 let cnf = decode_cnf(&mut d)?;
                 let alpha = d.f64()?;
@@ -1449,13 +1380,14 @@ impl Request {
             KIND_REQ_COMPILE_CLASSIFIER => Request::CompileClassifier(decode_cnf(&mut d)?),
             KIND_REQ_OPTIMIZE => Request::Optimize { key: d.u64()? },
             KIND_REQ_TRACE => Request::Trace {
+                id: d.u64()?,
                 ctx: TraceContext {
                     trace_id: d.u64()?,
                     span_id: d.u64()?,
                     sampled: d.u8()? != 0,
                 },
                 key: d.u64()?,
-                query: decode_query(&mut d)?,
+                queries: decode_queries(&mut d)?,
             },
             kind => {
                 return Err(ProtocolError::UnexpectedFrame {
@@ -1486,17 +1418,6 @@ impl Response {
                 e.u32(*edges);
                 KIND_RESP_COMPILED
             }
-            Response::Answer(a) => {
-                encode_answer(&mut e, a);
-                KIND_RESP_ANSWER
-            }
-            Response::Batch(answers) => {
-                e.u32(answers.len() as u32);
-                for a in answers {
-                    encode_answer(&mut e, a);
-                }
-                KIND_RESP_BATCH
-            }
             Response::Stats(s) => {
                 encode_stats(&mut e, s);
                 KIND_RESP_STATS
@@ -1508,19 +1429,7 @@ impl Response {
             }
             Response::PipelinedBatch { id, result } => {
                 e.u64(*id);
-                match result {
-                    Ok(answers) => {
-                        e.u8(0);
-                        e.u32(answers.len() as u32);
-                        for a in answers {
-                            encode_answer(&mut e, a);
-                        }
-                    }
-                    Err(err) => {
-                        e.u8(1);
-                        encode_wire_error(&mut e, err);
-                    }
-                }
+                encode_result(&mut e, result);
                 KIND_RESP_PIPELINED_BATCH
             }
             Response::Learned {
@@ -1571,8 +1480,9 @@ impl Response {
                 e.u64(*wall_us);
                 KIND_RESP_OPTIMIZED
             }
-            Response::Traced { answer, spans } => {
-                encode_answer(&mut e, answer);
+            Response::Traced { id, result, spans } => {
+                e.u64(*id);
+                encode_result(&mut e, result);
                 e.u32(spans.len() as u32);
                 for s in spans {
                     e.u64(s.span_id);
@@ -1597,40 +1507,13 @@ impl Response {
                 nodes: d.u32()?,
                 edges: d.u32()?,
             },
-            KIND_RESP_ANSWER => Response::Answer(decode_answer(&mut d)?),
-            KIND_RESP_BATCH => {
-                let declared = d.u32()?;
-                let n = d.counted(declared, 1)?;
-                let mut answers = Vec::with_capacity(n);
-                for _ in 0..n {
-                    answers.push(decode_answer(&mut d)?);
-                }
-                Response::Batch(answers)
-            }
             KIND_RESP_STATS => Response::Stats(decode_stats(&mut d)?),
             KIND_RESP_SHUTTING_DOWN => Response::ShuttingDown,
             KIND_RESP_ERROR => Response::Error(decode_wire_error(&mut d)?),
-            KIND_RESP_PIPELINED_BATCH => {
-                let id = d.u64()?;
-                let result = match d.u8()? {
-                    0 => {
-                        let declared = d.u32()?;
-                        let n = d.counted(declared, 1)?;
-                        let mut answers = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            answers.push(decode_answer(&mut d)?);
-                        }
-                        Ok(answers)
-                    }
-                    1 => Err(decode_wire_error(&mut d)?),
-                    tag => {
-                        return Err(ProtocolError::Malformed(format!(
-                            "unknown pipelined-batch result tag {tag}"
-                        )))
-                    }
-                };
-                Response::PipelinedBatch { id, result }
-            }
+            KIND_RESP_PIPELINED_BATCH => Response::PipelinedBatch {
+                id: d.u64()?,
+                result: decode_result(&mut d)?,
+            },
             KIND_RESP_LEARNED => Response::Learned {
                 key: d.u64()?,
                 num_vars: d.u32()?,
@@ -1656,7 +1539,8 @@ impl Response {
                 wall_us: d.u64()?,
             },
             KIND_RESP_TRACED => {
-                let answer = decode_answer(&mut d)?;
+                let id = d.u64()?;
+                let result = decode_result(&mut d)?;
                 let declared = d.u32()?;
                 let n = d.counted(declared, 36)?;
                 let mut spans = Vec::with_capacity(n);
@@ -1669,7 +1553,7 @@ impl Response {
                         dur_us: d.u64()?,
                     });
                 }
-                Response::Traced { answer, spans }
+                Response::Traced { id, result, spans }
             }
             kind => {
                 return Err(ProtocolError::UnexpectedFrame {
@@ -1691,7 +1575,7 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
 
 /// Reads one request frame, rejecting payloads over `max_frame_len`.
 pub fn read_request(r: &mut impl Read, max_frame_len: u32) -> Result<Request> {
-    let (_, kind, payload) = read_frame(r, max_frame_len)?;
+    let (kind, payload) = read_frame(r, max_frame_len)?;
     Request::decode(kind, &payload)
 }
 
@@ -1701,18 +1585,9 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
     write_frame(w, kind, &payload)
 }
 
-/// Writes one response frame stamped with an explicit protocol version —
-/// how the server echoes the version of the request frame it is
-/// answering, so a version-2 client never has to decode a version-3
-/// header. The version is clamped to `1..=`[`PROTOCOL_VERSION`].
-pub fn write_response_versioned(w: &mut impl Write, resp: &Response, version: u16) -> Result<()> {
-    let (kind, payload) = resp.encode();
-    write_frame_versioned(w, kind, &payload, version.clamp(1, PROTOCOL_VERSION))
-}
-
 /// Reads one response frame, rejecting payloads over `max_frame_len`.
 pub fn read_response(r: &mut impl Read, max_frame_len: u32) -> Result<Response> {
-    let (_, kind, payload) = read_frame(r, max_frame_len)?;
+    let (kind, payload) = read_frame(r, max_frame_len)?;
     Response::decode(kind, &payload)
 }
 
@@ -1767,6 +1642,8 @@ mod tests {
         read_response(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap()
     }
 
+    /// One frame of every request kind; every query tag, and corruption
+    /// of every frame, is covered by `tests/protocol_hardening.rs`.
     #[test]
     fn request_frames_round_trip() {
         let cnf = Cnf::parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n").unwrap();
@@ -1777,18 +1654,11 @@ mod tests {
         for req in [
             Request::Ping,
             Request::Compile(cnf),
-            Request::Query {
-                key: 0xdead_beef,
-                query: Query::Sat,
-            },
-            Request::Query {
-                key: 1,
-                query: Query::ModelCountUnder(pa),
-            },
-            Request::Batch {
+            Request::PipelinedBatch {
+                id: 1,
                 key: 2,
                 queries: vec![
-                    Query::ModelCount,
+                    Query::ModelCountUnder(pa),
                     Query::Wmc(w.clone()),
                     Query::Marginals(w.clone()),
                     Query::MaxWeight(w),
@@ -1796,15 +1666,6 @@ mod tests {
             },
             Request::Stats,
             Request::Shutdown,
-            Request::PipelinedBatch {
-                id: 0xfeed_f00d,
-                key: 9,
-                queries: vec![
-                    Query::Sat,
-                    Query::ModelCount,
-                    Query::Wmc(LitWeights::unit(3)),
-                ],
-            },
             Request::PipelinedBatch {
                 id: 0,
                 key: 1,
@@ -1827,44 +1688,22 @@ mod tests {
             Request::CompileClassifier(Cnf::parse_dimacs("p cnf 2 2\n1 0\n-1 2 0\n").unwrap()),
             Request::Optimize { key: 0xfeed_beef },
             Request::Trace {
-                ctx: TraceContext {
-                    trace_id: 0x0123_4567_89ab_cdef,
-                    span_id: 0xfedc_ba98_7654_3210,
-                    sampled: true,
-                },
-                key: 5,
-                query: Query::Wmc(LitWeights::unit(3)),
-            },
-            Request::Trace {
+                id: 4,
                 ctx: TraceContext {
                     trace_id: 1,
                     span_id: 2,
                     sampled: false,
                 },
                 key: 0,
-                query: Query::Sat,
-            },
-            Request::Batch {
-                key: 11,
-                queries: vec![
-                    Query::PsddLogLikelihood(vec![(
-                        Assignment::from_values(&[true, true, false]),
-                        1.0,
-                    )]),
-                    Query::PsddMarginal(PartialAssignment::new(3)),
-                    Query::SpaceCount(PartialAssignment::new(3)),
-                    Query::SpaceTop(LitWeights::unit(3)),
-                    Query::SufficientReason(Assignment::from_values(&[true, false, true])),
-                    Query::DecisionRobustness(Assignment::from_values(&[false, false, true])),
-                    Query::ClassifierBias(vec![Var(0), Var(2)]),
-                    Query::ClassifierBias(Vec::new()),
-                ],
+                queries: Vec::new(),
             },
         ] {
             assert_eq!(round_trip_request(&req), req, "{req:?}");
         }
     }
 
+    /// One frame of every response kind, with the extreme values of each
+    /// field; every answer tag is covered by `tests/protocol_hardening.rs`.
     #[test]
     fn response_frames_round_trip() {
         let assignment = Assignment::from_values(&[true, false, true, true, false]);
@@ -1876,16 +1715,20 @@ mod tests {
                 nodes: 10,
                 edges: 14,
             },
-            Response::Answer(QueryAnswer::Sat(true)),
-            Response::Answer(QueryAnswer::ModelCount(u128::MAX - 17)),
-            Response::Answer(QueryAnswer::Wmc(0.1 + 0.2)),
-            Response::Answer(QueryAnswer::Marginals {
-                wmc: 1.5,
-                marginals: vec![(0.5, 1.0), (0.25, 1.25)],
-            }),
-            Response::Answer(QueryAnswer::MaxWeight(None)),
-            Response::Answer(QueryAnswer::MaxWeight(Some((0.75, assignment)))),
-            Response::Batch(vec![QueryAnswer::Sat(false), QueryAnswer::ModelCount(42)]),
+            Response::PipelinedBatch {
+                id: 1,
+                result: Ok(vec![
+                    QueryAnswer::Sat(true),
+                    QueryAnswer::ModelCount(u128::MAX - 17),
+                    QueryAnswer::Wmc(0.1 + 0.2),
+                    QueryAnswer::Marginals {
+                        wmc: 1.5,
+                        marginals: vec![(0.5, 1.0), (0.25, 1.25)],
+                    },
+                    QueryAnswer::MaxWeight(None),
+                    QueryAnswer::MaxWeight(Some((0.75, assignment))),
+                ]),
+            },
             Response::Stats(test_stats()),
             Response::ShuttingDown,
             Response::Error(WireError::Overloaded {
@@ -1896,10 +1739,6 @@ mod tests {
             Response::Error(WireError::Invalid("weights cover 2 vars".into())),
             Response::Error(WireError::Engine("structure".into())),
             Response::Error(WireError::ShuttingDown),
-            Response::PipelinedBatch {
-                id: 17,
-                result: Ok(vec![QueryAnswer::Sat(true), QueryAnswer::ModelCount(8)]),
-            },
             Response::PipelinedBatch {
                 id: 18,
                 result: Ok(Vec::new()),
@@ -1935,61 +1774,22 @@ mod tests {
                 swapped: true,
                 wall_us: 1234,
             },
-            Response::Optimized {
-                key: 25,
-                nodes_before: 7,
-                nodes_after: 7,
-                swapped: false,
-                wall_us: 88,
+            Response::Traced {
+                id: 26,
+                result: Ok(vec![QueryAnswer::Wmc(0.625)]),
+                spans: vec![TraceSpanData {
+                    span_id: 11,
+                    parent_id: 10,
+                    name: "kernel.sweep.scalar".into(),
+                    start_us: u64::MAX,
+                    dur_us: 0,
+                }],
             },
             Response::Traced {
-                answer: QueryAnswer::Wmc(0.625),
-                spans: vec![
-                    TraceSpanData {
-                        span_id: 10,
-                        parent_id: 0,
-                        name: "server.request".into(),
-                        start_us: 0,
-                        dur_us: 900,
-                    },
-                    TraceSpanData {
-                        span_id: 11,
-                        parent_id: 10,
-                        name: "kernel.sweep.scalar".into(),
-                        start_us: 120,
-                        dur_us: 640,
-                    },
-                    TraceSpanData {
-                        span_id: 12,
-                        parent_id: 10,
-                        name: String::new(),
-                        start_us: 800,
-                        dur_us: 0,
-                    },
-                ],
-            },
-            Response::Traced {
-                answer: QueryAnswer::ModelCount(3),
+                id: 27,
+                result: Err(WireError::UnknownKey(3)),
                 spans: Vec::new(),
             },
-            Response::Answer(QueryAnswer::LogLikelihood(-1.5)),
-            Response::Answer(QueryAnswer::Probability(0.375)),
-            Response::Answer(QueryAnswer::Reason {
-                decision: true,
-                reason: Some(Cube::from_lits([Var(0).positive(), Var(2).negative()])),
-            }),
-            Response::Answer(QueryAnswer::Reason {
-                decision: false,
-                reason: None,
-            }),
-            Response::Answer(QueryAnswer::Reason {
-                decision: true,
-                reason: Some(Cube::empty()),
-            }),
-            Response::Answer(QueryAnswer::Robustness(None)),
-            Response::Answer(QueryAnswer::Robustness(Some(3))),
-            Response::Answer(QueryAnswer::Bias(true)),
-            Response::Answer(QueryAnswer::Bias(false)),
         ] {
             assert_eq!(round_trip_response(&resp), resp, "{resp:?}");
         }
@@ -2045,7 +1845,6 @@ mod tests {
 
         // The full buffer yields both frames back-to-back.
         let FrameScan::Frame {
-            version,
             kind,
             payload,
             consumed,
@@ -2053,7 +1852,6 @@ mod tests {
         else {
             panic!("expected a frame");
         };
-        assert_eq!(version, PROTOCOL_VERSION);
         assert_eq!(Request::decode(kind, &payload).unwrap(), req);
         let FrameScan::Frame {
             kind: kind2,
@@ -2080,47 +1878,6 @@ mod tests {
     }
 
     #[test]
-    fn response_version_echo_round_trips_for_v2_clients() {
-        // A server answering a version-2 request stamps the response with
-        // version 2; a reader that only accepts `1..=2` must still verify
-        // and decode it. Simulate that reader by checking the header bytes.
-        let resp = Response::Answer(QueryAnswer::ModelCount(99));
-        let mut bytes = Vec::new();
-        write_response_versioned(&mut bytes, &resp, 2).unwrap();
-        assert_eq!(u16::from_le_bytes(bytes[4..6].try_into().unwrap()), 2);
-        let back = read_response(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap();
-        assert_eq!(back, resp);
-        // Versions are clamped so a bogus stamp can never poison a stream.
-        let mut clamped = Vec::new();
-        write_response_versioned(&mut clamped, &resp, 999).unwrap();
-        assert_eq!(
-            u16::from_le_bytes(clamped[4..6].try_into().unwrap()),
-            PROTOCOL_VERSION
-        );
-    }
-
-    #[test]
-    fn stats_v1_prefix_survives_the_version_bump() {
-        // Encode a full version-2 stats payload, then decode it the way a
-        // prefix-tolerant version-1 client would: legacy fields intact,
-        // extension ignored.
-        let full = test_stats();
-        let mut bytes = Vec::new();
-        write_response(&mut bytes, &Response::Stats(full.clone())).unwrap();
-        let legacy = decode_stats_v1_prefix(&bytes[HEADER_LEN..]).unwrap();
-        assert_eq!(legacy.registry, full.registry);
-        assert_eq!(legacy.artifacts, full.artifacts);
-        assert_eq!(legacy.retained_nodes, full.retained_nodes);
-        assert_eq!(legacy.max_retained_nodes, full.max_retained_nodes);
-        assert_eq!(legacy.workers, full.workers);
-        assert_eq!(legacy.queue_depth, full.queue_depth);
-        // The extension is invisible to the legacy view.
-        assert_eq!(legacy.uptime_ms, 0);
-        assert!(legacy.requests_served.is_empty());
-        assert!(legacy.metrics.metrics.is_empty());
-    }
-
-    #[test]
     fn unknown_metric_tag_is_malformed_not_a_panic() {
         let mut e = Enc::default();
         encode_stats(&mut e, &StatsSnapshot::default());
@@ -2142,12 +1899,20 @@ mod tests {
     #[test]
     fn floats_survive_bit_exactly() {
         for x in [0.1 + 0.2, f64::MIN_POSITIVE, 1e300, -0.0, f64::INFINITY] {
-            let Response::Answer(QueryAnswer::Wmc(back)) =
-                round_trip_response(&Response::Answer(QueryAnswer::Wmc(x)))
+            let resp = Response::PipelinedBatch {
+                id: 0,
+                result: Ok(vec![QueryAnswer::Wmc(x)]),
+            };
+            let Response::PipelinedBatch {
+                result: Ok(answers),
+                ..
+            } = round_trip_response(&resp)
             else {
                 panic!("wrong frame");
             };
-            assert_eq!(back.to_bits(), x.to_bits());
+            assert!(
+                matches!(answers[..], [QueryAnswer::Wmc(back)] if back.to_bits() == x.to_bits())
+            );
         }
     }
 
@@ -2171,9 +1936,10 @@ mod tests {
         let mut bytes = Vec::new();
         write_request(
             &mut bytes,
-            &Request::Query {
+            &Request::PipelinedBatch {
+                id: 1,
                 key: 5,
-                query: Query::ModelCount,
+                queries: vec![Query::ModelCount],
             },
         )
         .unwrap();

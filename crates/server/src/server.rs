@@ -18,8 +18,8 @@
 //!   connections cost **zero** wakeups; shutdown and finished builds
 //!   arrive through a per-reactor eventfd [`crate::reactor::Waker`];
 //! * **queries are answered on the reactor thread**: every query frame
-//!   (pipelined, `Query`, `Batch`, `Trace`) decoded in one readiness drain
-//!   is answered at the end of that drain through
+//!   ([`Request::PipelinedBatch`] or [`Request::Trace`]) decoded in one
+//!   readiness drain is answered at the end of that drain through
 //!   [`Engine::run_artifact_batch`], and its response bytes go straight
 //!   into the write buffer — no hand-off to a worker and back. The cost:
 //!   a long batch holds up the other connections on its reactor, and one
@@ -31,14 +31,15 @@
 //!   stalls a reactor and no request spawns a thread. A finished build
 //!   returns its response through the reactor's inbox;
 //! * **pipelining**: a connection may have any number of frames in
-//!   flight. Pre-version-3 request kinds are answered strictly in arrival
-//!   order (a reorder buffer holds responses that are ready early, such
-//!   as a query answered while a build before it still runs);
-//!   [`Request::PipelinedBatch`] frames carry a client-chosen id and are
-//!   answered out of order. All pipelined frames that arrive in one
-//!   readiness drain for the same registry key are **coalesced into a
-//!   single executor batch**, so the engine's lane-batched kernels see one
-//!   big batch instead of many small ones;
+//!   flight. Query frames carry a client-chosen id and are answered out
+//!   of order by id, so they never wait behind a build on their
+//!   connection. Every other request (ping, stats, shutdown, builds) is
+//!   answered in arrival order relative to the others; a reorder buffer
+//!   holds such a response while one before it, a build, still runs. All
+//!   untraced query frames that arrive in one readiness drain for the
+//!   same registry key are **coalesced into a single executor batch**, so
+//!   the engine's lane-batched kernels see one big batch instead of many
+//!   small ones;
 //! * a **bounded admission queue** guards the shared [`Engine`]: each
 //!   admitted query holds one unit of [`ServerConfig::queue_capacity`]
 //!   until answered, and each build one unit until it finishes. A frame
@@ -50,8 +51,9 @@
 //!   in-flight build finish and flush its response, then joins the accept
 //!   thread and every reactor.
 //!
-//! Protocol-level failures (corrupt frame, oversized length prefix,
-//! version skew) are answered with a typed [`Response::Error`] frame where
+//! Protocol-level failures (corrupt frame, oversized length prefix, a
+//! protocol version other than [`crate::protocol::PROTOCOL_VERSION`]) are
+//! answered with a typed [`Response::Error`] frame where
 //! the stream still permits one, and the connection is closed — a broken
 //! framing layer cannot be resynchronized.
 
@@ -66,11 +68,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    scan_frame, write_response_versioned, FrameScan, Request, Response, WireError,
-    DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    scan_frame, write_response, FrameScan, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::reactor::{Event, Reactor, Waker};
-use trl_engine::{Artifact, Engine, EngineError, Query};
+use trl_engine::{Artifact, Engine, EngineError, Query, QueryAnswer};
 use trl_obs::{TraceContext, TraceSpanData};
 
 /// Tunables for a [`Server`]. The defaults suit tests and small
@@ -511,13 +512,11 @@ struct Conn {
     /// Staged outbound bytes; `outpos` marks the flushed prefix.
     outbuf: Vec<u8>,
     outpos: usize,
-    /// Version stamped on the most recent request frame; responses echo
-    /// it so a version-2 client never sees a version-3 header.
-    version: u16,
     /// Builds running on the executor's workers, not yet delivered back
     /// as completions.
     in_flight: usize,
-    /// Arrival index handed to the next ordered (pre-v3) request.
+    /// Arrival index handed to the next request answered in order (every
+    /// request but a query frame).
     next_seq: u64,
     /// The ordered sequence number allowed to enter `outbuf` next.
     next_enqueue: u64,
@@ -541,7 +540,7 @@ struct Conn {
 }
 
 impl Conn {
-    /// Hands out the next ordered (pre-v3) arrival index.
+    /// Hands out the next in-order arrival index.
     fn take_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq - 1
@@ -618,32 +617,27 @@ impl Slab {
 }
 
 /// Query frames from one readiness drain, staged to be answered as one
-/// executor batch at the end of the drain: pipelined frames coalesce per
-/// registry key, every other query frame is a group of its own.
+/// executor batch at the end of the drain: untraced frames coalesce per
+/// registry key, a traced frame is a group of its own.
 struct Group {
     key: u64,
     artifact: Artifact,
     /// Every staged frame's queries, in arrival order.
     queries: Vec<Query>,
     reply: Reply,
-    /// The protocol version the group's responses carry.
-    version: u16,
     /// When the group's first frame was decoded; the wait from here to
     /// the group's turn is its `engine.queue_wait` span.
     decoded: Instant,
 }
 
-/// How a staged group's answers go back on the wire.
-enum Reply {
-    /// Pipelined frames, answered out of order: `(request id, query
-    /// count)` per coalesced frame, in arrival order.
-    Pipelined(Vec<(u64, usize)>),
-    /// A pre-version-3 `Query` (`single`) or `Batch` frame, answered at
-    /// its arrival index `seq`.
-    Ordered { seq: u64, single: bool },
-    /// A `Trace` frame, answered at `seq` with the server's span tree
-    /// rooted under the client's span.
-    Traced { seq: u64, client: TraceContext },
+/// How a staged group's answers go back on the wire: one response per
+/// query frame, answered out of order by id.
+struct Reply {
+    /// `(request id, query count)` per coalesced frame, in arrival order.
+    frames: Vec<(u64, usize)>,
+    /// The client's trace context when the group is one `Trace` frame,
+    /// answered with the server's span tree rooted under the client's span.
+    trace: Option<TraceContext>,
 }
 
 fn reactor_loop(idx: usize, shared: &Arc<Shared>) {
@@ -818,7 +812,6 @@ fn register_conn(
         inpos: 0,
         outbuf: Vec::new(),
         outpos: 0,
-        version: PROTOCOL_VERSION,
         in_flight: 0,
         next_seq: 0,
         next_enqueue: 0,
@@ -920,13 +913,11 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorSh
         match scan_frame(&conn.inbuf[conn.inpos..], shared.config.max_frame_len) {
             Ok(FrameScan::Incomplete { .. }) => break,
             Ok(FrameScan::Frame {
-                version,
                 kind,
                 payload,
                 consumed,
             }) => {
                 conn.inpos += consumed;
-                conn.version = version;
                 match Request::decode(kind, &payload) {
                     Ok(request) => dispatch(conn, request, &mut groups, shared, rshared),
                     Err(e) => protocol_reject(conn, &e.to_string()),
@@ -965,15 +956,14 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorSh
 fn protocol_reject(conn: &mut Conn, message: &str) {
     let seq = conn.take_seq();
     let resp = Response::Error(WireError::Invalid(message.to_string()));
-    conn.enqueue_ordered(seq, encode_response(&resp, conn.version));
+    conn.enqueue_ordered(seq, encode_response(&resp));
     conn.read_closed = true;
 }
 
-/// Encodes a response stamped with the connection's negotiated version.
-fn encode_response(resp: &Response, version: u16) -> Vec<u8> {
+fn encode_response(resp: &Response) -> Vec<u8> {
     let mut bytes = Vec::new();
     // Writing into a Vec cannot fail.
-    let _ = write_response_versioned(&mut bytes, resp, version);
+    let _ = write_response(&mut bytes, resp);
     bytes
 }
 
@@ -1014,37 +1004,19 @@ fn dispatch(
             conn.read_closed = true;
             shared.begin_shutdown();
         }
-        Request::Query { key, query } => {
-            trl_obs::counter!("server.requests.query").inc();
-            let seq = conn.take_seq();
-            let reply = Reply::Ordered { seq, single: true };
-            stage(conn, key, vec![query], reply, groups, shared);
-        }
-        Request::Batch { key, queries } => {
-            trl_obs::counter!("server.requests.batch").inc();
-            let seq = conn.take_seq();
-            let reply = Reply::Ordered { seq, single: false };
-            stage(conn, key, queries, reply, groups, shared);
-        }
         Request::PipelinedBatch { id, key, queries } => {
             trl_obs::counter!("server.requests.pipeline").inc();
             trl_obs::histogram!("server.pipeline.batch_size").record_us(queries.len() as u64);
-            if queries.is_empty() {
-                let resp = Response::PipelinedBatch {
-                    id,
-                    result: Ok(Vec::new()),
-                };
-                deliver(conn, shared, None, encode_response(&resp, conn.version));
-                return;
-            }
-            let reply = Reply::Pipelined(vec![(id, queries.len())]);
-            stage(conn, key, queries, reply, groups, shared);
+            stage(conn, id, key, queries, None, groups, shared);
         }
-        Request::Trace { ctx, key, query } => {
+        Request::Trace {
+            id,
+            ctx,
+            key,
+            queries,
+        } => {
             trl_obs::counter!("server.requests.trace").inc();
-            let seq = conn.take_seq();
-            let reply = Reply::Traced { seq, client: ctx };
-            stage(conn, key, vec![query], reply, groups, shared);
+            stage(conn, id, key, queries, Some(ctx), groups, shared);
         }
         Request::Compile(cnf) => {
             trl_obs::counter!("server.requests.compile").inc();
@@ -1135,13 +1107,12 @@ fn dispatch(
 /// thread itself.
 fn respond_inline(conn: &mut Conn, shared: &Arc<Shared>, resp: &Response) {
     let seq = conn.take_seq();
-    let bytes = encode_response(resp, conn.version);
-    deliver(conn, shared, Some(seq), bytes);
+    deliver(conn, shared, Some(seq), encode_response(resp));
 }
 
-/// Stages one encoded response frame: at its arrival index `seq` for an
-/// ordered (pre-v3) request, straight into the write buffer for a
-/// pipelined one.
+/// Stages one encoded response frame: at its arrival index `seq` for a
+/// request answered in order, straight into the write buffer for a query
+/// frame.
 fn deliver(conn: &mut Conn, shared: &Shared, seq: Option<u64>, bytes: Vec<u8>) {
     shared.served.fetch_add(1, Ordering::Relaxed);
     match seq {
@@ -1150,48 +1121,64 @@ fn deliver(conn: &mut Conn, shared: &Shared, seq: Option<u64>, bytes: Vec<u8>) {
     }
 }
 
-/// Answers every frame of `reply` with the typed error `e`.
-fn reply_error(conn: &mut Conn, shared: &Shared, reply: &Reply, version: u16, e: WireError) {
-    match reply {
-        Reply::Pipelined(frames) => {
-            for &(id, _) in frames {
-                let resp = Response::PipelinedBatch {
-                    id,
-                    result: Err(e.clone()),
-                };
-                deliver(conn, shared, None, encode_response(&resp, version));
-            }
-        }
-        Reply::Ordered { seq, .. } | Reply::Traced { seq, .. } => {
-            let bytes = encode_response(&Response::Error(e), version);
-            deliver(conn, shared, Some(*seq), bytes);
-        }
+/// The response to query frame `id`: a `Traced` frame when the request
+/// was traced (`spans` is its span tree), a `PipelinedBatch` frame
+/// otherwise.
+fn query_response(
+    id: u64,
+    result: Result<Vec<QueryAnswer>, WireError>,
+    spans: Option<Vec<TraceSpanData>>,
+) -> Response {
+    match spans {
+        Some(spans) => Response::Traced { id, result, spans },
+        None => Response::PipelinedBatch { id, result },
     }
 }
 
-/// Admits, validates and stages one query frame into this drain's
-/// groups: a pipelined frame joins an earlier pipelined frame's group for
-/// the same key, any other frame starts a group of its own. A failure
-/// answers the frame at once without touching the rest of the drain.
+/// Answers every frame of `reply` with `result` and no spans: a typed
+/// failure, or the empty answer list of an empty frame.
+fn reply_all(
+    conn: &mut Conn,
+    shared: &Shared,
+    reply: &Reply,
+    result: Result<Vec<QueryAnswer>, WireError>,
+) {
+    for &(id, _) in &reply.frames {
+        let resp = query_response(id, result.clone(), reply.trace.map(|_| Vec::new()));
+        deliver(conn, shared, None, encode_response(&resp));
+    }
+}
+
+/// Admits, validates and stages query frame `id` into this drain's
+/// groups: an untraced frame joins an earlier untraced frame's group for
+/// the same key, a traced frame starts a group of its own. A failure (or
+/// an empty frame) answers the frame at once without touching the rest
+/// of the drain.
 fn stage(
     conn: &mut Conn,
+    id: u64,
     key: u64,
     queries: Vec<Query>,
-    reply: Reply,
+    trace: Option<TraceContext>,
     groups: &mut Vec<Group>,
     shared: &Shared,
 ) {
-    let version = conn.version;
     let n = queries.len();
-    if let Err(e) = shared.try_admit(n) {
-        reply_error(conn, shared, &reply, version, e);
-        return;
+    let reply = Reply {
+        frames: vec![(id, n)],
+        trace,
+    };
+    if n == 0 {
+        return reply_all(conn, shared, &reply, Ok(Vec::new()));
     }
-    let joins = match reply {
-        Reply::Pipelined(_) => groups
+    if let Err(e) = shared.try_admit(n) {
+        return reply_all(conn, shared, &reply, Err(e));
+    }
+    let joins = match trace {
+        None => groups
             .iter()
-            .position(|g| g.key == key && matches!(g.reply, Reply::Pipelined(_))),
-        _ => None,
+            .position(|g| g.key == key && g.reply.trace.is_none()),
+        Some(_) => None,
     };
     let artifact = match joins.map(|i| groups[i].artifact.clone()) {
         Some(a) => a,
@@ -1199,8 +1186,7 @@ fn stage(
             Some(a) => a,
             None => {
                 shared.release_admitted(n);
-                reply_error(conn, shared, &reply, version, WireError::UnknownKey(key));
-                return;
+                return reply_all(conn, shared, &reply, Err(WireError::UnknownKey(key)));
             }
         },
     };
@@ -1209,23 +1195,18 @@ fn stage(
     // neighbors ride in.
     if let Err(e) = queries.iter().try_for_each(|q| artifact.validate(q)) {
         shared.release_admitted(n);
-        reply_error(conn, shared, &reply, version, engine_error_to_wire(e));
-        return;
+        return reply_all(conn, shared, &reply, Err(engine_error_to_wire(e)));
     }
-    match (joins, reply) {
-        (Some(i), Reply::Pipelined(frame)) => {
-            let group = &mut groups[i];
-            group.queries.extend(queries);
-            if let Reply::Pipelined(frames) = &mut group.reply {
-                frames.extend(frame);
-            }
+    match joins {
+        Some(i) => {
+            groups[i].queries.extend(queries);
+            groups[i].reply.frames.extend(reply.frames);
         }
-        (_, reply) => groups.push(Group {
+        None => groups.push(Group {
             key,
             artifact,
             queries,
             reply,
-            version,
             decoded: Instant::now(),
         }),
     }
@@ -1252,7 +1233,6 @@ fn answer(conn: &mut Conn, group: Group, shared: &Shared) {
         artifact,
         queries,
         reply,
-        version,
         decoded,
         ..
     } = group;
@@ -1260,12 +1240,12 @@ fn answer(conn: &mut Conn, group: Group, shared: &Shared) {
     // A trace frame adopts the client's trace id with a fresh root span
     // for the server's subtree, and keeps recording forced until its tree
     // is collected below, whatever the sampling rate.
-    let (ctx, _forced) = match &reply {
-        Reply::Traced { client, .. } => (
+    let (ctx, _forced) = match reply.trace {
+        Some(client) => (
             Some(TraceContext::adopt(client.trace_id)),
             Some(trl_obs::force_tracing()),
         ),
-        _ => (trl_obs::maybe_sample(), None),
+        None => (trl_obs::maybe_sample(), None),
     };
     let drain_start = conn.drain_start;
     if let Some(ctx) = ctx {
@@ -1282,76 +1262,51 @@ fn answer(conn: &mut Conn, group: Group, shared: &Shared) {
         Ok(outcomes) => outcomes,
         // Unreachable in practice (every frame was validated when staged),
         // but a typed rejection keeps every staged frame answered.
-        Err(e) => return reply_error(conn, shared, &reply, version, engine_error_to_wire(e)),
+        Err(e) => return reply_all(conn, shared, &reply, Err(engine_error_to_wire(e))),
     };
     let handle_time = decoded.elapsed();
     trl_obs::record_span("server.handle", handle_time);
-    let kind = match reply {
-        Reply::Pipelined(_) => "pipeline",
-        Reply::Ordered { single: false, .. } => "batch",
-        Reply::Ordered { single: true, .. } => "query",
-        Reply::Traced { .. } => "trace",
-    };
     let mut answers = outcomes.into_iter().map(|o| o.answer);
-    let mut responses: Vec<Response> = match &reply {
-        Reply::Pipelined(frames) => frames
-            .iter()
-            .map(|&(id, len)| Response::PipelinedBatch {
-                id,
-                result: Ok(answers.by_ref().take(len).collect()),
-            })
-            .collect(),
-        Reply::Ordered { single: false, .. } => vec![Response::Batch(answers.collect())],
-        // A traced response cannot contain the cost of its own final
-        // encode, so it first encodes the plain answer frame — what an
-        // untraced request would write — as its `server.write` span.
-        Reply::Ordered { single: true, .. } | Reply::Traced { .. } => vec![match answers.next() {
-            Some(a) => Response::Answer(a),
-            None => Response::Error(WireError::Engine("empty batch result".into())),
-        }],
-    };
     let write_start = Instant::now();
-    let mut frames: Vec<Vec<u8>> = responses
+    // A traced response cannot contain the cost of its own final encode,
+    // so the first encode carries no spans — what an untraced request
+    // would write — and is timed as the `server.write` span.
+    let mut responses: Vec<Response> = reply
+        .frames
         .iter()
-        .map(|r| encode_response(r, version))
+        .map(|&(id, len)| {
+            let result = Ok(answers.by_ref().take(len).collect());
+            query_response(id, result, reply.trace.map(|_| Vec::new()))
+        })
         .collect();
+    let mut frames: Vec<Vec<u8>> = responses.iter().map(encode_response).collect();
     if let Some(ctx) = ctx {
         trl_obs::record_span_under(ctx, "server.write", write_start, write_start.elapsed());
-        let parent = match &reply {
-            Reply::Traced { client, .. } => client.span_id,
-            _ => 0,
-        };
+        let parent = reply.trace.map_or(0, |client| client.span_id);
         let request_time = drain_start.elapsed();
         trl_obs::record_root_span(ctx, parent, "server.request", drain_start, request_time);
     }
     let slow = shared.config.slow_query.is_some_and(|t| handle_time > t);
     let spans = match ctx {
-        Some(ctx) if slow || matches!(reply, Reply::Traced { .. }) => {
-            trl_obs::collect_trace(ctx.trace_id)
-        }
+        Some(ctx) if slow || reply.trace.is_some() => trl_obs::collect_trace(ctx.trace_id),
         _ => Vec::new(),
     };
     if slow {
+        let kind = if reply.trace.is_some() {
+            "trace"
+        } else {
+            "pipeline"
+        };
         log_slow_query(kind, handle_time, &spans);
     }
-    for _ in &frames {
+    if let [Response::Traced { spans: tree, .. }] = &mut responses[..] {
+        *tree = spans;
+        frames = vec![encode_response(&responses[0])];
+    }
+    for bytes in frames {
         trl_obs::histogram!("server.service_us").record(handle_time);
         trl_obs::histogram!("server.request_us").record(handle_time);
-    }
-    match reply {
-        Reply::Pipelined(_) => {
-            for bytes in frames {
-                deliver(conn, shared, None, bytes);
-            }
-        }
-        Reply::Ordered { seq, .. } => deliver(conn, shared, Some(seq), frames.remove(0)),
-        Reply::Traced { seq, .. } => {
-            let resp = match responses.remove(0) {
-                Response::Answer(answer) => Response::Traced { answer, spans },
-                error => error,
-            };
-            deliver(conn, shared, Some(seq), encode_response(&resp, version));
-        }
+        deliver(conn, shared, None, bytes);
     }
 }
 
@@ -1371,12 +1326,16 @@ fn start_build<F>(
 {
     let seq = conn.take_seq();
     if let Err(e) = shared.try_admit(1) {
-        let bytes = encode_response(&Response::Error(e), conn.version);
-        deliver(conn, shared, Some(seq), bytes);
+        deliver(
+            conn,
+            shared,
+            Some(seq),
+            encode_response(&Response::Error(e)),
+        );
         return;
     }
     conn.in_flight += 1;
-    let (token, version) = (conn.token, conn.version);
+    let token = conn.token;
     let task_shared = Arc::clone(shared);
     let task_rshared = Arc::clone(rshared);
     let slow_query = shared.config.slow_query;
@@ -1401,7 +1360,7 @@ fn start_build<F>(
         task_rshared.push_completion(Completion {
             token,
             seq,
-            bytes: encode_response(&resp, version),
+            bytes: encode_response(&resp),
         });
     });
 }

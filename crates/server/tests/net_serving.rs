@@ -78,10 +78,15 @@ fn eight_concurrent_clients_get_bit_identical_answers() {
         clients.push(std::thread::spawn(move || {
             let mut client = Client::connect(addr).expect("connect");
             let compiled = client.compile(&cnf).expect("compile");
-            // Half the clients go query-by-query, half in one batch.
+            // Half the clients go query-by-query, alternating plain and
+            // traced frames; half send one batch.
             if worker % 2 == 0 {
-                for (q, want) in queries.iter().zip(&expected) {
-                    let got = client.query(compiled.key, q.clone()).expect("query");
+                for (i, (q, want)) in queries.iter().zip(&expected).enumerate() {
+                    let got = if i % 2 == 0 {
+                        client.query(compiled.key, q.clone()).expect("query")
+                    } else {
+                        client.trace(compiled.key, q.clone()).expect("trace").1
+                    };
                     assert_eq!(&got, want, "worker {worker} kind {}", q.kind());
                 }
             } else {
@@ -127,10 +132,10 @@ fn eight_concurrent_clients_get_bit_identical_answers() {
     };
     assert!(metric_delta("engine.requests") >= 288);
     // Server counters are per wire frame: the 4 query-by-query clients
-    // send 36 query frames each, the 4 batching clients one batch frame,
-    // and every client compiles once.
-    assert!(metric_delta("server.requests.query") >= 144);
-    assert!(metric_delta("server.requests.batch") >= 4);
+    // send 18 plain and 18 traced query frames each, the 4 batching
+    // clients one plain frame, and every client compiles once.
+    assert!(metric_delta("server.requests.pipeline") >= 76);
+    assert!(metric_delta("server.requests.trace") >= 72);
     assert!(metric_delta("server.requests.compile") >= 8);
     for kind in circuit_kinds {
         assert!(metric_delta(&format!("engine.requests.{kind}")) >= 48);
@@ -207,7 +212,7 @@ fn unknown_key_is_typed() {
     handle.shutdown();
 }
 
-/// The optimize request (protocol version 5) echoes the key, never grows
+/// The optimize request echoes the key, never grows
 /// the circuit, and answers stay bit-identical afterwards. An unknown key
 /// is rejected with the same typed error as a query.
 #[test]
@@ -356,7 +361,7 @@ fn shutdown_drains_in_flight_requests() {
     assert!(rebind.is_ok(), "port still held after shutdown");
 }
 
-/// A traced query (version-6 trace frame) returns an answer bit-identical
+/// A traced query (a `Trace` frame) returns an answer bit-identical
 /// to the untraced path plus a span tree covering the full request
 /// lifecycle — reactor drain, queue wait, executor batch, kernel sweep,
 /// response write under a single `server.request` root — with every
@@ -436,9 +441,9 @@ fn traced_query_returns_identical_answer_and_span_tree() {
 }
 
 /// `queue_depth` in a stats snapshot is the server's backlog: queries
-/// admitted and not yet answered. A query frame and a stats frame sent in
-/// one write land in one reactor drain, which stages the query and
-/// answers it only after the stats frame; a stats frame on its own sees
+/// admitted and not yet answered. Query frames and a stats frame sent in
+/// one write land in one reactor drain, which stages the queries and
+/// answers them only after the stats frame; a stats frame on its own sees
 /// nothing in flight.
 #[test]
 fn stats_report_the_admitted_backlog() {
@@ -456,16 +461,19 @@ fn stats_report_the_admitted_backlog() {
     let mut depths = Vec::new();
     for query_frames in [0, 1, 3] {
         let mut bytes = Vec::new();
-        for _ in 0..query_frames {
-            let query = Query::ModelCount;
-            write_request(&mut bytes, &Request::Query { key, query }).unwrap();
+        for id in 0..query_frames {
+            let queries = vec![Query::ModelCount];
+            write_request(&mut bytes, &Request::PipelinedBatch { id, key, queries }).unwrap();
         }
         write_request(&mut bytes, &Request::Stats).unwrap();
         stream.write_all(&bytes).unwrap();
         for _ in 0..=query_frames {
             let limit = trl_server::protocol::DEFAULT_MAX_FRAME_LEN;
             match read_response(&mut stream, limit).unwrap() {
-                Response::Answer(answer) => assert!(answer.model_count().unwrap() > 0),
+                Response::PipelinedBatch {
+                    result: Ok(answers),
+                    ..
+                } => assert!(answers[0].model_count().unwrap() > 0),
                 Response::Stats(s) => depths.push(s.queue_depth),
                 other => panic!("unexpected response {other:?}"),
             }
@@ -497,7 +505,7 @@ fn stats_snapshot_over_the_wire() {
     assert!(after.registry.hits >= 2, "compile hit + key lookup");
     assert!(after.retained_nodes > 0);
 
-    // The extended (version-2) surface travels too.
+    // Uptime, per-kind counts, connections and the metric dump travel too.
     assert!(after.uptime_ms >= before.uptime_ms);
     let served = |s: &trl_engine::StatsSnapshot, kind: &str| {
         s.requests_served

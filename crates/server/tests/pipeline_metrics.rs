@@ -1,6 +1,6 @@
 //! Reactor and pipelining counters under 64 pipelined connections.
 //!
-//! Every connection puts six version-3 pipelined frames in flight before
+//! Every connection puts six pipelined query frames in flight before
 //! any response is read, so the reactors serve all 64 at once. Every
 //! answer must equal the in-process executor's, and the process-global
 //! metrics a Prometheus scrape exposes must account for the load:

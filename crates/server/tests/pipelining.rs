@@ -1,4 +1,4 @@
-//! Pipelined serving: many version-3 frames in flight on one connection,
+//! Pipelined serving: many query frames in flight on one connection,
 //! responses matched by id as they complete (possibly out of order),
 //! per-frame typed failures that never sink the connection, and answers
 //! bit-identical to direct in-process execution.
@@ -305,9 +305,9 @@ fn overweight_frames_are_typed_on_every_concurrent_connection() {
     handle.shutdown();
 }
 
-/// Pipelined frames interleaved with classic ordered requests on the same
-/// connection: ordered responses keep strict submission order while
-/// pipelined ids float freely around them.
+/// Pipelined frames and the blocking depth-1 calls share one connection:
+/// a blocking query sends its own id once the pipelined frame is
+/// collected, and gets the same answer.
 #[test]
 fn ordered_and_pipelined_traffic_interleave_on_one_connection() {
     let cnf = acceptance_cnf();
@@ -317,11 +317,8 @@ fn ordered_and_pipelined_traffic_interleave_on_one_connection() {
     let mut client = Client::connect(handle.addr()).unwrap();
     let key = client.compile(&cnf).unwrap().key;
 
-    // Fire a pipelined frame, then a classic query (strict call), then
-    // collect the pipelined response. The classic call must not swallow
-    // the pipelined frame's response even if it completes first —
-    // `query` reads exactly one frame, and the server answers ordered
-    // requests in order relative to each other.
+    // Collect a pipelined frame, then make a blocking call, which sends
+    // a frame of its own and checks that the response echoes its id.
     client
         .pipeline_send(11, key, vec![Query::ModelCount])
         .unwrap();

@@ -8,8 +8,8 @@ use trl_nnf::LitWeights;
 use trl_obs::{HistogramSnapshot, MetricValue, MetricsDump, TraceContext, TraceSpanData};
 use trl_prop::Cnf;
 use trl_server::{
-    decode_stats_v1_prefix, read_request, read_response, write_request, write_response,
-    ProtocolError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
+    read_request, read_response, write_request, write_response, ProtocolError, Request, Response,
+    WireError, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 fn sample_cnf() -> Cnf {
@@ -25,39 +25,36 @@ fn sample_weights() -> LitWeights {
     w
 }
 
+fn trace_context(sampled: bool) -> TraceContext {
+    TraceContext {
+        trace_id: 0x1122_3344_5566_7788,
+        span_id: 0x99aa_bbcc_ddee_ff00,
+        sampled,
+    }
+}
+
+/// Every request kind, with every query tag in both query frames.
 fn all_requests() -> Vec<Request> {
     let mut pa = PartialAssignment::new(4);
     pa.assign(Var(2).negative());
     vec![
         Request::Ping,
         Request::Compile(sample_cnf()),
-        Request::Query {
-            key: 0x0123_4567_89ab_cdef,
-            query: Query::Sat,
-        },
-        Request::Query {
+        // The circuit query tags.
+        Request::PipelinedBatch {
+            id: 0x0123_4567_89ab_cdef,
             key: 1,
-            query: Query::ModelCount,
+            queries: vec![Query::Sat, Query::ModelCount, Query::ModelCountUnder(pa)],
         },
-        Request::Query {
-            key: 2,
-            query: Query::ModelCountUnder(pa),
-        },
-        Request::Query {
+        Request::Trace {
+            id: 2,
+            ctx: trace_context(true),
             key: 3,
-            query: Query::Wmc(sample_weights()),
-        },
-        Request::Query {
-            key: 4,
-            query: Query::Marginals(sample_weights()),
-        },
-        Request::Query {
-            key: 5,
-            query: Query::MaxWeight(sample_weights()),
-        },
-        Request::Batch {
-            key: 6,
-            queries: vec![Query::Sat, Query::ModelCount, Query::Wmc(sample_weights())],
+            queries: vec![
+                Query::Wmc(sample_weights()),
+                Query::Marginals(sample_weights()),
+                Query::MaxWeight(sample_weights()),
+            ],
         },
         Request::Stats,
         Request::Shutdown,
@@ -70,13 +67,19 @@ fn all_requests() -> Vec<Request> {
                 Query::Marginals(sample_weights()),
             ],
         },
-        // Zero-length pipelined batches are legal frames.
+        // Zero-length query frames are legal frames.
         Request::PipelinedBatch {
             id: 0,
             key: 8,
             queries: Vec::new(),
         },
-        // Version-4 artifact builds.
+        Request::Trace {
+            id: 1,
+            ctx: trace_context(false),
+            key: 18,
+            queries: Vec::new(),
+        },
+        // Artifact builds for the paper's other two roles.
         Request::LearnPsdd {
             cnf: sample_cnf(),
             alpha: 1.0,
@@ -89,34 +92,27 @@ fn all_requests() -> Vec<Request> {
             t: 3,
         },
         Request::CompileClassifier(sample_cnf()),
-        // Version-4 role-2/3 queries ride the existing query/batch frames.
-        Request::Query {
+        Request::Optimize { key: 19 },
+        // The role-2/3 query tags.
+        Request::PipelinedBatch {
+            id: 9,
             key: 9,
-            query: Query::PsddLogLikelihood(sample_dataset()),
+            queries: vec![
+                Query::PsddLogLikelihood(sample_dataset()),
+                Query::PsddMarginal(sample_evidence()),
+                Query::SpaceCount(sample_evidence()),
+                Query::SpaceTop(sample_weights()),
+            ],
         },
-        Request::Query {
-            key: 10,
-            query: Query::PsddMarginal(sample_evidence()),
-        },
-        Request::Query {
-            key: 11,
-            query: Query::SpaceCount(sample_evidence()),
-        },
-        Request::Query {
-            key: 12,
-            query: Query::SpaceTop(sample_weights()),
-        },
-        Request::Query {
+        Request::Trace {
+            id: 10,
+            ctx: trace_context(false),
             key: 13,
-            query: Query::SufficientReason(sample_instance()),
-        },
-        Request::Query {
-            key: 14,
-            query: Query::DecisionRobustness(sample_instance()),
-        },
-        Request::Query {
-            key: 15,
-            query: Query::ClassifierBias(vec![Var(0), Var(3)]),
+            queries: vec![
+                Query::SufficientReason(sample_instance()),
+                Query::DecisionRobustness(sample_instance()),
+                Query::ClassifierBias(vec![Var(0), Var(3)]),
+            ],
         },
         Request::PipelinedBatch {
             id: 0xf00d,
@@ -127,25 +123,6 @@ fn all_requests() -> Vec<Request> {
                 Query::SufficientReason(sample_instance()),
                 Query::ClassifierBias(Vec::new()),
             ],
-        },
-        // Version-6 trace frames, client context sampled and not.
-        Request::Trace {
-            ctx: TraceContext {
-                trace_id: 0x1122_3344_5566_7788,
-                span_id: 0x99aa_bbcc_ddee_ff00,
-                sampled: true,
-            },
-            key: 17,
-            query: Query::Wmc(sample_weights()),
-        },
-        Request::Trace {
-            ctx: TraceContext {
-                trace_id: 1,
-                span_id: 2,
-                sampled: false,
-            },
-            key: 18,
-            query: Query::ModelCount,
         },
     ]
 }
@@ -195,6 +172,8 @@ fn sample_instance() -> Assignment {
     Assignment::from_values(&[true, true, false, true])
 }
 
+/// The build responses of the paper's other two roles, and both query
+/// responses carrying every answer tag, answers and typed failures alike.
 fn all_role_responses() -> Vec<Response> {
     vec![
         Response::Learned {
@@ -214,19 +193,59 @@ fn all_role_responses() -> Vec<Response> {
             num_vars: 4,
             nodes: 7,
         },
-        Response::Answer(QueryAnswer::LogLikelihood(-2.25)),
-        Response::Answer(QueryAnswer::Probability(0.1875)),
-        Response::Answer(QueryAnswer::Reason {
-            decision: true,
-            reason: Some(Cube::from_lits([Var(1).positive(), Var(3).negative()])),
-        }),
-        Response::Answer(QueryAnswer::Reason {
-            decision: false,
-            reason: None,
-        }),
-        Response::Answer(QueryAnswer::Robustness(Some(2))),
-        Response::Answer(QueryAnswer::Robustness(None)),
-        Response::Answer(QueryAnswer::Bias(true)),
+        Response::Optimized {
+            key: 34,
+            nodes_before: 40,
+            nodes_after: 40,
+            swapped: false,
+            wall_us: 512,
+        },
+        // The circuit answer tags.
+        Response::PipelinedBatch {
+            id: 1,
+            result: Ok(vec![
+                QueryAnswer::Sat(true),
+                QueryAnswer::ModelCount(12345678901234567890),
+                QueryAnswer::Wmc(0.625),
+            ]),
+        },
+        Response::Traced {
+            id: 2,
+            result: Ok(vec![
+                QueryAnswer::Marginals {
+                    wmc: 0.625,
+                    marginals: vec![(0.25, 0.375), (0.125, 0.5)],
+                },
+                QueryAnswer::MaxWeight(None),
+                QueryAnswer::MaxWeight(Some((0.75, sample_instance()))),
+            ]),
+            spans: sample_spans(),
+        },
+        // The role-2/3 answer tags.
+        Response::PipelinedBatch {
+            id: 3,
+            result: Ok(vec![
+                QueryAnswer::LogLikelihood(-2.25),
+                QueryAnswer::Probability(0.1875),
+                QueryAnswer::Reason {
+                    decision: true,
+                    reason: Some(Cube::from_lits([Var(1).positive(), Var(3).negative()])),
+                },
+                QueryAnswer::Reason {
+                    decision: false,
+                    reason: None,
+                },
+            ]),
+        },
+        Response::Traced {
+            id: 4,
+            result: Ok(vec![
+                QueryAnswer::Robustness(Some(2)),
+                QueryAnswer::Robustness(None),
+                QueryAnswer::Bias(true),
+            ]),
+            spans: Vec::new(),
+        },
         Response::PipelinedBatch {
             id: 5,
             result: Ok(vec![
@@ -239,14 +258,20 @@ fn all_role_responses() -> Vec<Response> {
                 QueryAnswer::Bias(false),
             ]),
         },
-        // Version-6 traced answers, with and without spans.
-        Response::Traced {
-            answer: QueryAnswer::Wmc(2.5),
-            spans: sample_spans(),
+        // Typed per-frame failures.
+        Response::PipelinedBatch {
+            id: 6,
+            result: Err(WireError::Engine("structure".into())),
         },
         Response::Traced {
-            answer: QueryAnswer::ModelCount(12),
+            id: 7,
+            result: Err(WireError::UnknownKey(99)),
             spans: Vec::new(),
+        },
+        Response::Traced {
+            id: 8,
+            result: Err(WireError::Invalid("weights cover 2 vars".into())),
+            spans: sample_spans(),
         },
     ]
 }
@@ -266,7 +291,9 @@ fn exhaustive_single_byte_corruption_never_panics() {
     // A frame with a little of everything: key, weights, evidence.
     let mut pa = PartialAssignment::new(4);
     pa.assign(Var(0).positive());
-    let req = Request::Batch {
+    let req = Request::Trace {
+        id: 41,
+        ctx: trace_context(true),
         key: 42,
         queries: vec![
             Query::Wmc(sample_weights()),
@@ -295,13 +322,17 @@ fn exhaustive_single_byte_corruption_never_panics() {
 
 #[test]
 fn exhaustive_response_corruption_never_panics() {
-    let resp = Response::Batch(vec![
-        QueryAnswer::ModelCount(12345678901234567890),
-        QueryAnswer::Marginals {
-            wmc: 0.625,
-            marginals: vec![(0.25, 0.375), (0.125, 0.5)],
-        },
-    ]);
+    let resp = Response::Traced {
+        id: 43,
+        result: Ok(vec![
+            QueryAnswer::ModelCount(12345678901234567890),
+            QueryAnswer::Marginals {
+                wmc: 0.625,
+                marginals: vec![(0.25, 0.375), (0.125, 0.5)],
+            },
+        ]),
+        spans: sample_spans(),
+    };
     let mut pristine = Vec::new();
     write_response(&mut pristine, &resp).unwrap();
     for at in 0..pristine.len() {
@@ -337,9 +368,11 @@ fn mid_frame_disconnect_at_every_cut_is_typed() {
     let mut bytes = Vec::new();
     write_request(
         &mut bytes,
-        &Request::Query {
+        &Request::Trace {
+            id: 6,
+            ctx: trace_context(true),
             key: 7,
-            query: Query::Wmc(sample_weights()),
+            queries: vec![Query::Wmc(sample_weights())],
         },
     )
     .unwrap();
@@ -355,14 +388,78 @@ fn mid_frame_disconnect_at_every_cut_is_typed() {
 
 #[test]
 fn version_skew_is_typed() {
+    // One version is spoken; every other one, older or newer, is rejected.
+    for version in [0, 1, 6, 8, 99, u16::MAX] {
+        let mut bytes = Vec::new();
+        write_request(&mut bytes, &Request::Ping).unwrap();
+        stamp_version(&mut bytes, version);
+        assert_eq!(
+            read_request(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN),
+            Err(ProtocolError::UnsupportedVersion {
+                found: version,
+                supported: PROTOCOL_VERSION,
+            })
+        );
+    }
     let mut bytes = Vec::new();
     write_request(&mut bytes, &Request::Ping).unwrap();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    restamp_header(&mut bytes);
-    assert!(matches!(
+    stamp_version(&mut bytes, 7);
+    assert_eq!(
         read_request(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN),
-        Err(ProtocolError::UnsupportedVersion { found: 99, .. })
-    ));
+        Ok(Request::Ping)
+    );
+}
+
+/// A live server answers a frame of any other version with exactly one
+/// typed error naming that version, then closes the connection; other
+/// connections keep being served.
+#[test]
+fn a_live_server_answers_another_version_with_one_typed_error_then_closes() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::sync::Arc;
+    use std::time::Duration;
+    use trl_engine::Engine;
+    use trl_server::{Client, Server, ServerConfig};
+
+    let engine = Arc::new(Engine::new(1 << 20, Some(2)));
+    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let mut survivor = Client::connect(handle.addr()).unwrap();
+    let key = survivor.compile(&sample_cnf()).unwrap().key;
+    for version in [6, 1, 8] {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut bytes = Vec::new();
+        let queries = vec![Query::ModelCount];
+        write_request(
+            &mut bytes,
+            &Request::PipelinedBatch {
+                id: 1,
+                key,
+                queries,
+            },
+        )
+        .unwrap();
+        stamp_version(&mut bytes, version);
+        stream.write_all(&bytes).unwrap();
+        match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+            Ok(Response::Error(WireError::Invalid(message))) => assert!(
+                message.contains(&format!("unsupported protocol version {version} ")),
+                "version {version}: {message}"
+            ),
+            other => panic!("version {version}: expected a typed error, got {other:?}"),
+        }
+        match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+            Err(ProtocolError::Disconnected | ProtocolError::Io(_)) => {}
+            other => panic!("version {version}: expected the connection closed, got {other:?}"),
+        }
+        let answer = survivor.query(key, Query::ModelCount).unwrap();
+        assert!(answer.model_count().unwrap() > 0, "version {version}");
+    }
+    drop(survivor);
+    handle.shutdown();
 }
 
 #[test]
@@ -372,14 +469,16 @@ fn universe_bomb_rejected() {
     let mut bytes = Vec::new();
     write_request(
         &mut bytes,
-        &Request::Query {
+        &Request::PipelinedBatch {
+            id: 0,
             key: 0,
-            query: Query::Wmc(LitWeights::unit(1)),
+            queries: vec![Query::Wmc(LitWeights::unit(1))],
         },
     )
     .unwrap();
-    // Payload layout: u64 key, u8 query tag, u32 num_vars, …
-    let nv_at = 28 + 8 + 1;
+    // Payload layout: u64 id, u64 key, u32 query count, u8 query tag,
+    // u32 num_vars, …
+    let nv_at = 28 + 8 + 8 + 4 + 1;
     bytes[nv_at..nv_at + 4].copy_from_slice(&((1u32 << 24) + 1).to_le_bytes());
     restamp_payload_and_header(&mut bytes);
     assert!(matches!(
@@ -388,7 +487,7 @@ fn universe_bomb_rejected() {
     ));
 }
 
-/// A version-2 stats snapshot with every extension shape populated:
+/// A stats snapshot with every shape populated:
 /// per-kind counts, connection counters, all three metric variants.
 fn extended_stats() -> StatsSnapshot {
     StatsSnapshot {
@@ -464,29 +563,6 @@ fn extended_stats_truncation_at_every_cut_is_typed() {
             "cut at byte {cut}"
         );
     }
-}
-
-#[test]
-fn old_client_decodes_the_legacy_prefix_of_an_extended_stats_payload() {
-    // The version-1 stats decoder consumed exactly eight fields and
-    // stopped; `decode_stats_v1_prefix` is that decoder. Run it over a
-    // full version-2 payload and check the legacy fields arrive intact
-    // while the extension is invisible.
-    let full = extended_stats();
-    let mut bytes = Vec::new();
-    write_response(&mut bytes, &Response::Stats(full.clone())).unwrap();
-    let payload = &bytes[trl_server::protocol::HEADER_LEN..];
-    let legacy = decode_stats_v1_prefix(payload).unwrap();
-    assert_eq!(legacy.registry, full.registry);
-    assert_eq!(legacy.artifacts, full.artifacts);
-    assert_eq!(legacy.retained_nodes, full.retained_nodes);
-    assert_eq!(legacy.max_retained_nodes, full.max_retained_nodes);
-    assert_eq!(legacy.workers, full.workers);
-    assert_eq!(legacy.queue_depth, full.queue_depth);
-    assert_eq!(legacy.uptime_ms, 0);
-    assert!(legacy.requests_served.is_empty());
-    assert_eq!(legacy.connections_accepted, 0);
-    assert!(legacy.metrics.metrics.is_empty());
 }
 
 #[test]
@@ -629,8 +705,8 @@ fn role_responses_round_trip() {
 
 #[test]
 fn every_v4_request_survives_exhaustive_single_byte_corruption() {
-    // Every new frame kind and query tag through the same per-byte flip
-    // discipline as the v1–v3 frames.
+    // Every request kind and query tag through the per-byte flip
+    // discipline.
     for req in all_requests() {
         let mut pristine = Vec::new();
         write_request(&mut pristine, &req).unwrap();
@@ -747,7 +823,8 @@ fn traced_span_count_bomb_rejected() {
     write_response(
         &mut bytes,
         &Response::Traced {
-            answer: QueryAnswer::ModelCount(5),
+            id: 5,
+            result: Ok(vec![QueryAnswer::ModelCount(5)]),
             spans: Vec::new(),
         },
     )
@@ -763,204 +840,11 @@ fn traced_span_count_bomb_rejected() {
 }
 
 /// Rewrites a well-formed frame's version word to `version` and restamps
-/// the header checksum, simulating a client that speaks an older protocol.
+/// the header checksum, simulating a peer that speaks another protocol
+/// version.
 fn stamp_version(bytes: &mut [u8], version: u16) {
     bytes[4..6].copy_from_slice(&version.to_le_bytes());
     restamp_header(bytes);
-}
-
-/// Reads one whole response frame off `stream` and returns the raw bytes
-/// (header + payload) so the test can inspect the version word the server
-/// actually stamped before decoding.
-fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
-    use std::io::Read;
-    let header_len = trl_server::protocol::HEADER_LEN;
-    let mut frame = vec![0u8; header_len];
-    stream.read_exact(&mut frame).unwrap();
-    let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload).unwrap();
-    frame.extend_from_slice(&payload);
-    frame
-}
-
-#[test]
-fn version_2_client_still_works_against_the_v3_server() {
-    // A version-2 client hand-stamps its frames with version 2 and has
-    // never heard of pipelining. The readiness-driven v3 server must (a)
-    // accept those frames, (b) answer each one with a frame stamped
-    // version 2 so the old decoder's version check passes, and (c) never
-    // send a v3-only response kind on that connection.
-    use std::io::Write;
-    use std::sync::Arc;
-    use trl_engine::Engine;
-    use trl_server::{Server, ServerConfig};
-
-    let engine = Arc::new(Engine::new(1 << 20, Some(2)));
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-
-    let send_v2 = |stream: &mut std::net::TcpStream, req: &Request| {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, req).unwrap();
-        stamp_version(&mut bytes, 2);
-        stream.write_all(&bytes).unwrap();
-    };
-
-    // Compile, then query, then stats — the version-2 workload.
-    send_v2(&mut stream, &Request::Compile(sample_cnf()));
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 2);
-    let key = match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { key, .. } => key,
-        other => panic!("expected Compiled, got {other:?}"),
-    };
-
-    send_v2(
-        &mut stream,
-        &Request::Query {
-            key,
-            query: Query::ModelCount,
-        },
-    );
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 2);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Answer(QueryAnswer::ModelCount(n)) => assert!(n > 0),
-        other => panic!("expected Answer, got {other:?}"),
-    }
-
-    send_v2(&mut stream, &Request::Stats);
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 2);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Stats(s) => assert_eq!(s.artifacts, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-
-    drop(stream);
-    handle.shutdown();
-}
-
-#[test]
-fn version_3_client_still_works_against_the_v4_server() {
-    // A version-3 client knows pipelining but none of the role-2/role-3
-    // frames. The v4 server must accept its frames, echo version 3 on
-    // every response so the old decoder's version check passes, and serve
-    // the full v3 workload (compile + pipelined batch + stats) unchanged.
-    use std::io::Write;
-    use std::sync::Arc;
-    use trl_engine::Engine;
-    use trl_server::{Server, ServerConfig};
-
-    let engine = Arc::new(Engine::new(1 << 20, Some(2)));
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-
-    let send_v3 = |stream: &mut std::net::TcpStream, req: &Request| {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, req).unwrap();
-        stamp_version(&mut bytes, 3);
-        stream.write_all(&bytes).unwrap();
-    };
-
-    send_v3(&mut stream, &Request::Compile(sample_cnf()));
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 3);
-    let key = match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { key, .. } => key,
-        other => panic!("expected Compiled, got {other:?}"),
-    };
-
-    send_v3(
-        &mut stream,
-        &Request::PipelinedBatch {
-            id: 77,
-            key,
-            queries: vec![Query::ModelCount, Query::Sat],
-        },
-    );
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 3);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::PipelinedBatch { id, result } => {
-            assert_eq!(id, 77);
-            let answers = result.expect("batch should succeed");
-            assert!(matches!(answers[0], QueryAnswer::ModelCount(n) if n > 0));
-            assert!(matches!(answers[1], QueryAnswer::Sat(true)));
-        }
-        other => panic!("expected PipelinedBatch, got {other:?}"),
-    }
-
-    send_v3(&mut stream, &Request::Stats);
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 3);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Stats(s) => assert_eq!(s.artifacts, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-
-    drop(stream);
-    handle.shutdown();
-}
-
-#[test]
-fn version_5_client_still_works_against_the_v6_server() {
-    // A version-5 client knows every frame except tracing. The v6 server
-    // must accept its frames, echo version 5 on every response so the old
-    // decoder's version check passes, and never send a Traced response on
-    // that connection.
-    use std::io::Write;
-    use std::sync::Arc;
-    use trl_engine::Engine;
-    use trl_server::{Server, ServerConfig};
-
-    let engine = Arc::new(Engine::new(1 << 20, Some(2)));
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
-    stream.set_nodelay(true).unwrap();
-
-    let send_v5 = |stream: &mut std::net::TcpStream, req: &Request| {
-        let mut bytes = Vec::new();
-        write_request(&mut bytes, req).unwrap();
-        stamp_version(&mut bytes, 5);
-        stream.write_all(&bytes).unwrap();
-    };
-
-    send_v5(&mut stream, &Request::Compile(sample_cnf()));
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 5);
-    let key = match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { key, .. } => key,
-        other => panic!("expected Compiled, got {other:?}"),
-    };
-
-    send_v5(
-        &mut stream,
-        &Request::Query {
-            key,
-            query: Query::Wmc(sample_weights()),
-        },
-    );
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 5);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Answer(QueryAnswer::Wmc(x)) => assert!(x.is_finite()),
-        other => panic!("expected Answer, got {other:?}"),
-    }
-
-    send_v5(&mut stream, &Request::Stats);
-    let frame = read_raw_frame(&mut stream);
-    assert_eq!(u16::from_le_bytes(frame[4..6].try_into().unwrap()), 5);
-    match read_response(&mut frame.as_slice(), DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Stats(s) => assert_eq!(s.artifacts, 1),
-        other => panic!("expected Stats, got {other:?}"),
-    }
-
-    drop(stream);
-    handle.shutdown();
 }
 
 /// Recomputes the header checksum after a deliberate header edit.

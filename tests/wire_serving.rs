@@ -1,11 +1,12 @@
 //! The network server answers query frames on its reactor threads and
 //! runs builds on the engine's worker pool.
 //!
-//! - Every query frame kind (pipelined, `Query`, `Batch`, `Trace`) answers
-//!   bit for bit as [`Engine::run_artifact_batch`] does, on all four
-//!   artifact kinds.
+//! - Both query frame kinds (`PipelinedBatch`, `Trace`), sent pipelined
+//!   or one at a time, answer bit for bit as
+//!   [`Engine::run_artifact_batch`] does, on all four artifact kinds.
 //! - A query on a resident artifact is answered while a build is still in
-//!   flight, even when the engine's only worker is busy.
+//!   flight, even when the engine's only worker is busy, and even when
+//!   the query frames follow the build on its own connection.
 //! - A shutdown that lands while a build is in flight still delivers that
 //!   build's answer.
 //! - Builds spawn no threads: 200 compiles over the wire leave the
@@ -26,6 +27,7 @@ use std::time::{Duration, Instant};
 use three_roles::core::{Assignment, PartialAssignment, SplitMix64, Var};
 use three_roles::engine::{Engine, Query, QueryAnswer};
 use three_roles::nnf::LitWeights;
+use three_roles::obs::TraceContext;
 use three_roles::prop::Cnf;
 use three_roles::server::{
     read_response, write_request, Client, Request, Response, Server, ServerConfig,
@@ -249,10 +251,55 @@ fn queries_are_answered_while_a_build_is_in_flight() {
         vec![QueryAnswer::Sat(count > 0)]
     );
 
+    // On one connection: a build, then a traced and a plain query frame.
+    // Query frames are answered by id, so both answers overtake the build
+    // still queued behind the parked worker.
+    let mut same = send_compile(handle.addr(), &random_cnf(14, 12, 18));
+    same.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let ctx = TraceContext::generate(true);
+    let queries = vec![Query::ModelCount, Query::Sat];
+    let traced = Request::Trace {
+        id: 7,
+        ctx,
+        key,
+        queries: queries.clone(),
+    };
+    write_request(&mut same, &traced).unwrap();
+    write_request(
+        &mut same,
+        &Request::PipelinedBatch {
+            id: 8,
+            key,
+            queries,
+        },
+    )
+    .unwrap();
+    let want = vec![QueryAnswer::ModelCount(count), QueryAnswer::Sat(count > 0)];
+    let mut answered = Vec::new();
+    for _ in 0..2 {
+        match read_response(&mut same, DEFAULT_MAX_FRAME_LEN).unwrap() {
+            Response::Traced { id, result, spans } => {
+                assert_eq!(result.unwrap(), want, "traced answers");
+                assert!(!spans.is_empty(), "the traced frame returns its spans");
+                answered.push(id);
+            }
+            Response::PipelinedBatch { id, result } => {
+                assert_eq!(result.unwrap(), want, "pipelined answers");
+                answered.push(id);
+            }
+            other => panic!("expected a query answer before the build's, got {other:?}"),
+        }
+    }
+    answered.sort_unstable();
+    assert_eq!(answered, [7, 8]);
+
     drop(release);
-    match read_response(&mut builder, DEFAULT_MAX_FRAME_LEN).unwrap() {
-        Response::Compiled { .. } => {}
-        other => panic!("expected the build's answer, got {other:?}"),
+    for stream in [&mut builder, &mut same] {
+        match read_response(stream, DEFAULT_MAX_FRAME_LEN).unwrap() {
+            Response::Compiled { .. } => {}
+            other => panic!("expected the build's answer, got {other:?}"),
+        }
     }
     drop(client);
     handle.shutdown();
