@@ -6,12 +6,12 @@
 #                        # fmt over the workspace and perfbench/,
 #                        # no-default-features build+test, docs (warnings
 #                        # are errors), kernel timing floors (release-only
-#                        # test), network serving smoke (serve/client round
+#                        # test), paper artifacts (the 19 exp* binaries:
+#                        # 117 PASS, no FAIL, every exit status zero),
+#                        # network serving smoke (serve/client round
 #                        # trip diffed against local answers), obs smoke,
 #                        # roles smoke (learn/space/explain over the wire
-#                        # diffed against in-process), minimize smoke
-#                        # (optimize locally and through the registry,
-#                        # answers diffed),
+#                        # diffed against in-process),
 #                        # serving examples (net_roundtrip asserts wire
 #                        # answers bit-identical to the executor's),
 #                        # trace smoke (forced trace over the wire: span tree
@@ -82,6 +82,27 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # sweep pool), and every timed answer must bit-match scalar. The test is
 # ignored in debug builds, so the workspace test run above skips it.
 cargo test --release --quiet -p three-roles --test kernel_timing_floors
+
+# Paper artifacts: each of the 19 experiment binaries (crates/bench/src/bin)
+# regenerates one figure of the paper, prints a [PASS]/[FAIL] line per
+# criterion and exits non-zero if any failed. A non-zero exit, any [FAIL]
+# line, or a [PASS] total other than 117 fails the gate, so a criterion
+# can neither regress nor silently disappear.
+cargo build --release --quiet -p trl-bench --bins
+paper_out=""
+for exp in crates/bench/src/bin/exp*.rs; do
+    name="$(basename "$exp" .rs)"
+    if ! out="$(target/release/"$name")"; then
+        echo "paper-artifacts: $name exited non-zero" >&2
+        grep '^\[FAIL\]' <<< "$out" >&2 || true
+        exit 1
+    fi
+    paper_out+="$out"$'\n'
+done
+paper_pass="$(grep -c '^\[PASS\]' <<< "$paper_out" || true)"
+paper_fail="$(grep -c '^\[FAIL\]' <<< "$paper_out" || true)"
+(( paper_pass == 117 && paper_fail == 0 )) \
+    || { echo "paper-artifacts: $paper_pass PASS and $paper_fail FAIL lines, expected 117 and 0" >&2; exit 1; }
 
 # Net smoke: a real server on an ephemeral port must answer every query
 # kind over the wire byte-identically to the local CLI (up to the latency
@@ -235,70 +256,6 @@ for kind in sat model_count wmc psdd_log_likelihood psdd_marginal \
     grep -q "    $kind " "$net_dir/roles-stats.out" \
         || { echo "roles-smoke: stats table is missing the $kind row" >&2; exit 1; }
 done
-target/release/three-roles client "$addr" shutdown > /dev/null
-wait "$serve_pid"
-unset serve_pid
-
-# Minimize smoke: the optimize pass must never change an answer. Locally:
-# query the compiled artifact, optimize it into a new artifact, re-query,
-# and byte-diff (dyadic 0.5 weights keep the float sums exact, so
-# bit-identity holds across different circuit structures); the node count
-# must not grow. Over the wire: the Optimize frame swaps the registry
-# artifact in place — the same battery must answer identically before and
-# after the swap, the minimize.* metrics must be registered zero-valued
-# from startup and count the job afterwards, and the stats table must
-# hold the minimize row. Bit-identity and the node-ratio gates over the
-# whole crosscheck corpus are a test: crates/minimize/tests/identity_sweep.rs.
-min_flags=(--sat --count --wmc --marginals --weight 1=0.5 --weight -1=0.5)
-target/release/three-roles query "$net_dir/smoke.trlc" "${min_flags[@]}" \
-    > "$net_dir/min-before.out"
-target/release/three-roles optimize "$net_dir/smoke.trlc" \
-    -o "$net_dir/smoke-min.trlc" > "$net_dir/min-opt.out"
-target/release/three-roles query "$net_dir/smoke-min.trlc" "${min_flags[@]}" \
-    > "$net_dir/min-after.out"
-sed 's/ *([0-9.]* us)$//' "$net_dir/min-before.out" > "$net_dir/min-before.stripped"
-sed 's/ *([0-9.]* us)$//' "$net_dir/min-after.out"  > "$net_dir/min-after.stripped"
-if ! diff "$net_dir/min-before.stripped" "$net_dir/min-after.stripped"; then
-    echo "minimize-smoke: answers changed after local optimize" >&2
-    exit 1
-fi
-read -r min_before min_after < <(awk '/^optimized / { print $3, $5 }' "$net_dir/min-opt.out")
-[[ -n "$min_before" && -n "$min_after" ]] \
-    || { echo "minimize-smoke: no node counts in optimize output" >&2; exit 1; }
-(( min_after <= min_before )) \
-    || { echo "minimize-smoke: optimize grew the artifact ($min_before -> $min_after)" >&2; exit 1; }
-target/release/three-roles serve 127.0.0.1:0 --workers 2 \
-    > "$net_dir/min-serve.log" 2>&1 &
-serve_pid=$!
-for _ in $(seq 1 100); do
-    grep -q '^listening on ' "$net_dir/min-serve.log" && break
-    sleep 0.1
-done
-addr="$(sed -n 's/^listening on //p' "$net_dir/min-serve.log" | head -n 1)"
-[[ -n "$addr" ]] || { echo "minimize-smoke: server never came up" >&2; exit 1; }
-target/release/three-roles metrics "$addr" --prom > "$net_dir/min-start.prom"
-jobs_start="$(prom_value trl_minimize_jobs "$net_dir/min-start.prom")"
-[[ "$jobs_start" == "0" ]] \
-    || { echo "minimize-smoke: minimize.jobs not registered zero-valued at startup (got '${jobs_start:-missing}')" >&2; exit 1; }
-target/release/three-roles client "$addr" query "$net_dir/smoke.cnf" \
-    "${min_flags[@]}" > "$net_dir/min-net-before.out"
-target/release/three-roles optimize "$net_dir/smoke.cnf" --server "$addr" \
-    > "$net_dir/min-net-opt.out"
-target/release/three-roles client "$addr" query "$net_dir/smoke.cnf" \
-    "${min_flags[@]}" > "$net_dir/min-net-after.out"
-sed 's/ *([0-9.]* us)$//' "$net_dir/min-net-before.out" > "$net_dir/min-net-before.stripped"
-sed 's/ *([0-9.]* us)$//' "$net_dir/min-net-after.out"  > "$net_dir/min-net-after.stripped"
-if ! diff "$net_dir/min-net-before.stripped" "$net_dir/min-net-after.stripped"; then
-    echo "minimize-smoke: answers changed after the registry swap" >&2
-    exit 1
-fi
-target/release/three-roles client "$addr" stats > "$net_dir/min-stats.out"
-grep -q '^  minimize ' "$net_dir/min-stats.out" \
-    || { echo "minimize-smoke: stats table is missing the minimize row" >&2; exit 1; }
-target/release/three-roles metrics "$addr" --prom > "$net_dir/min-end.prom"
-jobs_end="$(prom_value trl_minimize_jobs "$net_dir/min-end.prom")"
-[[ "$jobs_end" == "1" ]] \
-    || { echo "minimize-smoke: expected 1 minimize job after optimize, got '${jobs_end:-missing}'" >&2; exit 1; }
 target/release/three-roles client "$addr" shutdown > /dev/null
 wait "$serve_pid"
 unset serve_pid

@@ -5,12 +5,14 @@
 //! elimination / enumeration) and by the reduction route (compiled
 //! circuit), and the two must agree.
 
+use std::process::ExitCode;
+
 use trl_bayesnet::compiled::{map_value_sdd, sdp_sdd};
 use trl_bayesnet::models::{medical, medical_vars::*};
 use trl_bayesnet::{CompiledBn, EncodingStyle};
-use trl_bench::{banner, check, row, section};
+use trl_bench::{banner, check, exit_code, row, section};
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E01",
         "Figure 2 (medical network; MPE/MAR/MAP/SDP ladder)",
@@ -40,6 +42,7 @@ fn main() {
     let posts = compiled
         .posteriors(&evidence)
         .expect("empty evidence is possible");
+    let mut marginals_agree = true;
     for v in 0..bn.num_vars() {
         let ve = bn.posterior(v, &evidence);
         row(
@@ -49,9 +52,12 @@ fn main() {
                 posts[v][0], posts[v][1], ve[0], ve[1]
             ),
         );
-        all_ok &= (posts[v][0] - ve[0]).abs() < 1e-9;
+        marginals_agree &= (posts[v][0] - ve[0]).abs() < 1e-9;
     }
-    all_ok &= check("all marginals agree (one derivative pass vs VE)", all_ok);
+    all_ok &= check(
+        "all marginals agree (one derivative pass vs VE)",
+        marginals_agree,
+    );
 
     section("MAR with evidence: both tests positive");
     let ev = vec![(T1, 1), (T2, 1)];
@@ -75,6 +81,7 @@ fn main() {
     all_ok &= check("MAP values agree", (map_ve - map_sdd).abs() < 1e-9);
 
     section("SDP (PP^PP): operate if Pr(c | tests) ≥ 0.9 — Fig. 2's scenario");
+    let mut sdp_agree = true;
     for threshold in [0.9, 0.5, 0.1] {
         let ve = bn.sdp(C, 1, threshold, &[T1, T2], &vec![]);
         let circuit = sdp_sdd(&bn, C, 1, threshold, &[T1, T2], &vec![]);
@@ -82,10 +89,11 @@ fn main() {
             &format!("SDP(T={threshold})"),
             format!("circuit {circuit:.6}   enumeration {ve:.6}"),
         );
-        all_ok &= (ve - circuit).abs() < 1e-9;
+        sdp_agree &= (ve - circuit).abs() < 1e-9;
     }
-    all_ok &= check("SDP via constrained SDD agrees with enumeration", all_ok);
+    all_ok &= check("SDP via constrained SDD agrees with enumeration", sdp_agree);
 
     println!();
     check("E01 overall", all_ok);
+    exit_code()
 }

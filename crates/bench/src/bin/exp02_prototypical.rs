@@ -2,7 +2,9 @@
 //! MAJMAJSAT decided systematically by compilation into circuits of
 //! increasing tractability, validated against brute force.
 
-use trl_bench::{banner, check, random_3cnf, row, section, Rng};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, random_3cnf, row, section, Rng};
 use trl_compiler::{compile_sdd_constrained, DecisionDnnfCompiler};
 use trl_core::{Assignment, Var};
 use trl_prop::{Cnf, Solver};
@@ -35,7 +37,7 @@ fn brute_emaj(cnf: &Cnf, ny: usize) -> (u128, u128, u128) {
     (best, majority_y, 1u128 << nz)
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E02",
         "Figure 3 (SAT / MAJSAT / E-MAJSAT / MAJMAJSAT on a circuit)",
@@ -98,4 +100,5 @@ fn main() {
 
     println!();
     check("E02 overall: all four problems decided correctly", all_ok);
+    exit_code()
 }

@@ -3,13 +3,15 @@
 //! have exactly eight models, which correspond to the network
 //! instantiations", each with weight equal to its probability.
 
+use std::process::ExitCode;
+
 use trl_bayesnet::models::abc;
 use trl_bayesnet::{BnEncoding, EncodingStyle};
-use trl_bench::{banner, check, row, section};
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_compiler::ModelCounter;
 use trl_prop::Solver;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E03",
         "Figure 4 + §2.2 (the BN → WMC reduction of [24])",
@@ -79,4 +81,5 @@ fn main() {
 
     println!();
     check("E03 overall", all_ok);
+    exit_code()
 }

@@ -2,7 +2,9 @@
 //! circuits. The paper's running circuit — the course-prerequisite
 //! constraint compiled to an SDD — has 9 satisfying inputs out of 16.
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::Var;
 use trl_nnf::{properties, LitWeights};
 use trl_prop::Formula;
@@ -23,7 +25,7 @@ fn course_constraint() -> Formula {
     ])
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E04",
         "Figure 8 (linear-time counting on d-DNNF)",
@@ -103,15 +105,17 @@ fn main() {
 
     section("all marginals in one extra pass (footnote of §3)");
     let (total, marginals) = circuit.wmc_marginals(&LitWeights::unit(4));
+    let mut sums_agree = true;
     for (i, name) in ["L", "K", "P", "A"].iter().enumerate() {
         row(
             &format!("models with {name} / ¬{name}"),
             format!("{} / {}", marginals[i].0, marginals[i].1),
         );
-        all_ok &= (marginals[i].0 + marginals[i].1 - total).abs() < 1e-9;
+        sums_agree &= (marginals[i].0 + marginals[i].1 - total).abs() < 1e-9;
     }
-    all_ok &= check("marginals sum to the total per variable", all_ok);
+    all_ok &= check("marginals sum to the total per variable", sums_agree);
 
     println!();
     check("E04 overall", all_ok);
+    exit_code()
 }

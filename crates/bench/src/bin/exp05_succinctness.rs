@@ -5,7 +5,9 @@
 //! "good" vtree keeps the SDD linear while the OBDD (= right-linear-vtree
 //! SDD) grows exponentially.
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::Var;
 use trl_obdd::Obdd;
 use trl_prop::Formula;
@@ -45,7 +47,7 @@ fn paired_vtree(n: usize) -> Vtree {
     Vtree::from_shape(&balanced(&pairs))
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E05",
         "Figures 10–12, claim of [5] (SDDs exponentially more succinct than OBDDs)",
@@ -121,4 +123,5 @@ fn main() {
 
     println!();
     check("E05 overall", all_ok);
+    exit_code()
 }

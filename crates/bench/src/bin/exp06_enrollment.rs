@@ -4,7 +4,9 @@
 //! an enrollment table in one pass; the induced distribution normalizes
 //! over the valid combinations and vanishes on the invalid ones (Fig. 14).
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::{Assignment, PartialAssignment, Var};
 use trl_prop::Formula;
 use trl_psdd::Psdd;
@@ -23,7 +25,7 @@ fn constraint() -> Formula {
     ])
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E06",
         "Figures 13–15 (PSDD learning from data + knowledge)",
@@ -130,4 +132,5 @@ fn main() {
 
     println!();
     check("E06 overall", all_ok);
+    exit_code()
 }

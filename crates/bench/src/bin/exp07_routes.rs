@@ -3,14 +3,16 @@
 //! method; PSDD parameters are learned from sampled routes; edge marginals
 //! and route probabilities follow by linear-time circuit queries.
 
-use trl_bench::{banner, check, row, section, Rng};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section, Rng};
 use trl_core::{Assignment, PartialAssignment, Var};
 use trl_psdd::Psdd;
 use trl_sdd::SddManager;
 use trl_spaces::{compile_simple_paths, GridMap};
 use trl_vtree::Vtree;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E07",
         "Figure 16 (encoding routes using SDDs)",
@@ -24,6 +26,7 @@ fn main() {
         "{:>6} {:>10} {:>14} {:>12}",
         "grid", "edges", "paths", "OBDD size"
     );
+    let mut counts_agree = true;
     for n in 2..=6usize {
         let g = GridMap::new(n, n);
         let (obdd, root) = compile_simple_paths(g.graph(), g.node(0, 0), g.node(n - 1, n - 1));
@@ -40,10 +43,13 @@ fn main() {
                 .graph()
                 .enumerate_simple_paths(g.node(0, 0), g.node(n - 1, n - 1))
                 .len() as u128;
-            all_ok &= obdd.count_models(root) == brute;
+            counts_agree &= obdd.count_models(root) == brute;
         }
     }
-    all_ok &= check("counts verified against DFS enumeration (n ≤ 4)", all_ok);
+    all_ok &= check(
+        "counts verified against DFS enumeration (n ≤ 4)",
+        counts_agree,
+    );
 
     section("learn a route distribution on the 3×3 grid");
     let g = GridMap::new(3, 3);
@@ -142,4 +148,5 @@ fn main() {
 
     println!();
     check("E07 overall", all_ok);
+    exit_code()
 }

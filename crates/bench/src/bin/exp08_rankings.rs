@@ -4,7 +4,9 @@
 //! the dedicated Mallows MLE baseline (\[17\]'s "competitive with dedicated
 //! approaches").
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::{Assignment, Var};
 use trl_psdd::Psdd;
 use trl_sdd::SddManager;
@@ -12,7 +14,7 @@ use trl_spaces::mallows::{kendall_tau, Mallows};
 use trl_spaces::rankings::RankingSpace;
 use trl_vtree::Vtree;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E08",
         "Figure 17 (encoding rankings using SDDs) + §4.1, [17]",
@@ -26,6 +28,7 @@ fn main() {
         "{:>4} {:>8} {:>12} {:>12}",
         "n", "vars", "models", "OBDD size"
     );
+    let mut counts_agree = true;
     for n in 2..=6usize {
         let space = RankingSpace::new(n);
         let (obdd, root) = space.compile();
@@ -37,9 +40,9 @@ fn main() {
             obdd.count_models(root),
             obdd.size(root)
         );
-        all_ok &= obdd.count_models(root) == factorial;
+        counts_agree &= obdd.count_models(root) == factorial;
     }
-    all_ok &= check("model counts are n!", all_ok);
+    all_ok &= check("model counts are n!", counts_agree);
 
     section("learn a ranking distribution (n = 4, Mallows ground truth)");
     let n = 4usize;
@@ -138,4 +141,5 @@ fn main() {
     let _ = kendall_tau(&[0, 1], &[0, 1]); // keep the helper exercised
     println!();
     check("E08 overall", all_ok);
+    exit_code()
 }

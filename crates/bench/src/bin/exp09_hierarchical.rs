@@ -4,10 +4,12 @@
 //! compilation grows with the whole map — the scaling story behind the
 //! paper's 8.9M-edge San Francisco PSDD.
 
-use trl_bench::{banner, check, row, section, Rng};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section, Rng};
 use trl_spaces::hiermap::TwoRegionMap;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E09",
         "Figures 18–22 (hierarchical maps, conditional PSDDs, SBNs)",
@@ -139,6 +141,7 @@ fn main() {
 
     println!();
     check("E09 overall", all_ok);
+    exit_code()
 }
 
 fn sbn_left_edges(map: &TwoRegionMap) -> usize {

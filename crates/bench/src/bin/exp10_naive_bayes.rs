@@ -3,11 +3,13 @@
 //! reading the paper's narrative off the circuit: S=+ suffices, B=+,U=+ is
 //! the only other sufficient reason.
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::{Assignment, Var, VarSet};
 use trl_xai::{NaiveBayes, ReasonCircuit};
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E10",
         "Figure 25 (naive Bayes → ordered decision diagram, [9])",
@@ -97,4 +99,5 @@ fn main() {
 
     println!();
     check("E10 overall", all_ok);
+    exit_code()
 }

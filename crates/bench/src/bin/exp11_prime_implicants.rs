@@ -2,7 +2,9 @@
 //! example f = (A + ¬C)(B + C)(A + B), computed two independent ways:
 //! Quine–McCluskey on the truth table, and reason circuits on the OBDD.
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::{Assignment, Var};
 use trl_obdd::Obdd;
 use trl_prop::{prime_implicants, sufficient_reasons, Formula, TruthTable};
@@ -21,7 +23,7 @@ fn fig26() -> Formula {
     ])
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E11",
         "Figure 26 (prime implicants of Boolean functions)",
@@ -92,4 +94,5 @@ fn main() {
 
     println!();
     check("E11 overall", all_ok);
+    exit_code()
 }

@@ -9,7 +9,9 @@
 //! exam), G (GPA), W (work experience), V (volunteering);
 //! admit ⟺ (E∧G) ∨ (R∧E) ∨ (R∧W) ∨ (E∧W∧V).
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_core::{Assignment, Var, VarSet};
 use trl_obdd::Obdd;
 use trl_prop::Formula;
@@ -31,7 +33,7 @@ fn admissions() -> Formula {
     ])
 }
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E12",
         "Figure 27 (admission decisions, bias, reason circuits)",
@@ -143,4 +145,5 @@ fn main() {
 
     println!();
     check("E12 overall", all_ok);
+    exit_code()
 }

@@ -4,11 +4,13 @@
 //! only a small fraction of the pixels (the paper: 3 of 256 pixels for a
 //! 98.74%-accurate CNN).
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_xai::images::{digit_dataset, one_prototype, render, PIXELS};
 use trl_xai::{Bnn, ReasonCircuit};
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E13",
         "Figure 28 (explaining the decisions of a neural network)",
@@ -101,4 +103,5 @@ fn main() {
 
     println!();
     check("E13 overall", all_ok);
+    exit_code()
 }

@@ -9,12 +9,14 @@
 //! profiles. The *existence* of such pairs — equal accuracy, divergent
 //! robustness — is the figure's point.
 
-use trl_bench::{banner, check, row, section};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section};
 use trl_xai::images::{digit_dataset, PIXELS};
 use trl_xai::robustness::robustness_profile;
 use trl_xai::Bnn;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E14",
         "Figure 29 (robustness level vs proportion of instances; model robustness)",
@@ -144,4 +146,5 @@ fn main() {
 
     println!();
     check("E14 overall", all_ok);
+    exit_code()
 }

@@ -3,12 +3,14 @@
 //! network determinism and compares circuit sizes under the baseline vs
 //! local-structure encodings, and circuit query time vs VE.
 
+use std::process::ExitCode;
+
 use trl_bayesnet::models::random_network;
 use trl_bayesnet::{BnEncoding, CompiledBn, EncodingStyle};
-use trl_bench::{banner, check, row, section, timed};
+use trl_bench::{banner, check, exit_code, row, section, timed};
 use trl_compiler::DecisionDnnfCompiler;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E17",
         "§2 / [32] (reductions win under 0/1 parameters and CSI)",
@@ -113,4 +115,5 @@ fn main() {
 
     println!();
     check("E17 overall", all_ok);
+    exit_code()
 }

@@ -3,13 +3,15 @@
 //! should: OBDD/SDD conversions are structured d-DNNFs, the trace compiler
 //! yields d-DNNF, dropping properties walks up the hierarchy.
 
-use trl_bench::{banner, check, random_3cnf, row, section, Rng};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, random_3cnf, row, section, Rng};
 use trl_compiler::{compile_obdd, compile_sdd, DecisionDnnfCompiler};
 use trl_core::Var;
 use trl_nnf::taxonomy::classify;
 use trl_nnf::{properties, CircuitBuilder};
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E18",
         "Figure 12 (a partial taxonomy of NNF circuits)",
@@ -87,4 +89,5 @@ fn main() {
 
     println!();
     check("E18 overall", all_ok);
+    exit_code()
 }

@@ -3,12 +3,14 @@
 //! circuit makes the audit possible — the black box alone cannot tell an
 //! optimistic anchor from an exact one.
 
-use trl_bench::{banner, check, row, section, Rng};
+use std::process::ExitCode;
+
+use trl_bench::{banner, check, exit_code, row, section, Rng};
 use trl_core::Assignment;
 use trl_xai::anchor::{anchor, audit, AnchorVerdict};
 use trl_xai::NaiveBayes;
 
-fn main() {
+fn main() -> ExitCode {
     banner(
         "E19",
         "§5.1 footnote 18 / [41] (validating heuristic explanations)",
@@ -80,4 +82,5 @@ fn main() {
 
     println!();
     check("E19 overall", all_ok);
+    exit_code()
 }

@@ -5,7 +5,12 @@
 //! numbers are recorded against the paper's in EXPERIMENTS.md. Run one with
 //! `cargo run --release -p trl-bench --bin exp04_ddnnf_count`.
 
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
+
+/// Set by the first failed [`check`]; read by [`exit_code`].
+static FAILED: AtomicBool = AtomicBool::new(false);
 
 /// Prints an experiment banner.
 pub fn banner(id: &str, figure: &str, claim: &str) {
@@ -33,9 +38,22 @@ pub fn row(label: &str, value: impl std::fmt::Display) {
 }
 
 /// Checks a reproduction criterion and prints PASS/FAIL; returns success.
+/// A failure is also recorded for [`exit_code`].
 pub fn check(label: &str, ok: bool) -> bool {
     println!("[{}] {label}", if ok { "PASS" } else { "FAIL" });
+    if !ok {
+        FAILED.store(true, Ordering::Relaxed);
+    }
     ok
+}
+
+/// The experiment's exit status: failure if any [`check`] failed.
+pub fn exit_code() -> ExitCode {
+    if FAILED.load(Ordering::Relaxed) {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// A deterministic xorshift64 stream for workload generation.

@@ -61,29 +61,6 @@ pub struct StatsSnapshot {
     pub metrics: MetricsDump,
 }
 
-/// What an [`Engine::optimize`] pass did to one registry entry.
-#[derive(Clone, Debug)]
-pub struct OptimizeReport {
-    /// The registry key that was optimized (unchanged by the swap).
-    pub key: u64,
-    /// Node count before minimization.
-    pub nodes_before: usize,
-    /// Node count of the best verified candidate (`== nodes_before` when
-    /// nothing smaller survived).
-    pub nodes_after: usize,
-    /// Adjacent-level swaps performed by OBDD sifting.
-    pub swaps: u64,
-    /// Accepted vtree moves.
-    pub rotations: u64,
-    /// Winning strategy (`"compact"`, `"obdd"`, `"vtree"`, or `"none"`).
-    pub strategy: &'static str,
-    /// Wall time the minimization search took.
-    pub wall_us: u64,
-    /// Whether the smaller circuit was swapped into the registry (false
-    /// when nothing shrank, or the entry was evicted mid-pass).
-    pub swapped: bool,
-}
-
 /// A compile-once/query-many engine: a [`Registry`] behind a mutex plus a
 /// shared [`Executor`]. Clone-free sharing: wrap it in an `Arc`.
 ///
@@ -106,9 +83,8 @@ impl Engine {
     /// server's reactors among them — bring their own threads and are
     /// answered on them.
     pub fn new(max_retained_nodes: usize, workers: Option<usize>) -> Self {
-        // Zero-valued minimize.*, trace.* and registry policy rows from
-        // the first snapshot on, like the executor's per-kind counters.
-        trl_minimize::register_metrics();
+        // Zero-valued trace.* and registry policy rows from the first
+        // snapshot on, like the executor's per-kind counters.
         trl_obs::register_trace_metrics();
         crate::registry::register_metrics();
         Engine {
@@ -123,7 +99,6 @@ impl Engine {
 
     /// An engine around an existing registry and executor.
     pub fn from_parts(registry: Registry, executor: Executor) -> Self {
-        trl_minimize::register_metrics();
         trl_obs::register_trace_metrics();
         crate::registry::register_metrics();
         Engine {
@@ -276,64 +251,6 @@ impl Engine {
     /// use of the entry).
     pub fn get(&self, key: u64) -> Option<Artifact> {
         self.lock().get(key)
-    }
-
-    /// Minimizes the circuit artifact under `key` with the default
-    /// schedule and, if a strictly smaller bit-identical circuit is found,
-    /// atomically swaps it into the registry. See
-    /// [`Engine::optimize_with`].
-    pub fn optimize(&self, key: u64) -> Result<OptimizeReport> {
-        self.optimize_with(key, &trl_minimize::MinimizeConfig::default())
-    }
-
-    /// The registry re-compression pass behind the `optimize` wire request
-    /// and CLI subcommand.
-    ///
-    /// The minimization search runs entirely **outside** the registry lock
-    /// (it can take the whole schedule's time budget); the lock is taken
-    /// twice, for a peek and for the swap. The swap preserves the
-    /// fingerprint, the queue and the use counter, re-snapshots the
-    /// retained-node charge (releasing budget immediately), and replaces
-    /// only the registry's `Arc` — queries already holding the prepared
-    /// circuit finish on the original, bit-identical artifact. If the
-    /// artifact was evicted while minimizing, the result is discarded
-    /// (`swapped == false`): eviction already decided that memory is
-    /// better spent elsewhere.
-    pub fn optimize_with(
-        &self,
-        key: u64,
-        cfg: &trl_minimize::MinimizeConfig,
-    ) -> Result<OptimizeReport> {
-        let artifact = self
-            .lock()
-            .peek(key)
-            .ok_or_else(|| EngineError::Structure(format!("no artifact under key {key:#018x}")))?;
-        let Artifact::Circuit(prepared) = artifact else {
-            return Err(EngineError::Structure(format!(
-                "artifact under key {key:#018x} is a {}, not a circuit",
-                artifact.kind().name()
-            )));
-        };
-        let (minimized, report) = trl_minimize::minimize_circuit(prepared.raw(), cfg);
-        let mut out = OptimizeReport {
-            key,
-            nodes_before: report.nodes_before,
-            nodes_after: report.nodes_after,
-            swaps: report.swaps,
-            rotations: report.rotations,
-            strategy: report.strategy,
-            wall_us: report.wall_us,
-            swapped: false,
-        };
-        if report.accepted {
-            // Pre-warm outside the lock so the registry charge reflects the
-            // full serving footprint (raw arena plus tape) and the first
-            // query pays nothing.
-            let small = Arc::new(PreparedCircuit::new(minimized));
-            small.warm();
-            out.swapped = self.lock().replace(key, Artifact::Circuit(small));
-        }
-        Ok(out)
     }
 
     /// Validates and answers a batch on the calling thread
@@ -505,92 +422,6 @@ mod tests {
         assert!(engine.compile_space(3, &[(0, 1)], 0, 0).is_err());
         assert!(engine.compile_space(3, &[(0, 5)], 0, 2).is_err());
         assert!(engine.compile_space(3, &[(0, 1)], 0, 7).is_err());
-    }
-
-    #[test]
-    fn optimize_swaps_smaller_circuit_under_same_key() {
-        use trl_core::SplitMix64;
-        let mut rng = SplitMix64::new(3);
-        let cnf = trl_prop::gen::random_cnf(&mut rng, 8, 14, 3);
-        let engine = Engine::new(1 << 20, Some(2));
-        let (key, original) = engine.compile(&cnf);
-        let count = original.raw().model_count();
-        let nodes_before_stats = engine.stats().retained_nodes;
-
-        let report = engine.optimize(key).unwrap();
-        assert_eq!(report.key, key);
-        assert_eq!(report.nodes_before, original.raw().node_count());
-        if report.swapped {
-            // The registry now serves the smaller artifact under the SAME key.
-            let Some(Artifact::Circuit(small)) = engine.get(key) else {
-                panic!("artifact vanished");
-            };
-            assert!(!Arc::ptr_eq(&small, &original), "swap replaced the Arc");
-            assert_eq!(small.raw().node_count(), report.nodes_after);
-            assert!(report.nodes_after < report.nodes_before);
-            // The swap re-charges the warmed artifact: its raw arena plus
-            // its tape, and no smoothed copy.
-            assert!(small.smoothing_materialized());
-            assert_eq!(
-                engine.stats().retained_nodes,
-                nodes_before_stats - original.raw().node_count()
-                    + small.raw().node_count()
-                    + small.tape().len()
-            );
-            // In-flight holders of the old Arc still answer, identically.
-            assert_eq!(original.raw().model_count(), count);
-            assert_eq!(small.raw().model_count(), count);
-        }
-        // Unknown keys and non-circuit artifacts are typed errors.
-        assert!(engine.optimize(key ^ 1).is_err());
-        let (ckey, _) = engine.compile_classifier(&cnf);
-        assert!(engine.optimize(ckey).is_err());
-    }
-
-    #[test]
-    fn optimize_never_blocks_or_corrupts_concurrent_queries() {
-        use trl_core::SplitMix64;
-        let mut rng = SplitMix64::new(0xc0ffee);
-        let cnf = trl_prop::gen::random_cnf(&mut rng, 9, 18, 3);
-        let engine = Arc::new(Engine::new(1 << 20, Some(4)));
-        let (key, circuit) = engine.compile(&cnf);
-        let expect_count = circuit.raw().model_count();
-        let expect_sat = circuit.raw().sat_dnnf();
-        drop(circuit);
-
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut workers = Vec::new();
-        for _ in 0..4 {
-            let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
-            workers.push(std::thread::spawn(move || {
-                let mut batches = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    // Re-fetch by key each round, racing the swap.
-                    let Some(Artifact::Circuit(c)) = engine.get(key) else {
-                        panic!("artifact vanished mid-serve");
-                    };
-                    let outcomes = engine
-                        .run_batch(&c, vec![Query::ModelCount, Query::Sat])
-                        .expect("batch");
-                    assert_eq!(outcomes[0].answer.model_count(), Some(expect_count));
-                    assert!(matches!(
-                        outcomes[1].answer,
-                        crate::executor::QueryAnswer::Sat(s) if s == expect_sat
-                    ));
-                    batches += 1;
-                }
-                batches
-            }));
-        }
-        // Optimize repeatedly while the queries hammer the same key.
-        for _ in 0..3 {
-            let report = engine.optimize(key).expect("optimize");
-            assert_eq!(report.key, key);
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-        assert!(total > 0, "queries must have run during optimization");
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! frame this way.
 //!
 //! The worker pool runs tasks only ([`Executor::execute`]): the network
-//! server's artifact builds (compile, learn, optimize), which can take
-//! arbitrarily long and so must not run on a reactor.
+//! server's artifact builds (compile, learn, space, classifier), which
+//! can take arbitrarily long and so must not run on a reactor.
 //!
 //! The pool is deliberately dependency-free (std threads + `mpsc`): the
 //! workspace builds air-gapped.

@@ -86,8 +86,7 @@ struct Entry {
 /// The budget charges each artifact's [`Artifact::retained_nodes`] at
 /// insert time. For a circuit compiled on a miss that is its compiled
 /// (raw) size only: the evaluation tape its first counting or MPE query
-/// builds is not charged. [`Registry::replace`] charges what the swapped
-/// artifact holds at the swap, raw arena plus tape for a warmed one.
+/// builds is not charged.
 pub struct Registry {
     compiler: DecisionDnnfCompiler,
     max_retained_nodes: usize,
@@ -190,26 +189,9 @@ impl Registry {
         }
     }
 
-    /// The artifact under a fingerprint without counting a use or a hit —
-    /// maintenance passes (the optimize job) peek at entries without
-    /// pretending to be traffic.
+    /// The artifact under a fingerprint without counting a use or a hit.
     pub fn peek(&self, key: u64) -> Option<Artifact> {
         self.entries.get(&key).map(|e| e.artifact.clone())
-    }
-
-    /// Atomically replaces the artifact under `key`, **re-snapshotting its
-    /// budget charge**: a minimized artifact's smaller footprint releases
-    /// budget immediately (the insert-time snapshot is otherwise never
-    /// revisited), and a grown one triggers eviction as usual. The entry
-    /// keeps its queue and use counter — replacement is maintenance, not
-    /// traffic. Returns `false` (storing nothing) if `key` is not resident.
-    pub fn replace(&mut self, key: u64, artifact: Artifact) -> bool {
-        if !self.entries.contains_key(&key) {
-            return false;
-        }
-        self.swap(key, artifact);
-        self.evict_to_budget(None);
-        true
     }
 
     /// Swaps a resident entry's artifact and re-snapshots its charge.
@@ -306,7 +288,7 @@ impl Registry {
     }
 
     /// Total retained arena nodes across artifacts, as charged at their
-    /// insert (or [`Registry::replace`]) time.
+    /// insert time.
     pub fn retained_nodes(&self) -> usize {
         self.retained_nodes
     }
@@ -419,13 +401,6 @@ mod tests {
             }
         }
 
-        fn replace(&mut self, key: u64, charge: usize) {
-            if let Some(old) = self.charge.get_mut(&key) {
-                *old = charge;
-                self.evict(None);
-            }
-        }
-
         fn evict(&mut self, keep: Option<u64>) {
             while self.retained() > self.budget && self.charge.len() > 1 {
                 let small_turn = !self.small.is_empty()
@@ -472,8 +447,8 @@ mod tests {
 
     #[test]
     fn s3fifo_matches_the_reference_model() {
-        // A scripted mix of inserts, re-inserts, hits, misses, replaces and
-        // peeks over a small key space; the registry must keep the same
+        // A scripted mix of inserts, re-inserts, hits, misses and peeks
+        // over a small key space; the registry must keep the same
         // queues, uses and charges as the reference at every step.
         const BUDGET: usize = 40;
         let mut rng = SplitMix64::new(7);
@@ -493,13 +468,7 @@ mod tests {
                     model.insert(key, charge);
                 }
                 3..=7 => assert_eq!(r.get(key).is_some(), model.use_once(key)),
-                8 => assert_eq!(r.peek(key).is_some(), model.charge.contains_key(&key)),
-                _ => {
-                    let charge = 1 + rng.below(12);
-                    let stored = r.replace(key, sized(charge));
-                    assert_eq!(stored, model.charge.contains_key(&key));
-                    model.replace(key, charge);
-                }
+                _ => assert_eq!(r.peek(key).is_some(), model.charge.contains_key(&key)),
             }
             assert!(r.small.iter().eq(&model.small), "step {step}: small");
             assert!(r.main.iter().eq(&model.main), "step {step}: main");
@@ -712,49 +681,6 @@ mod tests {
         assert_eq!(r.retained_nodes(), a.retained_nodes());
         assert!(r.get(key).is_some());
         assert!(r.get(key ^ 1).is_none());
-    }
-
-    #[test]
-    fn replace_releases_budget_immediately() {
-        // Regression: an optimized artifact's smaller retained-node cost
-        // must be reflected in the running budget at swap time — the
-        // insert-time snapshot is revisited by `replace`.
-        // Hand-built circuit with guaranteed slack: ⊤-padded and-gates that
-        // the compact pass always eliminates.
-        let mut b = trl_nnf::CircuitBuilder::new(3);
-        let tt = b.true_();
-        let x0 = b.lit(trl_core::Var(0).positive());
-        let x1 = b.lit(trl_core::Var(1).positive());
-        let nx0 = b.lit(trl_core::Var(0).negative());
-        let x2 = b.lit(trl_core::Var(2).positive());
-        let lhs = b.and_raw([x0, tt, x1]);
-        let rhs = b.and_raw([nx0, x2, tt]);
-        let root = b.or_raw([lhs, rhs]);
-        let padded = b.finish(root);
-
-        let mut r = Registry::new(1 << 20);
-        let a = Arc::new(PreparedCircuit::new(padded));
-        a.answer(&crate::executor::Query::ModelCount); // materialize tape
-        let key = 0xdead_beef_u64;
-        r.insert(key, Artifact::Circuit(Arc::clone(&a)));
-        let before = r.retained_nodes();
-        assert_eq!(before, a.raw().node_count() + a.tape().len());
-
-        // Swap in a strictly smaller artifact under the same key.
-        let (small, report) =
-            trl_minimize::minimize_circuit(a.raw(), &trl_minimize::MinimizeConfig::default());
-        assert!(report.accepted, "padded circuit must have slack");
-        let small = Arc::new(PreparedCircuit::new(small));
-        let small_cost = small.retained_nodes();
-        assert!(r.replace(key, Artifact::Circuit(small)));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.retained_nodes(), small_cost, "budget released at swap");
-        assert!(r.retained_nodes() < before);
-
-        // Absent keys are rejected without storing anything.
-        let stray = Arc::new(PreparedCircuit::new(a.raw().clone()));
-        assert!(!r.replace(key ^ 1, Artifact::Circuit(stray)));
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod kernel;
 pub mod pool;
 pub mod properties;
 pub mod queries;
-pub mod sample;
 pub mod simd;
 pub mod taxonomy;
 
@@ -44,6 +43,5 @@ pub use kernel::{EvalTape, SumProductAnswer, SumProductLane, LANES};
 pub use pool::SweepPool;
 pub use properties::smooth;
 pub use queries::LitWeights;
-pub use sample::ModelSampler;
 pub use simd::LaneBackend;
 pub use taxonomy::{classify, CircuitClass};

@@ -19,7 +19,6 @@
 pub mod convert;
 pub mod manager;
 pub mod queries;
-pub mod swap;
 pub mod threshold;
 
 pub use manager::{BddRef, Obdd};

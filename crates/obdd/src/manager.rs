@@ -33,17 +33,12 @@ enum Op {
 }
 
 /// An OBDD manager over a fixed variable order.
-///
-/// The order is fixed per *operation*, not per manager lifetime:
-/// [`Obdd::swap_adjacent`] (in `swap.rs`) exchanges two adjacent levels in
-/// place, preserving every handle's function — the dynamic-reordering
-/// primitive Rudell sifting is built from.
 pub struct Obdd {
-    pub(crate) order: Vec<Var>,
+    order: Vec<Var>,
     /// Level of each variable (indexed by `Var`); `u32::MAX` if absent.
-    pub(crate) level_of: Vec<u32>,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<(u32, BddRef, BddRef), BddRef>,
+    level_of: Vec<u32>,
+    nodes: Vec<Node>,
+    unique: FxHashMap<(u32, BddRef, BddRef), BddRef>,
     apply_cache: FxHashMap<(Op, BddRef, BddRef), BddRef>,
     not_cache: FxHashMap<BddRef, BddRef>,
 }
@@ -488,11 +483,6 @@ impl Obdd {
             stack.push(n.high);
         }
         seen.len()
-    }
-
-    /// Total nodes allocated by the manager (monotone; includes garbage).
-    pub fn allocated(&self) -> usize {
-        self.nodes.len()
     }
 }
 

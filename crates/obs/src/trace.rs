@@ -717,7 +717,7 @@ pub fn chrome_trace_json(trace_id: u64, spans: &[TraceSpanData]) -> String {
 
 /// Counters the tracing layer bumps, pre-registered at engine
 /// construction so their Prometheus rows exist before the first sampled
-/// request (the `minimize.*` convention).
+/// request.
 pub const TRACE_COUNTERS: [&str; 3] = [
     "trace.spans_recorded",
     "trace.spans_dropped",

@@ -608,11 +608,6 @@ impl SddManager {
         }
         acc
     }
-
-    /// Total decision nodes allocated (monotone; includes garbage).
-    pub fn allocated(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]

@@ -119,22 +119,6 @@ pub struct ClassifierSummary {
     pub nodes: u32,
 }
 
-/// Summary of a registry minimization pass, from
-/// [`Response::Optimized`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OptimizedSummary {
-    /// The key whose artifact was (maybe) minimized; unchanged.
-    pub key: u64,
-    /// Nodes in the circuit before minimization.
-    pub nodes_before: u32,
-    /// Nodes in the circuit the key now serves.
-    pub nodes_after: u32,
-    /// Whether a strictly smaller circuit was swapped in.
-    pub swapped: bool,
-    /// Wall time the minimization pass took, in microseconds.
-    pub wall_us: u64,
-}
-
 /// One blocking connection to a `trl-server`. A blocking call reads
 /// exactly one response, so it must not be made while pipelined frames
 /// are still in flight.
@@ -270,30 +254,6 @@ impl Client {
             }),
             _ => Err(ClientError::UnexpectedResponse {
                 expected: "classifier compiled",
-            }),
-        }
-    }
-
-    /// Asks the server to minimize the circuit under `key` and swap in a
-    /// strictly smaller bit-identical replacement if one is found. The key
-    /// is unchanged either way.
-    pub fn optimize(&mut self, key: u64) -> Result<OptimizedSummary> {
-        match self.call(&Request::Optimize { key })? {
-            Response::Optimized {
-                key,
-                nodes_before,
-                nodes_after,
-                swapped,
-                wall_us,
-            } => Ok(OptimizedSummary {
-                key,
-                nodes_before,
-                nodes_after,
-                swapped,
-                wall_us,
-            }),
-            _ => Err(ClientError::UnexpectedResponse {
-                expected: "optimized",
             }),
         }
     }

@@ -8,8 +8,8 @@
 //!
 //! * [`protocol`] — a length-prefixed, checksummed binary wire protocol
 //!   with one version ([`PROTOCOL_VERSION`]). Builds (compile, PSDD
-//!   learning, structured spaces, classifiers, optimize), stats, ping and
-//!   shutdown each have a frame; every query kind of the three roles —
+//!   learning, structured spaces, classifiers), stats, ping and shutdown
+//!   each have a frame; every query kind of the three roles —
 //!   SAT, model counts, WMC, marginals, MPE; PSDD log-likelihood and
 //!   marginals, space count and top; sufficient reasons, robustness and
 //!   bias — rides one of two query frames (plain or traced), which carry
@@ -52,8 +52,7 @@ pub mod reactor;
 pub mod server;
 
 pub use client::{
-    ClassifierSummary, Client, ClientError, CompiledSummary, LearnedSummary, OptimizedSummary,
-    SpaceSummary,
+    ClassifierSummary, Client, ClientError, CompiledSummary, LearnedSummary, SpaceSummary,
 };
 pub use protocol::{
     read_request, read_response, scan_frame, write_request, write_response, FrameScan,

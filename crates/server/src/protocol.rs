@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"TRLW"
-//!      4     2  protocol version (7)
+//!      4     2  protocol version (8)
 //!      6     1  frame kind tag (request 0x01..., response 0x81...)
 //!      7     1  reserved (0)
 //!      8     4  payload length in bytes (u32)
@@ -31,7 +31,9 @@
 //! ## Frames
 //!
 //! There is one protocol version, [`PROTOCOL_VERSION`]; a frame stamped
-//! with any other is rejected with [`ProtocolError::UnsupportedVersion`].
+//! with any other is rejected with [`ProtocolError::UnsupportedVersion`],
+//! which a server answers with [`WireError::UnsupportedVersion`] before
+//! closing the connection. Kinds 0x0b and 0x8c are unassigned.
 //!
 //! ```text
 //! request                      kind  response                        kind
@@ -43,7 +45,6 @@
 //! LearnPsdd                    0x08  Learned                         0x89
 //! CompileSpace                 0x09  SpaceCompiled                   0x8a
 //! CompileClassifier            0x0a  ClassifierCompiled              0x8b
-//! Optimize                     0x0b  Optimized                       0x8c
 //! Trace {id,ctx,key,qs}        0x0c  Traced {id,result,spans}        0x8d
 //! (any request that failed)          Error                           0x87
 //! ```
@@ -68,7 +69,7 @@ use trl_obs::{HistogramSnapshot, MetricValue, MetricsDump, TraceContext, TraceSp
 use trl_prop::Cnf;
 
 /// The one protocol version this build speaks.
-pub const PROTOCOL_VERSION: u16 = 7;
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Frame magic: "TRL Wire".
 pub const MAGIC: [u8; 4] = *b"TRLW";
@@ -94,7 +95,6 @@ const KIND_REQ_PIPELINED_BATCH: u8 = 0x07;
 const KIND_REQ_LEARN_PSDD: u8 = 0x08;
 const KIND_REQ_COMPILE_SPACE: u8 = 0x09;
 const KIND_REQ_COMPILE_CLASSIFIER: u8 = 0x0a;
-const KIND_REQ_OPTIMIZE: u8 = 0x0b;
 const KIND_REQ_TRACE: u8 = 0x0c;
 
 const KIND_RESP_PONG: u8 = 0x81;
@@ -106,7 +106,6 @@ const KIND_RESP_PIPELINED_BATCH: u8 = 0x88;
 const KIND_RESP_LEARNED: u8 = 0x89;
 const KIND_RESP_SPACE_COMPILED: u8 = 0x8a;
 const KIND_RESP_CLASSIFIER_COMPILED: u8 = 0x8b;
-const KIND_RESP_OPTIMIZED: u8 = 0x8c;
 const KIND_RESP_TRACED: u8 = 0x8d;
 
 /// Errors that make a frame (and usually the stream carrying it)
@@ -226,6 +225,14 @@ pub enum WireError {
     Engine(String),
     /// The server is draining for shutdown and no longer admits work.
     ShuttingDown,
+    /// The request frame was stamped with a protocol version this server
+    /// does not speak; the server closes the connection after this error.
+    UnsupportedVersion {
+        /// Version found in the request frame's header.
+        found: u16,
+        /// The one version the server speaks.
+        supported: u16,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -242,6 +249,10 @@ impl fmt::Display for WireError {
             WireError::Invalid(m) => write!(f, "invalid request: {m}"),
             WireError::Engine(m) => write!(f, "engine error: {m}"),
             WireError::ShuttingDown => write!(f, "server is shutting down"),
+            WireError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "unsupported protocol version {found} (the server speaks only version {supported})"
+            ),
         }
     }
 }
@@ -303,13 +314,6 @@ pub enum Request {
     /// for explanation queries; answered with
     /// [`Response::ClassifierCompiled`].
     CompileClassifier(Cnf),
-    /// Minimize the circuit resident under `key` and, if a
-    /// strictly smaller bit-identical circuit is found, atomically swap
-    /// it in under the same key; answered with [`Response::Optimized`].
-    Optimize {
-        /// Registry key from a [`Response::Compiled`].
-        key: u64,
-    },
     /// A force-sampled query frame carrying its trace context: answered
     /// out of order by id like [`Request::PipelinedBatch`] (the answers
     /// are bit-identical to the untraced ones) but with the server-side
@@ -402,21 +406,6 @@ pub enum Response {
         result: std::result::Result<Vec<QueryAnswer>, WireError>,
         /// The server-side span tree, flat with parent links.
         spans: Vec<TraceSpanData>,
-    },
-    /// Answer to [`Request::Optimize`].
-    Optimized {
-        /// The key whose artifact was (maybe) minimized; unchanged.
-        key: u64,
-        /// Nodes in the circuit before minimization.
-        nodes_before: u32,
-        /// Nodes in the circuit the key now serves.
-        nodes_after: u32,
-        /// Whether a strictly smaller circuit was swapped in; `false`
-        /// means the resident circuit was already minimal (or was
-        /// evicted mid-pass) and is untouched.
-        swapped: bool,
-        /// Wall time the minimization pass took, in microseconds.
-        wall_us: u64,
     },
 }
 
@@ -567,6 +556,9 @@ impl Enc {
     fn u8(&mut self, x: u8) {
         self.0.push(x);
     }
+    fn u16(&mut self, x: u16) {
+        self.0.extend_from_slice(&x.to_le_bytes());
+    }
     fn u32(&mut self, x: u32) {
         self.0.extend_from_slice(&x.to_le_bytes());
     }
@@ -613,6 +605,9 @@ impl<'a> Dec<'a> {
 
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
+    }
+    fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
@@ -1069,6 +1064,7 @@ const ERR_UNKNOWN_KEY: u8 = 1;
 const ERR_INVALID: u8 = 2;
 const ERR_ENGINE: u8 = 3;
 const ERR_SHUTTING_DOWN: u8 = 4;
+const ERR_UNSUPPORTED_VERSION: u8 = 5;
 
 fn encode_wire_error(e: &mut Enc, err: &WireError) {
     match err {
@@ -1093,6 +1089,11 @@ fn encode_wire_error(e: &mut Enc, err: &WireError) {
             e.str(m);
         }
         WireError::ShuttingDown => e.u8(ERR_SHUTTING_DOWN),
+        WireError::UnsupportedVersion { found, supported } => {
+            e.u8(ERR_UNSUPPORTED_VERSION);
+            e.u16(*found);
+            e.u16(*supported);
+        }
     }
 }
 
@@ -1106,6 +1107,10 @@ fn decode_wire_error(d: &mut Dec) -> Result<WireError> {
         ERR_INVALID => WireError::Invalid(d.str()?),
         ERR_ENGINE => WireError::Engine(d.str()?),
         ERR_SHUTTING_DOWN => WireError::ShuttingDown,
+        ERR_UNSUPPORTED_VERSION => WireError::UnsupportedVersion {
+            found: d.u16()?,
+            supported: d.u16()?,
+        },
         tag => {
             return Err(ProtocolError::Malformed(format!(
                 "unknown wire-error tag {tag}"
@@ -1320,10 +1325,6 @@ impl Request {
                 encode_cnf(&mut e, cnf);
                 KIND_REQ_COMPILE_CLASSIFIER
             }
-            Request::Optimize { key } => {
-                e.u64(*key);
-                KIND_REQ_OPTIMIZE
-            }
             Request::Trace {
                 id,
                 ctx,
@@ -1378,7 +1379,6 @@ impl Request {
                 }
             }
             KIND_REQ_COMPILE_CLASSIFIER => Request::CompileClassifier(decode_cnf(&mut d)?),
-            KIND_REQ_OPTIMIZE => Request::Optimize { key: d.u64()? },
             KIND_REQ_TRACE => Request::Trace {
                 id: d.u64()?,
                 ctx: TraceContext {
@@ -1466,20 +1466,6 @@ impl Response {
                 e.u32(*nodes);
                 KIND_RESP_CLASSIFIER_COMPILED
             }
-            Response::Optimized {
-                key,
-                nodes_before,
-                nodes_after,
-                swapped,
-                wall_us,
-            } => {
-                e.u64(*key);
-                e.u32(*nodes_before);
-                e.u32(*nodes_after);
-                e.u8(u8::from(*swapped));
-                e.u64(*wall_us);
-                KIND_RESP_OPTIMIZED
-            }
             Response::Traced { id, result, spans } => {
                 e.u64(*id);
                 encode_result(&mut e, result);
@@ -1530,13 +1516,6 @@ impl Response {
                 key: d.u64()?,
                 num_vars: d.u32()?,
                 nodes: d.u32()?,
-            },
-            KIND_RESP_OPTIMIZED => Response::Optimized {
-                key: d.u64()?,
-                nodes_before: d.u32()?,
-                nodes_after: d.u32()?,
-                swapped: d.u8()? != 0,
-                wall_us: d.u64()?,
             },
             KIND_RESP_TRACED => {
                 let id = d.u64()?;
@@ -1686,7 +1665,6 @@ mod tests {
                 t: 3,
             },
             Request::CompileClassifier(Cnf::parse_dimacs("p cnf 2 2\n1 0\n-1 2 0\n").unwrap()),
-            Request::Optimize { key: 0xfeed_beef },
             Request::Trace {
                 id: 4,
                 ctx: TraceContext {
@@ -1739,6 +1717,10 @@ mod tests {
             Response::Error(WireError::Invalid("weights cover 2 vars".into())),
             Response::Error(WireError::Engine("structure".into())),
             Response::Error(WireError::ShuttingDown),
+            Response::Error(WireError::UnsupportedVersion {
+                found: u16::MAX,
+                supported: PROTOCOL_VERSION,
+            }),
             Response::PipelinedBatch {
                 id: 18,
                 result: Ok(Vec::new()),
@@ -1766,13 +1748,6 @@ mod tests {
                 key: 23,
                 num_vars: 2,
                 nodes: 5,
-            },
-            Response::Optimized {
-                key: 24,
-                nodes_before: 120,
-                nodes_after: 95,
-                swapped: true,
-                wall_us: 1234,
             },
             Response::Traced {
                 id: 26,

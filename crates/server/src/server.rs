@@ -25,10 +25,10 @@
 //!   a long batch holds up the other connections on its reactor, and one
 //!   connection's frames are answered one group after another on one
 //!   thread instead of fanning out across workers;
-//! * **builds run on the engine's workers**: compile, learn, space,
-//!   classifier and optimize requests become tasks on the executor's
-//!   fixed pool ([`trl_engine::Executor::execute`]), so a slow build never
-//!   stalls a reactor and no request spawns a thread. A finished build
+//! * **builds run on the engine's workers**: compile, learn, space and
+//!   classifier requests become tasks on the executor's fixed pool
+//!   ([`trl_engine::Executor::execute`]), so a slow build never stalls a
+//!   reactor and no request spawns a thread. A finished build
 //!   returns its response through the reactor's inbox;
 //! * **pipelining**: a connection may have any number of frames in
 //!   flight. Query frames carry a client-chosen id and are answered out
@@ -68,7 +68,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::protocol::{
-    scan_frame, write_response, FrameScan, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN,
+    scan_frame, write_response, FrameScan, ProtocolError, Request, Response, WireError,
+    DEFAULT_MAX_FRAME_LEN,
 };
 use crate::reactor::{Event, Reactor, Waker};
 use trl_engine::{Artifact, Engine, EngineError, Query, QueryAnswer};
@@ -920,11 +921,11 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorSh
                 conn.inpos += consumed;
                 match Request::decode(kind, &payload) {
                     Ok(request) => dispatch(conn, request, &mut groups, shared, rshared),
-                    Err(e) => protocol_reject(conn, &e.to_string()),
+                    Err(e) => protocol_reject(conn, e),
                 }
             }
             Err(e) => {
-                protocol_reject(conn, &e.to_string());
+                protocol_reject(conn, e);
                 break;
             }
         }
@@ -953,9 +954,15 @@ fn process_frames(conn: &mut Conn, shared: &Arc<Shared>, rshared: &Arc<ReactorSh
 }
 
 /// Typed rejection, then drain-and-close: framing cannot resync.
-fn protocol_reject(conn: &mut Conn, message: &str) {
+fn protocol_reject(conn: &mut Conn, e: ProtocolError) {
     let seq = conn.take_seq();
-    let resp = Response::Error(WireError::Invalid(message.to_string()));
+    let err = match e {
+        ProtocolError::UnsupportedVersion { found, supported } => {
+            WireError::UnsupportedVersion { found, supported }
+        }
+        other => WireError::Invalid(other.to_string()),
+    };
+    let resp = Response::Error(err);
     conn.enqueue_ordered(seq, encode_response(&resp));
     conn.read_closed = true;
 }
@@ -1073,30 +1080,6 @@ fn dispatch(
                     key,
                     num_vars: clf.num_vars() as u32,
                     nodes: clf.node_count() as u32,
-                }
-            });
-        }
-        // Sifting and vtree search can take the schedule's whole time
-        // budget; in-flight queries keep serving from the original circuit
-        // throughout.
-        Request::Optimize { key } => {
-            trl_obs::counter!("server.requests.optimize").inc();
-            // Reject an unknown key on the reactor thread: no admission
-            // slot or worker for a request that cannot do work.
-            if shared.engine.get(key).is_none() {
-                respond_inline(conn, shared, &Response::Error(WireError::UnknownKey(key)));
-                return;
-            }
-            start_build(conn, "optimize", shared, rshared, move |e| {
-                match e.optimize(key) {
-                    Ok(r) => Response::Optimized {
-                        key: r.key,
-                        nodes_before: r.nodes_before as u32,
-                        nodes_after: r.nodes_after as u32,
-                        swapped: r.swapped,
-                        wall_us: r.wall_us,
-                    },
-                    Err(err) => Response::Error(engine_error_to_wire(err)),
                 }
             });
         }
@@ -1310,9 +1293,9 @@ fn answer(conn: &mut Conn, group: Group, shared: &Shared) {
     }
 }
 
-/// Runs an artifact build (compile, learn, space, classifier, optimize)
-/// as a task on the engine's worker pool: a build can take arbitrarily
-/// long and must not stall the reactor's event loop. `build` runs on the
+/// Runs an artifact build (compile, learn, space, classifier) as a task
+/// on the engine's worker pool: a build can take arbitrarily long and
+/// must not stall the reactor's event loop. `build` runs on the
 /// worker and returns the ordered response, which travels back through
 /// the reactor's inbox.
 fn start_build<F>(
@@ -1342,8 +1325,8 @@ fn start_build<F>(
     let ctx = trl_obs::maybe_sample();
     shared.engine.executor().execute(move || {
         let started = Instant::now();
-        // Installing the sampled context means registry hit/compile and
-        // minimize-pass spans inside `build` land in the tree.
+        // Installing the sampled context means registry hit/compile spans
+        // inside `build` land in the tree.
         let resp = trl_obs::with_current_trace(ctx, || build(&task_shared.engine));
         task_shared.release_admitted(1);
         let handle_time = started.elapsed();

@@ -212,37 +212,6 @@ fn unknown_key_is_typed() {
     handle.shutdown();
 }
 
-/// The optimize request echoes the key, never grows
-/// the circuit, and answers stay bit-identical afterwards. An unknown key
-/// is rejected with the same typed error as a query.
-#[test]
-fn optimize_over_the_wire_preserves_answers() {
-    let cnf = acceptance_cnf();
-    let engine = Arc::new(Engine::new(1 << 22, Some(2)));
-    let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let compiled = client.compile(&cnf).unwrap();
-    let queries = query_stream(cnf.num_vars(), 3);
-    let before = client.batch(compiled.key, queries.clone()).unwrap();
-
-    let report = client.optimize(compiled.key).expect("optimize");
-    assert_eq!(report.key, compiled.key, "key survives the swap");
-    assert_eq!(report.nodes_before, compiled.nodes);
-    assert!(report.nodes_after <= report.nodes_before, "never grows");
-    if report.swapped {
-        assert!(report.nodes_after < report.nodes_before);
-    }
-    // Same key, same bits, whether or not a smaller circuit swapped in.
-    let after = client.batch(compiled.key, queries).unwrap();
-    assert_eq!(after, before, "answers changed across optimize");
-
-    match client.optimize(0xbad_c0de) {
-        Err(ClientError::Server(WireError::UnknownKey(k))) => assert_eq!(k, 0xbad_c0de),
-        other => panic!("expected UnknownKey, got {other:?}"),
-    }
-    handle.shutdown();
-}
-
 /// Invalid queries (weights not covering the universe) are typed errors.
 #[test]
 fn invalid_query_is_typed() {

@@ -92,7 +92,6 @@ fn all_requests() -> Vec<Request> {
             t: 3,
         },
         Request::CompileClassifier(sample_cnf()),
-        Request::Optimize { key: 19 },
         // The role-2/3 query tags.
         Request::PipelinedBatch {
             id: 9,
@@ -193,13 +192,11 @@ fn all_role_responses() -> Vec<Response> {
             num_vars: 4,
             nodes: 7,
         },
-        Response::Optimized {
-            key: 34,
-            nodes_before: 40,
-            nodes_after: 40,
-            swapped: false,
-            wall_us: 512,
-        },
+        // The typed rejection of another protocol version.
+        Response::Error(WireError::UnsupportedVersion {
+            found: 7,
+            supported: PROTOCOL_VERSION,
+        }),
         // The circuit answer tags.
         Response::PipelinedBatch {
             id: 1,
@@ -272,6 +269,13 @@ fn all_role_responses() -> Vec<Response> {
             id: 8,
             result: Err(WireError::Invalid("weights cover 2 vars".into())),
             spans: sample_spans(),
+        },
+        Response::PipelinedBatch {
+            id: 9,
+            result: Err(WireError::UnsupportedVersion {
+                found: u16::MAX,
+                supported: PROTOCOL_VERSION,
+            }),
         },
     ]
 }
@@ -389,7 +393,7 @@ fn mid_frame_disconnect_at_every_cut_is_typed() {
 #[test]
 fn version_skew_is_typed() {
     // One version is spoken; every other one, older or newer, is rejected.
-    for version in [0, 1, 6, 8, 99, u16::MAX] {
+    for version in [0, 1, 7, 9, 99, u16::MAX] {
         let mut bytes = Vec::new();
         write_request(&mut bytes, &Request::Ping).unwrap();
         stamp_version(&mut bytes, version);
@@ -403,16 +407,34 @@ fn version_skew_is_typed() {
     }
     let mut bytes = Vec::new();
     write_request(&mut bytes, &Request::Ping).unwrap();
-    stamp_version(&mut bytes, 7);
+    stamp_version(&mut bytes, 8);
     assert_eq!(
         read_request(&mut bytes.as_slice(), DEFAULT_MAX_FRAME_LEN),
         Ok(Request::Ping)
     );
 }
 
+/// The kinds of the retired `Optimize`/`Optimized` frames (0x0b, 0x8c)
+/// are unassigned: a well-formed, checksummed frame of either kind is an
+/// unexpected frame, never a panic or a silent decode.
+#[test]
+fn retired_kinds_are_unexpected_frames() {
+    let request = retired_frame(0x0b);
+    match read_request(&mut request.as_slice(), DEFAULT_MAX_FRAME_LEN) {
+        Err(ProtocolError::UnexpectedFrame { kind: 0x0b, .. }) => {}
+        other => panic!("kind 0x0b: expected an unexpected frame, got {other:?}"),
+    }
+    let response = retired_frame(0x8c);
+    match read_response(&mut response.as_slice(), DEFAULT_MAX_FRAME_LEN) {
+        Err(ProtocolError::UnexpectedFrame { kind: 0x8c, .. }) => {}
+        other => panic!("kind 0x8c: expected an unexpected frame, got {other:?}"),
+    }
+}
+
 /// A live server answers a frame of any other version with exactly one
-/// typed error naming that version, then closes the connection; other
-/// connections keep being served.
+/// typed error naming that version, and a frame of a retired kind with
+/// one typed error, then closes the connection; other connections keep
+/// being served.
 #[test]
 fn a_live_server_answers_another_version_with_one_typed_error_then_closes() {
     use std::io::Write;
@@ -426,7 +448,7 @@ fn a_live_server_answers_another_version_with_one_typed_error_then_closes() {
     let handle = Server::bind("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
     let mut survivor = Client::connect(handle.addr()).unwrap();
     let key = survivor.compile(&sample_cnf()).unwrap().key;
-    for version in [6, 1, 8] {
+    for version in [7, 1, 9] {
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -444,11 +466,12 @@ fn a_live_server_answers_another_version_with_one_typed_error_then_closes() {
         .unwrap();
         stamp_version(&mut bytes, version);
         stream.write_all(&bytes).unwrap();
+        let expected = WireError::UnsupportedVersion {
+            found: version,
+            supported: PROTOCOL_VERSION,
+        };
         match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN) {
-            Ok(Response::Error(WireError::Invalid(message))) => assert!(
-                message.contains(&format!("unsupported protocol version {version} ")),
-                "version {version}: {message}"
-            ),
+            Ok(Response::Error(err)) => assert_eq!(err, expected, "version {version}"),
             other => panic!("version {version}: expected a typed error, got {other:?}"),
         }
         match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN) {
@@ -458,6 +481,24 @@ fn a_live_server_answers_another_version_with_one_typed_error_then_closes() {
         let answer = survivor.query(key, Query::ModelCount).unwrap();
         assert!(answer.model_count().unwrap() > 0, "version {version}");
     }
+    // An old client's `Optimize` frame: current version, retired kind.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&retired_frame(0x0b)).unwrap();
+    match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+        Ok(Response::Error(WireError::Invalid(message))) => {
+            assert!(message.contains("0x0b"), "{message}")
+        }
+        other => panic!("kind 0x0b: expected a typed error, got {other:?}"),
+    }
+    match read_response(&mut stream, DEFAULT_MAX_FRAME_LEN) {
+        Err(ProtocolError::Disconnected | ProtocolError::Io(_)) => {}
+        other => panic!("kind 0x0b: expected the connection closed, got {other:?}"),
+    }
+    let answer = survivor.query(key, Query::ModelCount).unwrap();
+    assert!(answer.model_count().unwrap() > 0, "after kind 0x0b");
     drop(survivor);
     handle.shutdown();
 }
@@ -845,6 +886,19 @@ fn traced_span_count_bomb_rejected() {
 fn stamp_version(bytes: &mut [u8], version: u16) {
     bytes[4..6].copy_from_slice(&version.to_le_bytes());
     restamp_header(bytes);
+}
+
+/// A checksummed frame of the current version whose kind is `kind` and
+/// whose payload is one `u64` key, the shape of the retired
+/// `Optimize { key }` frame.
+fn retired_frame(kind: u8) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_request(&mut bytes, &Request::Ping).unwrap();
+    bytes[6] = kind;
+    bytes.extend_from_slice(&19u64.to_le_bytes());
+    bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
+    restamp_payload_and_header(&mut bytes);
+    bytes
 }
 
 /// Recomputes the header checksum after a deliberate header edit.

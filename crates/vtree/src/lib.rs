@@ -232,8 +232,7 @@ impl Vtree {
     }
 
     /// The declarative [`Shape`] of this vtree — the inverse of
-    /// [`Vtree::from_shape`]. Minimizers edit shapes (rotate, swap) and
-    /// rebuild, keeping the arena immutable.
+    /// [`Vtree::from_shape`].
     pub fn to_shape(&self) -> Shape {
         self.shape_of(self.root)
     }
@@ -314,93 +313,6 @@ impl Shape {
                     Box::new(Shape::balanced(&order[mid..])),
                 )
             }
-        }
-    }
-
-    /// Number of internal nodes — the move targets of [`Shape::apply_move`].
-    pub fn internal_count(&self) -> usize {
-        match self {
-            Shape::Leaf(_) => 0,
-            Shape::Internal(l, r) => 1 + l.internal_count() + r.internal_count(),
-        }
-    }
-
-    /// Applies `mv` at the `target`-th internal node (pre-order index),
-    /// returning the rewritten shape — or `None` when the move does not
-    /// apply there (rotating through a leaf child, or `target` out of
-    /// range). The original shape is never mutated.
-    pub fn apply_move(&self, target: usize, mv: VtreeMove) -> Option<Shape> {
-        let mut counter = 0usize;
-        self.apply_move_rec(target, mv, &mut counter)
-    }
-
-    fn apply_move_rec(&self, target: usize, mv: VtreeMove, counter: &mut usize) -> Option<Shape> {
-        let Shape::Internal(l, r) = self else {
-            return None;
-        };
-        let here = *counter;
-        *counter += 1;
-        if here == target {
-            return mv.apply(l, r);
-        }
-        // Recurse left first (pre-order); only one subtree can hold `target`.
-        if let Some(new_left) = l.apply_move_rec(target, mv, counter) {
-            return Some(Shape::Internal(Box::new(new_left), r.clone()));
-        }
-        if let Some(new_right) = r.apply_move_rec(target, mv, counter) {
-            return Some(Shape::Internal(l.clone(), Box::new(new_right)));
-        }
-        None
-    }
-}
-
-/// A local vtree edit: the three semantics-preserving structural moves of
-/// SDD minimization (Choi & Darwiche 2013). Rotations re-associate a
-/// nested pair; child swap flips one node's children. All three preserve
-/// the leaf *set* (never the in-order sequence), so any SDD can be
-/// re-compiled against the edited tree.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VtreeMove {
-    /// `(a, (b, c))` → `((a, b), c)`. Needs an internal right child.
-    RotateLeft,
-    /// `((a, b), c)` → `(a, (b, c))`. Needs an internal left child.
-    RotateRight,
-    /// `(a, b)` → `(b, a)`. Always applies at an internal node.
-    SwapChildren,
-}
-
-impl VtreeMove {
-    /// All moves, in the order minimizers enumerate them.
-    pub const ALL: [VtreeMove; 3] = [
-        VtreeMove::RotateLeft,
-        VtreeMove::RotateRight,
-        VtreeMove::SwapChildren,
-    ];
-
-    fn apply(self, left: &Shape, right: &Shape) -> Option<Shape> {
-        match self {
-            VtreeMove::RotateLeft => {
-                let Shape::Internal(b, c) = right else {
-                    return None;
-                };
-                Some(Shape::Internal(
-                    Box::new(Shape::Internal(Box::new(left.clone()), b.clone())),
-                    c.clone(),
-                ))
-            }
-            VtreeMove::RotateRight => {
-                let Shape::Internal(a, b) = left else {
-                    return None;
-                };
-                Some(Shape::Internal(
-                    a.clone(),
-                    Box::new(Shape::Internal(b.clone(), Box::new(right.clone()))),
-                ))
-            }
-            VtreeMove::SwapChildren => Some(Shape::Internal(
-                Box::new(right.clone()),
-                Box::new(left.clone()),
-            )),
         }
     }
 }
@@ -588,20 +500,6 @@ mod tests {
         let _ = Vtree::from_shape(&shape);
     }
 
-    /// In-order-insensitive leaf multiset of a shape.
-    fn leaf_set(s: &Shape) -> Vec<Var> {
-        let mut out = match s {
-            Shape::Leaf(v) => vec![*v],
-            Shape::Internal(l, r) => {
-                let mut a = leaf_set(l);
-                a.extend(leaf_set(r));
-                a
-            }
-        };
-        out.sort();
-        out
-    }
-
     #[test]
     fn to_shape_round_trips() {
         for t in [
@@ -613,64 +511,6 @@ mod tests {
             assert_eq!(rebuilt.node_count(), t.node_count());
             assert_eq!(rebuilt.variable_order(), t.variable_order());
         }
-    }
-
-    #[test]
-    fn rotations_reassociate_and_invert() {
-        // Right-linear (0,(1,(2,3))) rotated left at the root becomes
-        // ((0,1),(2,3)); rotating that back right restores the original.
-        let shape = Shape::right_linear(&vars(4));
-        let rotated = shape.apply_move(0, VtreeMove::RotateLeft).unwrap();
-        let t = Vtree::from_shape(&rotated);
-        assert_eq!(t.vars(t.left(t.root())).len(), 2);
-        assert_eq!(t.variable_order(), vars(4));
-        let back = rotated.apply_move(0, VtreeMove::RotateRight).unwrap();
-        let rt = Vtree::from_shape(&back);
-        assert!(rt.is_right_linear());
-        assert_eq!(rt.variable_order(), vars(4));
-    }
-
-    #[test]
-    fn moves_preserve_leaf_set_everywhere() {
-        let shape = Shape::balanced(&vars(9));
-        let internals = shape.internal_count();
-        assert_eq!(internals, 8);
-        let expect = leaf_set(&shape);
-        let mut applied = 0;
-        for target in 0..internals {
-            for mv in VtreeMove::ALL {
-                if let Some(next) = shape.apply_move(target, mv) {
-                    applied += 1;
-                    assert_eq!(leaf_set(&next), expect, "{mv:?} at {target}");
-                    assert_eq!(next.internal_count(), internals);
-                    // The edited shape still builds a valid vtree.
-                    let t = Vtree::from_shape(&next);
-                    assert_eq!(t.num_vars(), 9);
-                }
-            }
-        }
-        // Child swap always applies; at least some rotations do too.
-        assert!(applied > internals);
-    }
-
-    #[test]
-    fn inapplicable_moves_return_none() {
-        let pair = Shape::balanced(&vars(2)); // (0, 1): both children leaves
-        assert!(pair.apply_move(0, VtreeMove::RotateLeft).is_none());
-        assert!(pair.apply_move(0, VtreeMove::RotateRight).is_none());
-        assert!(pair.apply_move(0, VtreeMove::SwapChildren).is_some());
-        assert!(pair.apply_move(1, VtreeMove::SwapChildren).is_none());
-        assert!(Shape::Leaf(Var(0))
-            .apply_move(0, VtreeMove::SwapChildren)
-            .is_none());
-    }
-
-    #[test]
-    fn swap_children_flips_order_not_set() {
-        let shape = Shape::balanced(&vars(4));
-        let swapped = shape.apply_move(0, VtreeMove::SwapChildren).unwrap();
-        let t = Vtree::from_shape(&swapped);
-        assert_eq!(t.variable_order(), [Var(2), Var(3), Var(0), Var(1)]);
     }
 
     #[test]

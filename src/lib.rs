@@ -27,9 +27,6 @@ pub use trl_core as core;
 /// Compile-once/query-many serving: circuit persistence, the artifact
 /// registry, and the batched query executor.
 pub use trl_engine as engine;
-/// Circuit minimization: variable-order sifting, vtree local search, and
-/// structural compaction — smaller circuits, bit-identical answers.
-pub use trl_minimize as minimize;
 /// NNF circuits, their tractability properties, and their polytime queries.
 pub use trl_nnf as nnf;
 /// Ordered binary decision diagrams.

@@ -3,8 +3,6 @@
 //!
 //! ```text
 //! three-roles compile <cnf> [-o ARTIFACT] [--text] [--emit-vtree PATH] [--stats]
-//! three-roles optimize <cnf|artifact> [-o ARTIFACT] [--strategy S] [--time-ms MS]
-//!                   [--passes N] [--min-nodes N] [--server ADDR]
 //! three-roles query <artifact> [--count] [--sat] [--wmc] [--marginals] [--mpe]
 //!                   [--weight LIT=W]... [--under LIT]... [--batch FILE]
 //!                   [--trust]
@@ -88,7 +86,6 @@ fn main() -> ExitCode {
     };
     let run = match cmd.as_str() {
         "compile" => cmd_compile(rest),
-        "optimize" => cmd_optimize(rest),
         "query" => cmd_query(rest),
         "learn" => cmd_learn(rest),
         "space" => cmd_space(rest),
@@ -117,8 +114,6 @@ three-roles — tractable circuits: compile once, query many
 
 USAGE:
   three-roles compile <cnf> [-o ARTIFACT] [--text] [--emit-vtree PATH] [--stats]
-  three-roles optimize <cnf|artifact> [-o ARTIFACT] [--strategy S] [--time-ms MS]
-                    [--passes N] [--min-nodes N] [--server ADDR]
   three-roles query <artifact> [--count] [--sat] [--wmc] [--marginals] [--mpe]
                     [--weight LIT=W]... [--under LIT]... [--batch FILE]
                     [--trust]
@@ -144,22 +139,6 @@ COMPILE:
   --text             write the c2d-compatible .nnf text format instead of binary
   --emit-vtree PATH  also write a balanced vtree over the CNF's variables
   --stats            print compilation statistics
-
-OPTIMIZE (shrink a compiled circuit; every answer stays bit-identical):
-  <cnf|artifact>     a DIMACS .cnf/.dimacs compiles first; anything else
-                     loads as a compiled artifact (.nnf text or binary)
-  -o ARTIFACT        write the minimized circuit (binary, or .nnf if the
-                     path ends in .nnf); default: report only, write nothing
-  --strategy S       compact | obdd | vtree | full (default full: try every
-                     candidate, keep the smallest that verifies)
-  --time-ms MS       search time budget in milliseconds (default 1000)
-  --passes N         max sifting/rotation passes per candidate (default 4)
-  --min-nodes N      skip circuits smaller than N nodes (default 0: always)
-  --server ADDR      optimize inside a running `serve`'s registry instead:
-                     compile (a hit when warm), then atomically swap the
-                     resident artifact for the smaller one under the same
-                     key (search flags above are local-only; the server
-                     runs its default schedule)
 
 QUERY (artifacts ending in .nnf use the text reader, anything else binary):
   --count            model count (default when no query flag is given)
@@ -222,8 +201,8 @@ TRACE (answer like `query`, then print the request's span tree):
                      JSON (chrome://tracing, Perfetto)
 
 SERVE (TCP frontend; `client query` answers are bit-identical to `query`):
-  --workers N        engine worker threads, which run compile, learn and
-                     optimize requests (default: all available cores)
+  --workers N        engine worker threads, which run compile, learn, space
+                     and explain builds (default: all available cores)
   --budget NODES     registry node-retention budget (default 2^24)
   --max-conns N      concurrent connection limit (default 64); excess
                      connections wait in the accept queue, none are dropped
@@ -343,84 +322,6 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         save_vtree(&Vtree::balanced(&vars), &vtree_path)
             .map_err(|e| format!("writing {vtree_path}: {e}"))?;
         println!("  vtree -> {vtree_path}");
-    }
-    Ok(())
-}
-
-fn cmd_optimize(args: &[String]) -> Result<(), String> {
-    use three_roles::minimize::{minimize_circuit, MinimizeConfig, Strategy, Trigger};
-
-    let mut args = args.to_vec();
-    let out = take_value(&mut args, "-o")?;
-    let server = take_value(&mut args, "--server")?;
-    let mut cfg = MinimizeConfig::default();
-    if let Some(s) = take_value(&mut args, "--strategy")? {
-        cfg.strategy = Strategy::parse(&s)
-            .ok_or_else(|| format!("bad strategy '{s}' (compact | obdd | vtree | full)"))?;
-    }
-    if let Some(ms) = take_value(&mut args, "--time-ms")? {
-        cfg.time_budget = Duration::from_millis(parse_num(&ms, "time budget")?);
-    }
-    if let Some(n) = take_value(&mut args, "--passes")? {
-        cfg.max_passes = parse_num(&n, "pass count")?;
-    }
-    if let Some(n) = take_value(&mut args, "--min-nodes")? {
-        cfg.trigger = Trigger::Threshold {
-            min_nodes: parse_num(&n, "node threshold")?,
-        };
-    }
-    let input = take_positional(args, "input CNF or artifact path")?;
-
-    if let Some(addr) = server {
-        // Registry path: compile (a hit when warm) then swap in place.
-        let cnf = read_cnf(&input)?;
-        let mut client =
-            Client::connect(addr.as_str()).map_err(|e| format!("connecting to {addr}: {e}"))?;
-        let compiled = client.compile(&cnf).map_err(|e| e.to_string())?;
-        let r = client.optimize(compiled.key).map_err(|e| e.to_string())?;
-        println!(
-            "optimized key {:#018x} on {addr}: {} -> {} nodes ({})   ({:.1} us)",
-            r.key,
-            r.nodes_before,
-            r.nodes_after,
-            if r.swapped {
-                "swapped in"
-            } else {
-                "kept original"
-            },
-            r.wall_us as f64
-        );
-        return Ok(());
-    }
-
-    let is_cnf = input.ends_with(".cnf") || input.ends_with(".dimacs");
-    let circuit = if is_cnf {
-        DecisionDnnfCompiler::default().compile(&read_cnf(&input)?)
-    } else {
-        load_artifact(&input, Validation::Full)?
-    };
-    let (minimized, report) = minimize_circuit(&circuit, &cfg);
-    println!(
-        "optimized {input}: {} -> {} nodes ({}, strategy {}, {} swaps, {} rotations)   ({:.1} us)",
-        report.nodes_before,
-        report.nodes_after,
-        if report.accepted {
-            "accepted"
-        } else {
-            "already minimal"
-        },
-        report.strategy,
-        report.swaps,
-        report.rotations,
-        report.wall_us as f64
-    );
-    if let Some(out) = out {
-        if out.ends_with(".nnf") {
-            save_nnf(&minimized, &out).map_err(|e| format!("writing {out}: {e}"))?;
-        } else {
-            save_binary(&minimized, &out).map_err(|e| format!("writing {out}: {e}"))?;
-        }
-        println!("  minimized artifact -> {out}");
     }
     Ok(())
 }
@@ -1309,15 +1210,6 @@ fn print_stats(addr: &str, s: &StatsSnapshot) {
         counter("kernel.lanes_filled"),
         counter("kernel.pool_sweeps"),
         counter("kernel.pool_steals"),
-    );
-    println!(
-        "  minimize   {} jobs, {} accepted, {} rejected, {} nodes reclaimed ({} swaps, {} rotations)",
-        counter("minimize.jobs"),
-        counter("minimize.accepted"),
-        counter("minimize.rejected"),
-        counter("minimize.nodes_reclaimed"),
-        counter("minimize.swaps"),
-        counter("minimize.rotations"),
     );
 }
 
